@@ -338,7 +338,7 @@ def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
             sharp = _run_scan(theorem, m, p, s, at, config.scan_steps)
 
     ok = True
-    if min_margin is not None and min_margin < -config.tol:
+    if min_margin is not None and not min_margin >= -config.tol:
         ok = False
     if sharp is not None and not sharp > 1.0:
         ok = False

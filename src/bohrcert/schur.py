@@ -29,7 +29,6 @@ __all__ = [
     "schur_to_taylor",
     "sample_parameters",
     "sample_schur",
-    "recursion_values",
     "extremal_family",
     "EXTREMAL_KINDS",
 ]
@@ -53,6 +52,9 @@ class SchurParameters:
         gammas = tuple(complex(g) for g in self.gammas)
         if not gammas:
             raise ParameterOutOfRange("at least one parameter is required")
+        for j, g in enumerate(gammas):
+            if not np.isfinite(g):
+                raise ParameterOutOfRange(f"parameter {j} is not finite: {g}")
         for j, g in enumerate(gammas[:-1]):
             if abs(g) >= 1.0:
                 raise ParameterOutOfRange(
@@ -84,36 +86,27 @@ def schur_to_taylor(params: ParamsLike, order: int) -> TruncatedSeries:
         f_j(z) = (gamma_j + z f_{j+1}(z)) / (1 + conj(gamma_j) z f_{j+1}(z)),
     with f = f_0 truncated at ``order``.  Each step is a disk automorphism
     applied to z*f_{j+1}, so |f| <= 1 on the disk and the result carries
-    sup_bound 1.  The denominator has constant term exactly 1, so the
-    reciprocal step is never singular.
+    sup_bound 1.
+
+    Those automorphisms are Moebius maps, so f = P/Q is rational of degree
+    at most M, and the recursion carries the two polynomials:
+        P <- gamma_j Q + z P,    Q <- Q + conj(gamma_j) z P,
+    from P = gamma_M, Q = 1.  Q(0) = 1 at every step, and since
+    |Q'|^2 - |P'|^2 = (1 - |gamma_j|^2)(|Q|^2 - |z P|^2), Q has no zero in
+    the open disk.  One long division P/Q then gives every coefficient at
+    O(order * M) cost.
     """
     params = _as_params(params)
     if order < 0:
         raise ParameterOutOfRange("order must be nonnegative")
     gammas = params.gammas
-    f = ps.constant(gammas[-1], order, abs(gammas[-1]))
+    num = np.array([gammas[-1]], dtype=complex)
+    den = np.ones(1, dtype=complex)
     for g in reversed(gammas[:-1]):
-        zf = ps.shift(f, 1)
-        num = ps.add(ps.constant(g, order), zf)
-        den = ps.add(ps.one(order), ps.scale(zf, np.conj(g)))
-        f = ps.mul(num, ps.reciprocal(den))
-    return TruncatedSeries(f.coeffs, 1.0)
-
-
-def recursion_values(params: ParamsLike, z) -> np.ndarray:
-    """Evaluate the recursion pointwise at z (scalar or array).
-
-    This goes through complex arithmetic only, no series truncation, so it
-    serves as an independent oracle for the Taylor coefficients and for
-    disk boundedness.
-    """
-    params = _as_params(params)
-    z = np.asarray(z, dtype=complex)
-    f = np.full(z.shape, params.gammas[-1], dtype=complex)
-    for g in reversed(params.gammas[:-1]):
-        zf = z * f
-        f = (g + zf) / (1.0 + np.conj(g) * zf)
-    return f
+        znum = np.concatenate(([0.0], num))
+        den = np.append(den, 0.0)
+        num, den = g * den + znum, den + np.conj(g) * znum
+    return TruncatedSeries(ps._divide(num, den, order), 1.0)
 
 
 def sample_parameters(seed: int, depth: int, radius: float = SAMPLING_RADIUS) -> SchurParameters:

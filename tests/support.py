@@ -3,11 +3,14 @@
 Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
-recurrences, and hand-derived geometric closed forms for the extremal
-families.
+recurrences, step-by-step series arithmetic instead of the sampler's
+closed rational form, and hand-derived geometric closed forms for the
+extremal families.
 """
 
 import numpy as np
+
+from bohrcert import series as ps
 
 
 def brute_cauchy_product(a, b, n):
@@ -29,6 +32,22 @@ def pointwise_recursion(gammas, z):
         zf = z * f
         f = (g + zf) / (1.0 + np.conj(g) * zf)
     return f
+
+
+def series_route_taylor(gammas, order):
+    """Taylor coefficients by running the recursion on truncated series.
+
+    Every step is a dense series reciprocal and product, so this costs
+    O(order^2) per parameter and never forms the rational P/Q that the
+    library divides out once.
+    """
+    f = ps.constant(gammas[-1], order, abs(complex(gammas[-1])))
+    for g in reversed(gammas[:-1]):
+        zf = ps.shift(f, 1)
+        num = ps.add(ps.constant(g, order), zf)
+        den = ps.add(ps.one(order), ps.scale(zf, np.conj(g)))
+        f = ps.mul(num, ps.reciprocal(den))
+    return f.coeffs
 
 
 def fourier_coefficients(gammas, order, rho=0.5, npts=1024):

@@ -128,6 +128,20 @@ class TestRunCampaign:
         rep = hn.run_campaign(small_config(tol=-1.0))
         assert not rep.all_pass
 
+    def test_nan_margin_fails_row(self, monkeypatch):
+        real = hn.fn.theorem_margins
+
+        def nan_core(*args, **kwargs):
+            lhs, rhs = real(*args, **kwargs)
+            lhs = lhs.copy()
+            lhs[0, 0] = np.nan
+            return lhs, rhs
+
+        monkeypatch.setattr(hn.fn, "theorem_margins", nan_core)
+        row = hn.run_campaign(small_config()).rows[0]
+        assert math.isnan(row.min_margin)
+        assert row.passed is False
+
     def test_determinism_byte_identical(self):
         cfg = small_config(samples=25)
         a = hn.report_to_json(hn.run_campaign(cfg))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bohrcert import schur
 from bohrcert.errors import ParameterOutOfRange
 
-from support import fourier_coefficients, pointwise_recursion
+from support import fourier_coefficients, pointwise_recursion, series_route_taylor
 
 
 def disk_points(count, radius=0.999):
@@ -39,6 +39,35 @@ class TestSchurToTaylor:
         with pytest.raises(ParameterOutOfRange):
             schur.schur_to_taylor([0.5, 1.5], 4)
         schur.schur_to_taylor([0.5, 1.0], 4)  # boundary final entry is fine
+
+    @pytest.mark.parametrize("gammas", [
+        [0.5, np.nan, 0.3],
+        [0.5, 0.3, np.nan],
+        [np.nan, 0.3],
+        [0.2, complex(0.0, np.inf)],
+        [complex(np.inf, 1.0), 0.3],
+    ])
+    def test_non_finite_rejected(self, gammas):
+        with pytest.raises(ParameterOutOfRange):
+            schur.schur_to_taylor(gammas, 4)
+
+    @pytest.mark.parametrize("order", [0, 1, 16, 161, 512, 2560])
+    def test_series_route_oracle(self, order):
+        for depth in range(1, 10):
+            gammas = schur.sample_parameters(1000 + depth, depth).gammas
+            got = schur.schur_to_taylor(gammas, order).coeffs
+            assert got.size == order + 1
+            assert np.abs(got - series_route_taylor(gammas, order)).max() < 1e-12
+
+    def test_series_route_oracle_boundary_and_short(self):
+        # final parameter on the circle: a finite Blaschke product
+        blaschke = (0.6 - 0.3j, -0.4j, 0.7, np.exp(0.9j))
+        # orders below the depth of 9
+        deep = schur.sample_parameters(5, 9).gammas
+        for gammas, order in [(blaschke, 0), (blaschke, 3), (blaschke, 512),
+                              (deep, 0), (deep, 2), (deep, 8)]:
+            got = schur.schur_to_taylor(gammas, order).coeffs
+            assert np.abs(got - series_route_taylor(gammas, order)).max() < 1e-12
 
     def test_fourier_oracle(self):
         rng = np.random.default_rng(42)
