@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional
 
 from . import harness, multidim, radius
-from .errors import BohrcertError
+from .errors import BohrcertError, ParameterOutOfRange
 
 _PROG = "bohrcert"
 
@@ -28,7 +28,18 @@ _PROG = "bohrcert"
 def _parse_t(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ParameterOutOfRange(f"--t takes numbers or inf, got {text!r}") from None
+
+
+def _parse_shape(text: str):
+    try:
+        m, p = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ParameterOutOfRange(f"--shapes takes m:p pairs, got {text!r}") from None
+    return m, p
 
 
 def _radius_spec_from_args(args) -> radius.RadiusSpec:
@@ -81,18 +92,18 @@ def _cmd_table(args) -> int:
 def _config_from_args(args) -> harness.CampaignConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return harness.config_from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParameterOutOfRange(f"config file is not UTF-8: {exc}") from None
+        return harness.config_from_json(text)
     kwargs = {}
     if args.theorems:
         kwargs["theorems"] = tuple(x for x in args.theorems.split(",") if x)
     else:
         raise BohrcertError("verify needs --config or --theorems")
     if args.shapes:
-        shapes = []
-        for chunk in args.shapes.split(","):
-            m_txt, p_txt = chunk.split(":")
-            shapes.append((int(m_txt), int(p_txt)))
-        kwargs["shapes"] = tuple(shapes)
+        kwargs["shapes"] = tuple(_parse_shape(x) for x in args.shapes.split(","))
     if args.t:
         kwargs["t_values"] = tuple(_parse_t(x) for x in args.t.split(","))
     for key in ("samples", "seed", "depth", "r_start", "r_stop", "r_step", "tol"):

@@ -6,21 +6,30 @@ m, p + m, 2p + m, ... (a gap-free function is the shape (0, 1) case).
 Profiles keep moduli only; every functional in the catalog depends on
 |a_k| alone, so phases are dropped at construction.
 
-The catalog identifiers accepted by :func:`evaluate_theorem`:
+The catalog identifiers (``THEOREM_IDS``):
 
-========  ==================================================================
-ThmC      alternating lacunary sum plus weighted square sum, bound 1
-Thm31     refined majorant with |f(0)|^s origin term, shape (0, 1), bound 1
-Thm32     vanishing-start lacunary refinement with adaptive weight, bound 1
-Thm34     odd-part sum plus weighted square sum, bound 1
-Thm41     alternating variant of Thm34 (identical value to ThmC), bound 1
-Cor43     alternating sum with origin-weighted square term, bound 1
-BombieriUpper   majorant envelope (3 - sqrt(8(1-r^2)))/r on [1/3, 1/sqrt(2)]
-BBUpper         majorant envelope 1/sqrt(1-r^2) on (1/sqrt(2), 1)
-========  ==================================================================
+=============  ==============================================================
+ThmB           refined majorant bound, shape (0, 1)
+LemDOdd        odd-part lacunary split bound, any shape
+LemDEven       even-part lacunary split bound, any shape
+ThmC           alternating lacunary sum plus weighted square sum, bound 1
+Thm31          refined majorant with |f(0)|^s origin term, shape (0, 1), bound 1
+Thm32          vanishing-start lacunary refinement with adaptive weight, bound 1
+Thm34          odd-part sum plus weighted square sum, bound 1
+Thm41          alternating variant of Thm34; the same bound as ThmC, term by term
+Cor43          alternating sum with origin-weighted square term, bound 1
+BombieriUpper  majorant envelope (3 - sqrt(8(1-r^2)))/r on [1/3, 1/sqrt(2)]
+BBUpper        majorant envelope 1/sqrt(1-r^2) on (1/sqrt(2), 1)
+=============  ==============================================================
 
-The two unconditional bounds with dedicated entry points are
-:func:`refined_thmB` (shape (0, 1)) and :func:`lemmaD_bounds` (any shape).
+ThmB and the LemD pair also have dedicated entry points,
+:func:`refined_thmB` and :func:`lemmaD_bounds`.
+
+Where a theorem's facts live: its left side (weighted lattice power sums
+of mu, mu^2 or signed mu), its right side and the conditions it is stated
+under (shape, odd gap, vanishing start, radius window) are one entry of
+``_THEOREMS``, evaluated by one engine.  Its radius equation is in
+:mod:`bohrcert.radius`; how a campaign runs it is in ``harness._ROWS``.
 
 All evaluators certify their truncation: with coefficient moduli bounded
 by ``coeff_bound`` (1 for anything drawn from the unit-ball classes), the
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,21 +77,6 @@ __all__ = [
 
 DEFAULT_MARGIN_TOL = 1e-9
 DEFAULT_TRUNC_TOL = 1e-10
-
-THEOREM_IDS = (
-    "ThmC",
-    "Thm31",
-    "Thm32",
-    "Thm34",
-    "Thm41",
-    "Cor43",
-    "BombieriUpper",
-    "BBUpper",
-)
-
-# Extended ids usable through the batched core (the first two have their
-# own public wrappers and are not routed through evaluate_theorem).
-_CORE_IDS = ("ThmB", "LemDOdd", "LemDEven") + THEOREM_IDS
 
 BOMBIERI_LO = 1.0 / 3.0
 BOMBIERI_HI = 1.0 / math.sqrt(2.0)
@@ -122,22 +116,6 @@ class LacunaryProfile:
         if bound < float(arr.max(initial=0.0)) - 1e-12:
             raise ParameterOutOfRange("coeff_bound below a stored modulus")
         object.__setattr__(self, "coeff_bound", bound)
-
-    @property
-    def origin_value(self) -> float:
-        """|f(0)|: mu_0 for shape m = 0, zero otherwise."""
-        return float(self.mods[0]) if self.m == 0 else 0.0
-
-    @property
-    def max_exponent(self) -> int:
-        return (self.mods.size - 1) * self.p + self.m
-
-    def sum_tail_bound(self, r: float) -> float:
-        """Bound on the linear-sum tail neglected beyond the stored moduli."""
-        if r <= 0.0 or self.exact:
-            return 0.0
-        first_unknown = self.mods.size * self.p + self.m
-        return self.coeff_bound * r ** first_unknown / (1.0 - r ** self.p)
 
 
 @dataclass(frozen=True)
@@ -250,150 +228,173 @@ def _signs(k: np.ndarray, m: int, p: int) -> np.ndarray:
     return np.where((k * p + m) % 2 == 0, 1.0, -1.0)
 
 
-def _core_thmB(mods, m, p, r):
-    if (m, p) != (0, 1):
-        raise ShapeMismatch(f"this bound is stated for shape (0, 1), got ({m},{p})")
-    k = np.arange(mods.shape[1])
-    mu0 = mods[:, :1]
-    lin = _psum(mods[:, 1:], k[1:], r)
-    sq = _psum(mods[:, 1:] ** 2, 2 * k[1:], r)
-    factor = 1.0 / (1.0 + mu0) + r / (1.0 - r)
-    lhs = lin + factor * sq
-    rhs = (r / (1.0 - r)) * (1.0 - mu0 ** 2)
-    return lhs, rhs
+class _Vars(NamedTuple):
+    """What a weight or a right side may depend on."""
+
+    r: np.ndarray  # (R,) radius grid
+    mu0: np.ndarray  # (S, 1)
+    mu1: np.ndarray  # (S, 1); zeros for one-modulus profiles
+    m: int
+    p: int
 
 
-def _core_lemD_odd(mods, m, p, r):
-    # The square sum below is r^p/(1-r^2p) * sum mu_k^2 r^(2kp), the
+@dataclass(frozen=True)
+class _Term:
+    """weight * sum over the lattice slice ``cols`` of w_k r^(a k p + b p + c m).
+
+    ``power`` picks w_k: 1 for mu_k, 2 for mu_k^2, "signed" for
+    (-1)^(kp+m) mu_k, and "s" for mu_k^s with s taken from the extras.
+    ``weight`` maps :class:`_Vars` to an array broadcasting against
+    (samples, radii); None means 1.
+    """
+
+    cols: slice
+    power: object
+    exps: Tuple[int, int, int]
+    weight: Optional[Callable[[_Vars], np.ndarray]] = None
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """lhs = sum of the terms (its modulus if ``absolute``) <= rhs.
+
+    ``rhs`` None means the bound 1.  The rest are the conditions the bound
+    is stated under: the one shape (m, p), an odd gap p, a vanishing
+    lattice start mu_0 = 0, and a radius window [lo, hi].
+    """
+
+    terms: Tuple[_Term, ...]
+    rhs: Optional[Callable[[_Vars], np.ndarray]] = None
+    absolute: bool = False
+    shape: Optional[Tuple[int, int]] = None
+    odd_gap: bool = False
+    vanishing_start: bool = False
+    window: Optional[Tuple[float, float]] = None
+
+
+_ALL = slice(None)
+_TAIL = slice(1, None)
+_ODD = slice(1, None, 2)
+_EVEN = slice(2, None, 2)
+_FROM2 = slice(2, None)
+
+
+def _den(v: _Vars) -> np.ndarray:
+    return 1.0 - v.r ** (2 * v.p)
+
+
+# sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
+_REFINED = (
+    _Term(_TAIL, 1, (1, 0, 0)),
+    _Term(_TAIL, 2, (2, 0, 0), lambda v: 1.0 / (1.0 + v.mu0) + v.r / (1.0 - v.r)),
+)
+_ALTERNATING = _Term(_TAIL, "signed", (1, 0, 1))
+_MAJORANT = (_Term(_ALL, 1, (1, 0, 1)),)
+
+_THEOREMS = {
+    "ThmB": _Theorem(
+        _REFINED, rhs=lambda v: (v.r / (1.0 - v.r)) * (1.0 - v.mu0 ** 2), shape=(0, 1)),
+    # The square sum is r^p/(1-r^2p) * sum mu_k^2 r^(2kp), the
     # nonnegative-exponent form of the weighted sum over r^((2k-1)p).
-    k = np.arange(mods.shape[1])
-    den = 1.0 - r ** (2 * p)
-    lin = _psum(mods[:, 1::2], k[1::2] * p, r)
-    sq = _psum(mods ** 2, 2 * k * p, r)
-    lhs = lin + (r ** p / den) * sq
-    rhs = np.broadcast_to(r ** p / den, lhs.shape)
-    return lhs, rhs
+    "LemDOdd": _Theorem(
+        (_Term(_ODD, 1, (1, 0, 0)),
+         _Term(_ALL, 2, (2, 0, 0), lambda v: v.r ** v.p / _den(v))),
+        rhs=lambda v: v.r ** v.p / _den(v)),
+    "LemDEven": _Theorem(
+        (_Term(_EVEN, 1, (1, 0, 0)),
+         _Term(_TAIL, 2, (2, 0, 0),
+               lambda v: 1.0 / (1.0 + v.mu0) + v.r ** (2 * v.p) / _den(v))),
+        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / _den(v))),
+    # Thm41 is this bound term by term: r^(p-m) r^(2kp+2m) = r^(p+m) r^(2kp).
+    "ThmC": _Theorem(
+        (_ALTERNATING,
+         _Term(_ALL, 2, (2, 0, 0),
+               lambda v: (-1.0) ** (v.m + v.p) * (v.r ** (v.p + v.m) / _den(v)))),
+        absolute=True, odd_gap=True),
+    "Thm31": _Theorem((_Term(slice(0, 1), "s", (0, 0, 0)),) + _REFINED, shape=(0, 1)),
+    # 1/(r^(p+m) + Lambda) with Lambda = mu_1 r^(p+m) folds into the
+    # exponents: the two square sums carry exponents (2k-1)p + m and
+    # 2kp + m, both nonnegative, so r = 0 is safe.
+    "Thm32": _Theorem(
+        (_Term(_TAIL, 1, (1, 0, 1)),
+         _Term(_FROM2, 2, (2, -1, 1), lambda v: 1.0 / (1.0 + v.mu1)),
+         _Term(_FROM2, 2, (2, 0, 1), lambda v: 1.0 / (1.0 - v.r ** v.p))),
+        vanishing_start=True),
+    "Thm34": _Theorem(
+        (_Term(_ODD, 1, (1, 0, 1)),
+         _Term(_ALL, 2, (2, 0, 2),
+               lambda v: v.r ** (v.p - v.m) / _den(v)))),
+    # 1/(r^m + Gamma) with Gamma = mu_0 r^m folds into the exponents the
+    # same way; both square sums stay finite at r = 0.
+    "Cor43": _Theorem(
+        (_ALTERNATING,
+         _Term(_ALL, 2, (2, 0, 1), lambda v: (-1.0) ** v.m / (1.0 + v.mu0)),
+         _Term(_ALL, 2, (2, 2, 1), lambda v: (-1.0) ** v.m / _den(v))),
+        absolute=True, odd_gap=True),
+    "BombieriUpper": _Theorem(
+        _MAJORANT, rhs=lambda v: (3.0 - np.sqrt(8.0 * (1.0 - v.r ** 2))) / v.r,
+        window=(BOMBIERI_LO, BOMBIERI_HI)),
+    "BBUpper": _Theorem(
+        _MAJORANT, rhs=lambda v: 1.0 / np.sqrt(1.0 - v.r ** 2),
+        window=(float(np.nextafter(BOMBIERI_HI, 1.0)), 1.0)),
+}
+_THEOREMS["Thm41"] = _THEOREMS["ThmC"]
+
+THEOREM_IDS = tuple(_THEOREMS)
 
 
-def _core_lemD_even(mods, m, p, r):
-    k = np.arange(mods.shape[1])
-    mu0 = mods[:, :1]
-    den = 1.0 - r ** (2 * p)
-    lin = _psum(mods[:, 2::2], k[2::2] * p, r)
-    sq = _psum(mods[:, 1:] ** 2, 2 * k[1:] * p, r)
-    factor = 1.0 / (1.0 + mu0) + r ** (2 * p) / den
-    lhs = lin + factor * sq
-    rhs = (1.0 - mu0 ** 2) * (r ** (2 * p) / den)
-    return lhs, rhs
-
-
-def _core_thmC(mods, m, p, r):
-    if p % 2 == 0:
+def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
+    if th.shape is not None and (m, p) != th.shape:
+        raise ShapeMismatch(
+            f"{theorem_id} is stated for shape (m, p) = {th.shape}, got ({m},{p})"
+        )
+    if th.odd_gap and p % 2 == 0:
         raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
-    k = np.arange(mods.shape[1])
-    signs = _signs(k, m, p)
-    alt = _psum(signs[1:] * mods[:, 1:], k[1:] * p + m, r)
-    sq = _psum(mods ** 2, 2 * k * p, r)
-    outer = 1.0 if (m + p) % 2 == 0 else -1.0
-    inner = alt + outer * (r ** (p + m) / (1.0 - r ** (2 * p))) * sq
-    return np.abs(inner), np.ones_like(inner)
-
-
-def _core_thm31(mods, m, p, r, s):
-    if (m, p) != (0, 1):
-        raise ShapeMismatch(f"this bound is stated for shape (0, 1), got ({m},{p})")
-    if s is None or not s > 0.0:
-        raise ParameterOutOfRange("Thm31 needs a positive exponent s in extras")
-    k = np.arange(mods.shape[1])
-    mu0 = mods[:, :1]
-    lin = _psum(mods[:, 1:], k[1:], r)
-    sq = _psum(mods[:, 1:] ** 2, 2 * k[1:], r)
-    factor = 1.0 / (1.0 + mu0) + r / (1.0 - r)
-    lhs = mu0 ** float(s) + lin + factor * sq
-    return lhs, np.ones_like(lhs)
-
-
-def _core_thm32(mods, m, p, r):
-    mu0 = mods[:, 0]
-    if np.any(mu0 > 1e-12):
+    if th.vanishing_start and np.any(mods[:, 0] > 1e-12):
         raise ShapeMismatch(
             "this bound needs a vanishing lattice start (mu_0 = 0); "
-            f"got mu_0 up to {float(mu0.max()):.3e}"
+            f"got mu_0 up to {float(mods[:, 0].max()):.3e}"
         )
-    k = np.arange(mods.shape[1])
-    lin = _psum(mods[:, 1:], k[1:] * p + m, r)
-    if mods.shape[1] > 2:
-        mu1 = mods[:, 1:2]
-        w2 = mods[:, 2:] ** 2
-        k2 = k[2:]
-        # 1/(r^(p+m) + Lambda) with Lambda = mu_1 r^(p+m) folds into the
-        # exponents: the two weighted square sums below carry exponents
-        # (2k-1)p + m and 2kp + m, both nonnegative, so r = 0 is safe.
-        sq_a = _psum(w2, (2 * k2 - 1) * p + m, r) / (1.0 + mu1)
-        sq_b = _psum(w2, 2 * k2 * p + m, r) / (1.0 - r ** p)
-        lhs = lin + sq_a + sq_b
-    else:
-        lhs = lin
-    return lhs, np.ones_like(lhs)
+    if th.window is not None and r.size:
+        lo, hi = th.window
+        if r.min() < lo - 1e-12 or r.max() > hi + 1e-12:
+            raise RadiusOutOfWindow(
+                f"{theorem_id} envelope valid for {lo:.6f} <= r <= {hi:.6f}"
+            )
+    if any(term.power == "s" for term in th.terms) and (s is None or not s > 0.0):
+        raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
-def _core_thm34(mods, m, p, r):
-    k = np.arange(mods.shape[1])
-    lin = _psum(mods[:, 1::2], k[1::2] * p + m, r)
-    sq = _psum(mods ** 2, 2 * (k * p + m), r)
-    lhs = lin + (r ** (p - m) / (1.0 - r ** (2 * p))) * sq
-    return lhs, np.ones_like(lhs)
-
-
-def _core_thm41(mods, m, p, r):
-    if p % 2 == 0:
-        raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
-    k = np.arange(mods.shape[1])
-    signs = _signs(k, m, p)
-    alt = _psum(signs[1:] * mods[:, 1:], k[1:] * p + m, r)
-    sq = _psum(mods ** 2, 2 * (k * p + m), r)
-    outer = 1.0 if (m + p) % 2 == 0 else -1.0
-    inner = alt + outer * (r ** (p - m) / (1.0 - r ** (2 * p))) * sq
-    return np.abs(inner), np.ones_like(inner)
-
-
-def _core_cor43(mods, m, p, r):
-    if p % 2 == 0:
-        raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
-    k = np.arange(mods.shape[1])
-    signs = _signs(k, m, p)
-    mu0 = mods[:, :1]
-    alt = _psum(signs[1:] * mods[:, 1:], k[1:] * p + m, r)
-    w = mods ** 2
-    # 1/(r^m + Gamma) with Gamma = mu_0 r^m folds into the exponents, as in
-    # the vanishing-start bound above; both pieces stay finite at r = 0.
-    sq_a = _psum(w, 2 * k * p + m, r) / (1.0 + mu0)
-    sq_b = _psum(w, 2 * (k + 1) * p + m, r) / (1.0 - r ** (2 * p))
-    outer = 1.0 if m % 2 == 0 else -1.0
-    inner = alt + outer * (sq_a + sq_b)
-    return np.abs(inner), np.ones_like(inner)
-
-
-def _core_bombieri(mods, m, p, r):
-    if r.size and (r.min() < BOMBIERI_LO - 1e-12 or r.max() > BOMBIERI_HI + 1e-12):
-        raise RadiusOutOfWindow(
-            f"majorant envelope valid on [{BOMBIERI_LO:.6f}, {BOMBIERI_HI:.6f}]"
-        )
-    k = np.arange(mods.shape[1])
-    lhs = _psum(mods, k * p + m, r)
-    rhs = np.broadcast_to((3.0 - np.sqrt(8.0 * (1.0 - r ** 2))) / r, lhs.shape)
-    return lhs, rhs
-
-
-def _core_bb(mods, m, p, r):
-    if r.size and r.min() <= BOMBIERI_HI - 1e-12:
-        raise RadiusOutOfWindow(
-            f"majorant envelope valid on ({BOMBIERI_HI:.6f}, 1)"
-        )
-    k = np.arange(mods.shape[1])
-    lhs = _psum(mods, k * p + m, r)
-    rhs = np.broadcast_to(1.0 / np.sqrt(1.0 - r ** 2), lhs.shape)
-    return lhs, rhs
+def _evaluate(th: _Theorem, mods, m, p, r, s) -> Tuple[np.ndarray, np.ndarray]:
+    samples, length = mods.shape
+    k = np.arange(length)
+    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
+    v = _Vars(r, mods[:, :1], mu1, m, p)
+    lhs = None
+    for term in th.terms:
+        # One (S, K) temporary per term, dropped before the next one: the
+        # scan path runs thousands of family rows in one call.
+        w = mods[:, term.cols]
+        if term.power == 2:
+            w = w ** 2
+        elif term.power == "s":
+            w = w ** float(s)
+        elif term.power == "signed":
+            w = _signs(k[term.cols], m, p) * w
+        a, b, c = term.exps
+        part = _psum(w, a * k[term.cols] * p + b * p + c * m, r)
+        del w
+        if term.weight is not None:
+            part *= term.weight(v)
+        if lhs is None:
+            lhs = part
+        else:
+            lhs += part
+    if th.absolute:
+        np.abs(lhs, out=lhs)
+    if th.rhs is None:
+        return lhs, np.ones_like(lhs)
+    return lhs, np.broadcast_to(th.rhs(v), lhs.shape)
 
 
 def theorem_margins(
@@ -413,6 +414,9 @@ def theorem_margins(
     and one truncation length; ``r`` is a radius grid.  This is the engine
     behind all scalar entry points and the sweep harness.
     """
+    th = _THEOREMS.get(theorem_id)
+    if th is None:
+        raise UnknownTheorem(f"no inequality with id {theorem_id!r}")
     mods = np.atleast_2d(np.asarray(mods, dtype=float))
     if not (p >= 1 and 0 <= m <= p):
         raise ParameterOutOfRange(f"invalid shape m={m}, p={p}")
@@ -421,31 +425,9 @@ def theorem_margins(
         coeff_bound = float(max(1.0, mods.max(initial=0.0)))
     if not exact:
         _check_truncation(mods.shape[1], m, p, grid, coeff_bound, trunc_tol)
-
-    if theorem_id == "ThmB":
-        return _core_thmB(mods, m, p, grid)
-    if theorem_id == "LemDOdd":
-        return _core_lemD_odd(mods, m, p, grid)
-    if theorem_id == "LemDEven":
-        return _core_lemD_even(mods, m, p, grid)
-    if theorem_id == "ThmC":
-        return _core_thmC(mods, m, p, grid)
-    if theorem_id == "Thm31":
-        s = None if extras is None else extras.get("s")
-        return _core_thm31(mods, m, p, grid, s)
-    if theorem_id == "Thm32":
-        return _core_thm32(mods, m, p, grid)
-    if theorem_id == "Thm34":
-        return _core_thm34(mods, m, p, grid)
-    if theorem_id == "Thm41":
-        return _core_thm41(mods, m, p, grid)
-    if theorem_id == "Cor43":
-        return _core_cor43(mods, m, p, grid)
-    if theorem_id == "BombieriUpper":
-        return _core_bombieri(mods, m, p, grid)
-    if theorem_id == "BBUpper":
-        return _core_bb(mods, m, p, grid)
-    raise UnknownTheorem(f"no inequality with id {theorem_id!r}")
+    s = None if extras is None else extras.get("s")
+    _check_applicable(theorem_id, th, mods, m, p, grid, s)
+    return _evaluate(th, mods, m, p, grid, s)
 
 
 # ----------------------------------------------------------------------
@@ -548,8 +530,6 @@ def evaluate_theorem_grid(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) vectors for one profile on a radius grid."""
-    if theorem_id not in THEOREM_IDS:
-        raise UnknownTheorem(f"no inequality with id {theorem_id!r}")
     lhs, rhs = theorem_margins(theorem_id, profile.mods, profile.m, profile.p,
                                r, extras=extras, trunc_tol=trunc_tol,
                                coeff_bound=profile.coeff_bound,

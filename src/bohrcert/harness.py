@@ -10,6 +10,12 @@ pass/fail verdict:
     pass  <=>  min margin >= -tol below the radius, and the scan exceeds
                1 above it (where a scan is defined).
 
+Where a row's facts live: ``_ROWS`` maps each campaign id to a
+:class:`RowSpec` (its margin cores, radius equation, sharpness family,
+bank transform and vector flag).  The cores' formulas, shape and odd-gap
+rules and radius windows are read from ``functionals._THEOREMS``, the
+radius equations from :mod:`bohrcert.radius`.
+
 Determinism contract: per-sample seeds are derived as row_seed XOR
 sample index, with row_seed a CRC of the row label mixed with the config
 seed, so identical configs produce byte-identical reports regardless of
@@ -44,35 +50,82 @@ __all__ = [
     "config_from_json",
 ]
 
-CAMPAIGN_THEOREMS = (
-    "ThmB",
-    "LemD",
-    "ThmC",
-    "Thm31",
-    "Thm32",
-    "Thm34",
-    "Thm41",
-    "Cor33",
-    "Cor42",
-    "Cor43",
-    "Lem21",
-    "BombieriUpper",
-    "BBUpper",
-)
 
-# rows fixed to shape (0, 1) regardless of the config grid
-_FIXED_SHAPE = {
-    "ThmB": (0, 1),
-    "Thm31": (0, 1),
-    "Cor33": (0, 1),
-    "Cor42": (1, 1),
-    "BombieriUpper": (0, 1),
-    "BBUpper": (0, 1),
+@dataclass(frozen=True)
+class RowSpec:
+    """How a campaign runs one theorem id.
+
+    A core's formula, its shape and odd-gap rules and its radius window
+    are read from its ``functionals._THEOREMS`` entry; this holds only
+    what the campaign adds.
+    """
+
+    cores: Tuple[str, ...]  # margin cores; the row's margin is the least
+    equation: Optional[str] = None  # radius equation id
+    at: Optional[Tuple[int, int]] = None  # fixed (m, p) of the core and the equation
+    shape: Optional[Tuple[int, int]] = None  # the row's own (m, p) where it differs from ``at``
+    scan: Optional[str] = None  # sharpness family run just above the radius
+    scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
+    vector: bool = False  # one row per t; bank scaled by each direction's sup norm
+    shift: bool = False  # bank gets a vanishing lattice start prepended
+
+    @property
+    def per_function(self) -> bool:
+        """The radius depends on |f(0)| and the exponent s."""
+        return self.equation == "Thm31"
+
+    @property
+    def rules(self) -> "fn._Theorem":
+        """The first core's ``_THEOREMS`` entry; Lem21's core has none."""
+        return fn._THEOREMS.get(self.cores[0], _NO_RULES)
+
+
+# Rows with no radius equation hold on all of [0, 1) (ThmB, LemD, Lem21)
+# or on their core's window (the envelopes).
+_ROWS = {
+    "ThmB": RowSpec(("ThmB",)),
+    "LemD": RowSpec(("LemDOdd", "LemDEven")),
+    "ThmC": RowSpec(("ThmC",), "ThmC34"),
+    "Thm31": RowSpec(("Thm31",), "Thm31", scan="Thm31"),
+    "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32", shift=True),
+    "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34"),
+    "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41"),
+    "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32", shift=True),
+    # the (1, 1) norms of f = z*g, reindexed to start at 0, are a
+    # vanishing-start (0, 1) profile
+    "Cor42": RowSpec(("Thm32",), "Thm32", at=(0, 1), shape=(1, 1), vector=True,
+                     shift=True),
+    # No constructive witness of the Cor43 radius is known for m >= 1.
+    "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True),
+    "Lem21": RowSpec(("Lem21",), vector=True),  # multidim.lemma21_margins
+    "BombieriUpper": RowSpec(("BombieriUpper",), at=(0, 1)),
+    "BBUpper": RowSpec(("BBUpper",), at=(0, 1)),
 }
-_ODD_GAP = {"ThmC", "Thm41", "Cor43"}
-_VECTOR = {"Cor42", "Lem21"}
+CAMPAIGN_THEOREMS = tuple(_ROWS)
+_NO_RULES = fn._Theorem(terms=())
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
+
+
+def _as_list(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParameterOutOfRange(f"{name} must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _as_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterOutOfRange(f"{name} must hold integers, got {value!r}")
+    return int(value)
+
+
+def _as_float(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterOutOfRange(f"{name} must hold numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterOutOfRange(f"{name} holds a number too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -97,18 +150,35 @@ class CampaignConfig:
     format: str = "json"
 
     def __post_init__(self):
-        object.__setattr__(self, "theorems", tuple(self.theorems))
-        object.__setattr__(
-            self, "shapes", tuple((int(m), int(p)) for m, p in self.shapes)
-        )
-        object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
-        object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("theorems", _as_list("theorems", self.theorems))
         for th in self.theorems:
-            if th not in CAMPAIGN_THEOREMS:
+            if not isinstance(th, str) or th not in _ROWS:
                 raise ParameterOutOfRange(f"unknown campaign theorem {th!r}")
+        shapes = []
+        for shape in _as_list("shapes", self.shapes):
+            if not isinstance(shape, (list, tuple)) or len(shape) != 2:
+                raise ParameterOutOfRange(f"a shape is an (m, p) pair, got {shape!r}")
+            shapes.append(tuple(_as_int("shapes", x) for x in shape))
+        put("shapes", tuple(shapes))
+        for name in ("t_values", "s_values"):
+            put(name, tuple(_as_float(name, x) for x in _as_list(name, getattr(self, name))))
+        for name in ("samples", "seed", "depth", "dims", "scan_steps"):
+            put(name, _as_int(name, getattr(self, name)))
+        for name in ("r_start", "r_stop", "r_step", "tol", "trunc_tol"):
+            put(name, _as_float(name, getattr(self, name)))
+        for name in ("output", "format"):
+            if not isinstance(getattr(self, name), str):
+                raise ParameterOutOfRange(f"{name} must be a string")
         for m, p in self.shapes:
             if not (p >= 1 and 0 <= m <= p):
                 raise ParameterOutOfRange(f"invalid shape (m={m}, p={p})")
+        if not all(t >= 1.0 for t in self.t_values):
+            raise ParameterOutOfRange("norm indices t must be >= 1 or inf")
+        if math.isnan(self.tol) or not 0.0 < self.trunc_tol < math.inf:
+            raise ParameterOutOfRange("tol must be a number and trunc_tol in (0, inf)")
         if not self.samples >= 1:
             raise ParameterOutOfRange("sample count must be >= 1")
         if not (0.0 < self.r_step and 0.0 <= self.r_start < 1.0):
@@ -156,18 +226,6 @@ def _row_seed(config_seed: int, label: str) -> int:
     return zlib.crc32(label.encode("utf-8")) ^ (config_seed & 0xFFFFFFFF)
 
 
-def _radius_spec(theorem: str, m: int, p: int, s: Optional[float]) -> Optional[rad.RadiusSpec]:
-    if theorem in ("ThmC", "Thm34", "Thm41"):
-        return rad.RadiusSpec("ThmC34", p, m)
-    if theorem in ("Thm32",):
-        return rad.RadiusSpec("Thm32", p, m)
-    if theorem in ("Cor33", "Cor42"):
-        return rad.RadiusSpec("Thm32", 1, 0)
-    if theorem == "Cor43":
-        return rad.RadiusSpec("Cor43", p, m)
-    return None  # ThmB, LemD, Lem21 hold on all of [0, 1); envelopes use windows
-
-
 def _grid(config: CampaignConfig, cap: float) -> np.ndarray:
     hi = min(config.r_stop, cap)
     if hi < config.r_start:
@@ -205,137 +263,88 @@ def _directions(config: CampaignConfig, label: str, t: float) -> List[md.Directi
     ]
 
 
-def _scan_radius(theorem: str, m: int, p: int, s: Optional[float],
-                 a_grid: np.ndarray) -> Optional[float]:
-    """Radius at which the row's sharpness scan crosses 1.
-
-    For most ids this is the solved sharp radius.  The origin-powered
-    bound has a per-function radius, so its family scan crosses at the
-    smallest per-parameter radius on the scan grid.
-    """
-    if theorem == "Thm31":
-        vals = (1.0 - a_grid ** s) / (2.0 - a_grid ** 2 - a_grid ** s)
-        return float(vals.min())
-    spec = _radius_spec(theorem, m, p, s)
-    return None if spec is None else rad.solve_radius(spec)
-
-
-def _scan_defined(theorem: str, m: int, p: int) -> bool:
-    if theorem in ("Thm31", "Thm32", "Thm34", "Thm41", "Cor33"):
-        return True
-    # The alternating origin-weighted family witnesses its radius only in
-    # the m = 0 degeneration; no constructive witness is known for m >= 1.
-    return theorem == "Cor43" and m == 0
-
-
-def _run_scan(theorem: str, m: int, p: int, s: Optional[float], r: float,
-              steps: int) -> float:
-    grid = md.default_scan_grid(steps)
-    scan_id = "Thm32" if theorem == "Cor33" else theorem
-    pm = (1, 0) if theorem == "Cor33" else (p, m)
-    return md.sharpness_scan(scan_id, pm[0], pm[1], r, grid, s=s)
-
-
-def _margins_for_row(theorem, bank, m, p, grid, s, t, config, label):
-    """(min margin, samples used) for one row, batched over the bank."""
-    trunc = config.trunc_tol
-    if theorem == "ThmB":
-        lhs, rhs = fn.theorem_margins("ThmB", bank, 0, 1, grid, trunc_tol=trunc)
-    elif theorem == "LemD":
-        lo, ro = fn.theorem_margins("LemDOdd", bank, m, p, grid, trunc_tol=trunc)
-        le, re_ = fn.theorem_margins("LemDEven", bank, m, p, grid, trunc_tol=trunc)
-        return float(min((ro - lo).min(), (re_ - le).min())), bank.shape[0]
-    elif theorem in ("ThmC", "Thm34", "Thm41", "Cor43"):
-        lhs, rhs = fn.theorem_margins(theorem, bank, m, p, grid, trunc_tol=trunc)
-    elif theorem == "Thm31":
-        lhs, rhs = fn.theorem_margins("Thm31", bank, 0, 1, grid,
-                                      extras={"s": s}, trunc_tol=trunc)
-        mu0 = bank[:, 0]
-        per_sample = (1.0 - mu0 ** s) / (2.0 - mu0 ** 2 - mu0 ** s)
-        valid = grid[None, :] <= per_sample[:, None] - _RADIUS_MARGIN
-        margins = rhs - lhs
-        if not valid.any():
-            return None, bank.shape[0]
-        return float(margins[valid].min()), bank.shape[0]
-    elif theorem in ("Thm32", "Cor33"):
-        shifted = np.hstack([np.zeros((bank.shape[0], 1)), bank])
-        mm, pp = (m, p) if theorem == "Thm32" else (0, 1)
-        lhs, rhs = fn.theorem_margins("Thm32", shifted, mm, pp, grid, trunc_tol=trunc)
-    elif theorem in ("BombieriUpper", "BBUpper"):
-        lhs, rhs = fn.theorem_margins(theorem, bank, 0, 1, grid, trunc_tol=trunc)
-    elif theorem == "Cor42":
-        sup = np.array([d.sup_norm for d in _directions(config, label, t)])
-        nu = sup[:, None] * bank
-        shifted = np.hstack([np.zeros((nu.shape[0], 1)), nu])
-        lhs, rhs = fn.theorem_margins("Thm32", shifted, 0, 1, grid, trunc_tol=trunc)
-    elif theorem == "Lem21":
-        sup = np.array([d.sup_norm for d in _directions(config, label, t)])
-        nu = sup[:, None] * bank
-        lhs, rhs = md.lemma21_margins(nu, m, p, grid)
-    else:
-        raise ParameterOutOfRange(f"unknown campaign theorem {theorem!r}")
-    margins = rhs - lhs
-    return float(margins.min()), bank.shape[0]
-
-
-def _shapes_for(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
-    fixed = _FIXED_SHAPE.get(theorem)
+def _row_shapes(row: RowSpec, config: CampaignConfig) -> List[Tuple[int, int]]:
+    rules = row.rules
+    fixed = row.shape or row.at or rules.shape
     if fixed is not None:
         return [fixed]
     shapes = list(config.shapes)
-    if theorem in _ODD_GAP:
+    if rules.odd_gap:
         shapes = [(m, p) for m, p in shapes if p % 2 == 1]
-    if theorem == "Lem21":
+    if row.vector:
+        # vector rows slice f = z*g, whose lattice starts at m >= 1
         shapes = [(m, p) for m, p in shapes if m >= 1]
     return shapes
 
 
-def _window_cap(theorem: str) -> Optional[Tuple[float, float]]:
-    if theorem == "BombieriUpper":
-        return (fn.BOMBIERI_LO, fn.BOMBIERI_HI)
-    if theorem == "BBUpper":
-        return (np.nextafter(fn.BOMBIERI_HI, 1.0), 0.99)
-    return None
+def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
+    """Least margin over the bank, the grid and the row's cores.
+
+    (m, p) is the shape the cores run at; None when a per-function radius
+    leaves no (sample, radius) cell to check.
+    """
+    if row.vector:
+        sup = np.array([d.sup_norm for d in _directions(config, label, t)])
+        bank = sup[:, None] * bank
+    if row.shift:
+        bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+    extras = None if s is None else {"s": s}
+    least = None
+    for core in row.cores:
+        if core == "Lem21":
+            lhs, rhs = md.lemma21_margins(bank, m, p, grid)
+        else:
+            lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
+                                          trunc_tol=config.trunc_tol)
+        margins = rhs - lhs
+        if row.per_function:
+            # each sample is checked below its own radius
+            radii = rad.thm31_radius(bank[:, 0], s)
+            valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
+            if not valid.any():
+                return None
+            margins = margins[valid]
+        low = margins.min()
+        least = low if least is None else min(least, low)
+    return float(least)
 
 
 def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
+    row = _ROWS[theorem]
     label = f"{theorem}:{m}:{p}:{t}:{s}"
     scan_grid = md.default_scan_grid(config.scan_steps)
+    cm, cp = row.at or (m, p)
 
-    spec = _radius_spec(theorem, m, p, s)
-    closed = None if spec is None else rad.closed_form_radius(spec)
-    if theorem == "Thm31":
-        radius = _scan_radius("Thm31", m, p, s, scan_grid)
-        closed = None
-    else:
-        radius = None if spec is None else rad.solve_radius(spec)
+    radius = closed = None
+    if row.per_function:
+        # The family scan crosses 1 at the smallest per-parameter radius.
+        radius = float(rad.thm31_radius(scan_grid, s).min())
+    elif row.equation is not None:
+        spec = rad.RadiusSpec(row.equation, cp, cm)
+        closed = rad.closed_form_radius(spec)
+        radius = rad.solve_radius(spec)
 
-    window = _window_cap(theorem)
-    if window is not None:
-        lo, hi = window
+    if row.rules.window is not None:
+        lo, hi = row.rules.window
         grid = _grid(config, hi)
         grid = grid[grid >= lo - 1e-12]
-    elif theorem == "Thm31":
-        # per-function radius: sweep the whole grid, the margin computation
-        # masks each sample to its own radius
+    elif radius is None or row.per_function:
         grid = _grid(config, config.r_stop)
     else:
-        cap = config.r_stop if radius is None else radius - _RADIUS_MARGIN
-        grid = _grid(config, cap)
+        grid = _grid(config, radius - _RADIUS_MARGIN)
 
     if grid.size:
         bank = _bank(bank_cache, config, m, p)
-        min_margin, nsamp = _margins_for_row(
-            theorem, bank, m, p, grid, s, t, config, label
-        )
+        min_margin = _row_margin(row, bank, cm, cp, grid, s, t, config, label)
+        nsamp = bank.shape[0]
     else:
         min_margin, nsamp = None, 0
 
     sharp = None
-    if _scan_defined(theorem, m, p) and radius is not None:
+    if row.scan is not None and radius is not None and not (row.scan_m0_only and m != 0):
         at = radius + _SCAN_OFFSET
         if 0.0 < at < 1.0:
-            sharp = _run_scan(theorem, m, p, s, at, config.scan_steps)
+            sharp = md.sharpness_scan(row.scan, cp, cm, at, scan_grid, s=s)
 
     ok = True
     if min_margin is not None and not min_margin >= -config.tol:
@@ -362,10 +371,10 @@ def run_campaign(config: CampaignConfig) -> Report:
     rows: List[ReportRow] = []
     bank_cache: Dict = {}
     for theorem in config.theorems:
-        shapes = _shapes_for(theorem, config)
-        t_list = config.t_values if theorem in _VECTOR else (None,)
-        s_list = config.s_values if theorem == "Thm31" else (None,)
-        for (m, p) in shapes:
+        row = _ROWS[theorem]
+        t_list = config.t_values if row.vector else (None,)
+        s_list = config.s_values if row.per_function else (None,)
+        for (m, p) in _row_shapes(row, config):
             for t in t_list:
                 for s in s_list:
                     try:
@@ -484,16 +493,20 @@ def emit_report(report: Report, format: str, path: str) -> None:
 
 def config_from_json(text: str) -> CampaignConfig:
     """Parse the flat key-value JSON config format."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterOutOfRange(f"config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParameterOutOfRange("config must be a flat JSON object")
-    kwargs = dict(obj)
-    if "t_values" in kwargs:
-        kwargs["t_values"] = tuple(_t_from_json(t) for t in kwargs["t_values"])
-    if "shapes" in kwargs:
-        kwargs["shapes"] = tuple((int(m), int(p)) for m, p in kwargs["shapes"])
-    known = set(CampaignConfig.__dataclass_fields__)
-    unknown = set(kwargs) - known
+    unknown = set(obj) - set(CampaignConfig.__dataclass_fields__)
     if unknown:
         raise ParameterOutOfRange(f"unknown config keys: {sorted(unknown)}")
+    if "theorems" not in obj:
+        raise ParameterOutOfRange("config needs a theorems list")
+    kwargs = dict(obj)
+    if "t_values" in kwargs:
+        kwargs["t_values"] = [
+            math.inf if t == "inf" else t for t in _as_list("t_values", kwargs["t_values"])
+        ]
     return CampaignConfig(**kwargs)

@@ -35,6 +35,8 @@ from .functionals import (
     DEFAULT_TRUNC_TOL,
     InequalityCheck,
     LacunaryProfile,
+    _as_r_grid,
+    _psum,
     evaluate_theorem,
     theorem_margins,
 )
@@ -292,15 +294,11 @@ def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.n
     where nu are raw directional coefficient norms (radius 1).
     """
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    grid = np.atleast_1d(np.asarray(r, dtype=float))
-    if grid.size and (grid.min() < 0.0 or grid.max() >= 1.0):
-        raise RadiusOutOfRange("radii must lie in [0, 1)")
+    grid = _as_r_grid(r)
     if not 1 <= m <= p:
         raise ShapeMismatch(f"the even-tail bound needs 1 <= m <= p, got m={m}, p={p}")
     k = np.arange(nu.shape[1])
-    even = k[2::2]
-    powers = grid[None, :] ** (even * p + m).astype(float)[:, None]
-    lhs = nu[:, 2::2] @ powers
+    lhs = _psum(nu[:, 2::2], k[2::2] * p + m, grid)
     nu0 = nu[:, :1]
     rhs = (grid ** (2 * p - m) / (1.0 - grid ** (2 * p))) * (
         grid ** (2 * m) - (nu0 * grid ** m) ** 2

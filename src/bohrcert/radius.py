@@ -36,7 +36,7 @@ __all__ = [
     "RADIUS_IDS",
     "RadiusSpec",
     "equation_value",
-    "thmc_product_form",
+    "thm31_radius",
     "closed_form_radius",
     "solve_radius",
     "bisect_root",
@@ -101,24 +101,19 @@ def equation_value(spec: RadiusSpec, r: float) -> float:
     raise UnknownTheorem(spec.id)
 
 
-def thmc_product_form(p: int, m: int, r: float) -> float:
-    """Alternate evaluation path r^p (r^p + r^m) - 1 of the ThmC34 equation.
+def thm31_radius(a0, s):
+    """Sharp radius (1 - a0^s)/(2 - a0^2 - a0^s) of the |f(0)|^s bound.
 
-    Algebraically identical to the expanded form; keeping both lets the
-    tests confirm the two bounds share one radius.
+    ``a0`` = |f(0)| may be a float or an array (one radius per function).
     """
-    if not 0.0 <= r <= 1.0:
-        raise RadiusOutOfRange(f"radius equations are evaluated on [0, 1], got {r}")
-    return r ** p * (r ** p + r ** m) - 1.0
+    return (1.0 - a0 ** s) / (2.0 - a0 ** 2 - a0 ** s)
 
 
 def closed_form_radius(spec: RadiusSpec) -> Optional[float]:
     """Closed form where one exists, else None."""
     p, m = spec.p, spec.m
     if spec.id == "Thm31":
-        a0 = spec.extras["a0"]
-        s = spec.extras["s"]
-        return (1.0 - a0 ** s) / (2.0 - a0 ** 2 - a0 ** s)
+        return thm31_radius(spec.extras["a0"], spec.extras["s"])
     if spec.id == "Thm32" and m == 0:
         return (3.0 / 5.0) ** (1.0 / p)
     if spec.id == "Cor43" and m == 0:

@@ -4,9 +4,12 @@ Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
-closed rational form, and hand-derived geometric closed forms for the
-extremal families.
+closed rational form, hand-derived geometric closed forms for the
+extremal families, and the paper's second algebraic forms of bounds that
+the library evaluates once.
 """
+
+import math
 
 import numpy as np
 
@@ -82,3 +85,30 @@ def mobius_majorant(a, r):
 def refined_bound_rhs(a, r):
     """(r/(1-r)) (1 - a^2), the refined-bound right side on the family."""
     return r / (1.0 - r) * (1.0 - a * a)
+
+
+# second algebraic forms of the alternating bounds
+
+
+def thmc_product_form(p, m, r):
+    """The ThmC34 radius equation in product form, r^p (r^p + r^m) - 1."""
+    return r ** p * (r ** p + r ** m) - 1.0
+
+
+def thm41_lhs(mods, m, p, r):
+    """Thm41's left side in its written square-sum form, per radius:
+
+    | sum_{k>=1} (-1)^(kp+m) mu_k r^(kp+m)
+      + (-1)^(m+p) r^(p-m)/(1-r^2p) sum_{k>=0} mu_k^2 r^(2kp+2m) |
+
+    term by term with exactly rounded sums; the library evaluates the
+    same bound as ThmC's r^(p+m) sum_k mu_k^2 r^(2kp).
+    """
+    out = []
+    for x in np.atleast_1d(r).tolist():
+        alt = math.fsum((-1.0) ** (k * p + m) * mu * x ** (k * p + m)
+                        for k, mu in enumerate(mods) if k >= 1)
+        sq = math.fsum(mu * mu * x ** (2 * k * p + 2 * m) for k, mu in enumerate(mods))
+        outer = (-1.0) ** (m + p)
+        out.append(abs(alt + outer * x ** (p - m) / (1.0 - x ** (2 * p)) * sq))
+    return np.array(out)

@@ -17,6 +17,7 @@ from support import (
     mobius_majorant,
     mobius_square_sum,
     refined_bound_rhs,
+    thm41_lhs,
 )
 
 ORDER = 512
@@ -213,12 +214,14 @@ class TestEvaluateTheorem:
             fn.evaluate_theorem("BBUpper", prof, 0.5)
 
     def test_thmc_equals_thm41(self):
+        # both ids share one core; the oracle evaluates Thm41's own form
         for seed, (m, p) in enumerate([(0, 1), (1, 1), (1, 3), (2, 3), (3, 3)]):
             prof = sample_profile(seed, m, p)
             for r in (0.2, 0.5, 0.8):
-                l1, _ = fn.evaluate_theorem_grid("ThmC", prof, [r])
-                l2, _ = fn.evaluate_theorem_grid("Thm41", prof, [r])
-                assert abs(l1[0] - l2[0]) < 1e-14
+                want = thm41_lhs(prof.mods, m, p, [r])[0]
+                for tid in ("ThmC", "Thm41"):
+                    got, _ = fn.evaluate_theorem_grid(tid, prof, [r])
+                    assert abs(got[0] - want) < 1e-14
 
     def test_truncation_guard(self):
         prof = fn.LacunaryProfile(0, 1, [0.5, 0.5, 0.5])
@@ -280,3 +283,107 @@ class TestCertification:
                 sub = grid[grid <= rstar - 1e-3]
                 lhs, rhs = fn.evaluate_theorem_grid(tid, prof, sub)
                 assert (rhs - lhs).min() >= -1e-9
+
+
+# Recorded from the per-theorem evaluators that the theorem table replaced:
+# id -> (m, p, radii, moduli, extras, lhs for the first 1, 2 and 3 moduli,
+# rhs or None for the bound 1).
+MODS = np.array([[0.5, 0.25, 0.125], [0.2, 0.7, 0.1]])
+ZERO_START = np.array([[0.0, 0.5, 0.25], [0.0, 0.3, 0.6]])
+TABLE_CASES = {
+    "ThmB": (0, 1, [0.3, 0.6], MODS, None,
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.08116071428571428, 0.19874999999999998], [0.26565, 0.8315999999999999]],
+            [[0.09254933035714286, 0.2481375], [0.2747522142857143, 0.8706239999999998]],
+        ],
+        [[0.32142857142857145, 1.1249999999999998], [0.4114285714285714, 1.4399999999999997]]),
+    "LemDOdd": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.006754924339843745, 0.05664272287862513], [0.0010807878943749993, 0.009062835660580023]],
+            [[0.01350615542480468, 0.11130340359828139], [0.01999043960046874, 0.16544257250268526]],
+            [[0.013506155649169915, 0.11131110977819547], [0.019990439744062487, 0.16544750445783027]],
+        ],
+        [[0.02701969735937498, 0.22657089151450052], [0.02701969735937498, 0.22657089151450052]]),
+    "LemDEven": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[3.040823929394528e-05, 0.0020867070354457567], [0.000297935596064531, 0.02017002315789473]],
+            [[0.00012153878119555658, 0.007943046386307195], [0.00037084002861656224, 0.024854828313006054]],
+        ],
+        [[0.0005471488715273433, 0.03670448442534908], [0.0007003505555549994, 0.04698174006444682]]),
+    "ThmC": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.002026477301953123, 0.03398563372717507], [0.0003242363683124998, 0.005437701396348012]],
+            [[0.004051846627441404, 0.06678204215896882], [0.00599713188014062, 0.09926554350161114]],
+            [[0.004024509194750974, 0.06328746586691728], [0.005975261923218745, 0.09646914267469814]],
+        ],
+        None),
+    "Thm31": (0, 1, [0.3, 0.6], MODS, {'s': 2.0},
+        [
+            [[0.25, 0.25], [0.04000000000000001, 0.04000000000000001]],
+            [[0.3311607142857143, 0.44875000000000004], [0.30565, 0.8715999999999999]],
+            [[0.34254933035714286, 0.4981375], [0.31475221428571426, 0.9106239999999999]],
+        ],
+        None),
+    "Thm32": (1, 3, [0.3, 0.6], ZERO_START, None,
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.004049999999999999, 0.06479999999999998], [0.0024299999999999994, 0.03887999999999999]],
+            [[0.004104931278526463, 0.0721544614530612], [0.0025629141913893583, 0.05795033369640187]],
+        ],
+        None),
+    "Thm34": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.0020264773019531236, 0.03398563372717508], [0.00032423636831249985, 0.005437701396348014]],
+            [[0.004051846627441404, 0.06678204215896885], [0.00599713188014062, 0.09926554350161114]],
+            [[0.004051846694750974, 0.06678666586691728], [0.0059971319232187455, 0.09926850267469814]],
+        ],
+        None),
+    "Thm41": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.0020264773019531236, 0.03398563372717508], [0.00032423636831249985, 0.005437701396348014]],
+            [[0.004051846627441404, 0.06678204215896885], [0.00599713188014062, 0.09926554350161114]],
+            [[0.004024509194750975, 0.06328746586691728], [0.005975261923218745, 0.09646914267469814]],
+        ],
+        None),
+    "Cor43": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.05005471488715273, 0.10734089688506981], [0.01000875438194444, 0.021174543501611173]],
+            [[0.04803883735894092, 0.07619292110633727], [0.004428135060763802, 0.05744344260365196]],
+            [[0.048066176521511406, 0.07970672471685414], [0.00445000639052941, 0.05463255951058516]],
+        ],
+        None),
+    "BombieriUpper": (0, 1, [0.4, 0.6], MODS, None,
+        [
+            [[0.5, 0.5], [0.2, 0.2]],
+            [[0.6, 0.65], [0.48, 0.62]],
+            [[0.62, 0.6950000000000001], [0.496, 0.656]],
+        ],
+        [[1.0192593015921403, 1.2287638336717466], [1.0192593015921403, 1.2287638336717466]]),
+    "BBUpper": (0, 1, [0.75, 0.9], MODS, None,
+        [
+            [[0.5, 0.5], [0.2, 0.2]],
+            [[0.6875, 0.725], [0.725, 0.83]],
+            [[0.7578125, 0.8262499999999999], [0.78125, 0.9109999999999999]],
+        ],
+        [[1.5118578920369088, 2.294157338705618], [1.5118578920369088, 2.294157338705618]]),
+}
+
+
+class TestTheoremTable:
+    def test_every_id_recorded(self):
+        assert set(TABLE_CASES) == set(fn.THEOREM_IDS)
+
+    @pytest.mark.parametrize("tid", sorted(TABLE_CASES))
+    def test_short_profiles_match_recorded_values(self, tid):
+        m, p, radii, mods, extras, lhs_by_length, rhs_want = TABLE_CASES[tid]
+        for length, lhs_want in zip((1, 2, 3), lhs_by_length):
+            want = (np.asarray(lhs_want), np.ones((2, 2)) if rhs_want is None
+                    else np.asarray(rhs_want))
+            for cols in (slice(None), slice(0, 1)):  # both radii, then one
+                got = fn.theorem_margins(tid, mods[:, :length], m, p, radii[cols],
+                                         extras=extras, exact=True)
+                for g, w in zip(got, want):
+                    assert g.shape == w[:, cols].shape
+                    np.testing.assert_allclose(g, w[:, cols], rtol=0, atol=1e-15)

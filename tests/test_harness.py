@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrcert import harness as hn
+from bohrcert.cli import _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
-from bohrcert.errors import CampaignError, ParameterOutOfRange
+from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
 
 
 def small_config(**overrides):
@@ -20,6 +23,41 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return hn.CampaignConfig(**base)
+
+
+# (theorem, m, p, t, radius is None, sharpness_max is None, grid_points) of
+# every row, recorded from the per-theorem helpers the row table replaced
+ROW_PLAN = [
+    ("ThmB", 0, 1, None, True, True, 19),
+    ("LemD", 0, 1, None, True, True, 19),
+    ("LemD", 0, 2, None, True, True, 19),
+    ("LemD", 1, 3, None, True, True, 19),
+    ("LemD", 2, 2, None, True, True, 19),
+    ("ThmC", 0, 1, None, False, True, 13),
+    ("ThmC", 1, 3, None, False, True, 18),
+    ("Thm31", 0, 1, None, False, False, 19),
+    ("Thm32", 0, 1, None, False, False, 12),
+    ("Thm32", 0, 2, None, False, False, 16),
+    ("Thm32", 1, 3, None, False, False, 18),
+    ("Thm32", 2, 2, None, False, False, 17),
+    ("Thm34", 0, 1, None, False, False, 13),
+    ("Thm34", 0, 2, None, False, False, 16),
+    ("Thm34", 1, 3, None, False, False, 18),
+    ("Thm34", 2, 2, None, False, False, 17),
+    ("Thm41", 0, 1, None, False, False, 13),
+    ("Thm41", 1, 3, None, False, False, 18),
+    ("Cor33", 0, 1, None, False, False, 12),
+    ("Cor42", 1, 1, 1.0, False, True, 12),
+    ("Cor42", 1, 1, math.inf, False, True, 12),
+    ("Cor43", 0, 1, None, False, False, 12),
+    ("Cor43", 1, 3, None, False, True, 17),
+    ("Lem21", 1, 3, 1.0, True, True, 19),
+    ("Lem21", 1, 3, math.inf, True, True, 19),
+    ("Lem21", 2, 2, 1.0, True, True, 19),
+    ("Lem21", 2, 2, math.inf, True, True, 19),
+    ("BombieriUpper", 0, 1, None, True, True, 8),
+    ("BBUpper", 0, 1, None, True, True, 4),
+]
 
 
 class TestCampaignConfig:
@@ -58,6 +96,8 @@ class TestCampaignConfig:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ParameterOutOfRange):
             hn.config_from_json('{"theorems": ["ThmC"], "bogus": 1}')
+        with pytest.raises(ParameterOutOfRange, match="theorems must be a list"):
+            hn.config_from_json('{"theorems": "ThmC"}')
 
 
 class TestRunCampaign:
@@ -122,6 +162,21 @@ class TestRunCampaign:
         rep = hn.run_campaign(cfg)
         assert len(rep.rows) == 2
         assert {row.theorem for row in rep.rows} == {"Thm31[s=1]", "Thm31[s=2]"}
+        assert rep.all_pass
+
+    def test_row_plan_over_all_ids(self):
+        cfg = hn.CampaignConfig(
+            theorems=hn.CAMPAIGN_THEOREMS,
+            shapes=((0, 1), (0, 2), (1, 3), (2, 2)),
+            t_values=(1.0, math.inf),
+            samples=3,
+            seed=5,
+            r_step=0.05,
+        )
+        rep = hn.run_campaign(cfg)
+        plan = [(row.theorem, row.m, row.p, row.t, row.radius is None,
+                 row.sharpness_max is None, row.grid_points) for row in rep.rows]
+        assert plan == ROW_PLAN
         assert rep.all_pass
 
     def test_forced_failure_sets_exit_state(self):
@@ -267,6 +322,31 @@ class TestCli:
             cli_main(["radius", "--theorem", "Nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, config_text", [
+        (["--theorems", "ThmC", "--shapes", "1-1"], None),
+        (["--theorems", "ThmC", "--t", "foo"], None),
+        (["--theorems", "Lem21", "--shapes", "1:1", "--t", "nan"], None),
+        (None, '{"theorems": ["ThmC"], "samples": "5"}'),
+        (None, '{"theorems": ["ThmC"], "r_stop": "0.5"}'),
+        (None, '{"theorems": ["Lem21"], "t_values": ["x"]}'),
+        (None, '{"theorems": ["ThmC"], "shapes": [[1, 1, 1]]}'),
+        (None, '{"theorems": ["ThmC"'),
+        (None, '{"theorems": "ThmC"}'),
+        (None, '{"samples": 5}'),
+        (None, '{"theorems": ["ThmC"], "tol": NaN}'),
+        (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
+    ])
+    def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
+        if config_text is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config_text)
+            flags = ["--config", str(path)]
+        code = cli_main(["verify", *flags, "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
+        assert "Traceback" not in err
+
     def test_verify_needs_input(self):
         assert cli_main(["verify"]) == 2
 
@@ -276,3 +356,52 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert cli_main(["verify", "--config", str(path)]) == 0
         assert (tmp_path / "r.json").read_text() == "[]\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+_CONFIG_KEYS = st.sampled_from(sorted(hn.CampaignConfig.__dataclass_fields__)) | st.text(max_size=6)
+_THEOREM_LISTS = st.lists(st.sampled_from(hn.CAMPAIGN_THEOREMS) | st.text(max_size=6), max_size=3)
+_FLAG_TEXT = st.none() | st.text(max_size=12)
+
+
+class TestInputFuzz:
+    """Parsing either gives a config or raises a BohrcertError; nothing runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_CONFIG_KEYS, _JSON_VALUES | _THEOREM_LISTS, max_size=6),
+           st.none() | _THEOREM_LISTS, st.none() | st.text(max_size=30))
+    def test_config_json(self, obj, theorems, raw):
+        if theorems is not None:
+            obj = {**obj, "theorems": theorems}
+        try:
+            cfg = hn.config_from_json(json.dumps(obj) if raw is None else raw)
+        except BohrcertError:
+            return
+        assert isinstance(cfg, hn.CampaignConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theorems=_FLAG_TEXT | _THEOREM_LISTS.map(",".join),
+        shapes=_FLAG_TEXT | st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)),
+                                     max_size=3).map(lambda ps: ",".join(f"{m}:{p}" for m, p in ps)),
+        t=_FLAG_TEXT,
+        samples=st.none() | st.integers(),
+        depth=st.none() | st.integers(),
+        r_stop=st.none() | st.floats(),
+        r_step=st.none() | st.floats(),
+        fmt=st.none() | st.sampled_from(["json", "csv"]),
+    )
+    def test_verify_flags(self, theorems, shapes, t, samples, depth, r_stop, r_step, fmt):
+        flags = {"theorems": theorems, "shapes": shapes, "t": t, "samples": samples,
+                 "depth": depth, "r-stop": r_stop, "r-step": r_step, "format": fmt}
+        argv = ["verify"] + [f"--{k}={v}" for k, v in flags.items() if v is not None]
+        args = build_parser().parse_args(argv)
+        try:
+            cfg = _config_from_args(args)
+        except BohrcertError:
+            return
+        assert isinstance(cfg, hn.CampaignConfig)

@@ -12,6 +12,8 @@ from bohrcert.errors import (
     UnknownTheorem,
 )
 
+from support import thmc_product_form
+
 
 class TestEquationValue:
     def test_thmc34_examples(self):
@@ -112,11 +114,11 @@ class TestSolveRadius:
                 spec = rd.RadiusSpec("ThmC34", p, m)
                 root_expanded = rd.solve_radius(spec, tol=1e-14, use_closed_form=False)
                 root_product = rd.bisect_root(
-                    lambda r: rd.thmc_product_form(p, m, r), 1e-6, 1.0, 1e-14
+                    lambda r: thmc_product_form(p, m, r), 1e-6, 1.0, 1e-14
                 )
                 assert abs(root_expanded - root_product) < 1e-13
                 r = 0.37
-                assert rd.thmc_product_form(p, m, r) == pytest.approx(
+                assert thmc_product_form(p, m, r) == pytest.approx(
                     rd.equation_value(spec, r), abs=1e-14
                 )
 
