@@ -23,6 +23,7 @@ from . import harness, multidim, radius
 from .errors import BohrcertError, ParameterOutOfRange
 
 _PROG = "bohrcert"
+_TABLE_IDS = ("ThmC34", "Thm32", "Cor43")  # the radius equations that vary over (p, m)
 
 
 def _parse_t(text: str) -> float:
@@ -66,9 +67,6 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.theorem not in ("ThmC34", "Thm32", "Cor43"):
-        print(f"table supports ThmC34, Thm32, Cor43; got {args.theorem}", file=sys.stderr)
-        return 2
     rows = []
     for p in range(1, args.p_max + 1):
         for m in range(0, p + 1):
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sh.set_defaults(func=_cmd_sharpness)
 
     p_tab = sub.add_parser("table", help="radius table over the (p, m) triangle")
-    p_tab.add_argument("--theorem", required=True)
+    p_tab.add_argument("--theorem", required=True, choices=_TABLE_IDS)
     p_tab.add_argument("--p-max", dest="p_max", type=int, default=4)
     p_tab.add_argument("--format", choices=("text", "csv"), default="text")
     p_tab.set_defaults(func=_cmd_table)

@@ -37,6 +37,10 @@ neglected tail of the linear sums at radius r is at most
 coeff_bound * r^(L*p + m) / (1 - r^p) where L = len(mods).  When that
 exceeds the truncation tolerance the evaluation raises
 ``TruncationInsufficient`` instead of returning a silently wrong number.
+Within the stored moduli, each lattice sum also skips, per radius, the
+columns whose whole tail is at most 2^-64 * coeff_bound^power (power 1
+for the linear and signed sums, 2 for the square sums, s for the origin
+term), far below the truncation tolerance and the rounding of the sum.
 """
 
 from __future__ import annotations
@@ -108,11 +112,13 @@ class LacunaryProfile:
         arr = np.array(self.mods, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterOutOfRange("mods must be a nonempty 1-d sequence")
-        if np.any(arr < 0.0):
-            raise ParameterOutOfRange("coefficient moduli must be nonnegative")
+        if not np.all(arr >= 0.0):  # NaN fails too
+            raise ParameterOutOfRange("coefficient moduli must be nonnegative numbers")
         arr.setflags(write=False)
         object.__setattr__(self, "mods", arr)
         bound = float(self.coeff_bound)
+        if not math.isfinite(bound):
+            raise ParameterOutOfRange(f"coeff_bound must be finite, got {bound}")
         if bound < float(arr.max(initial=0.0)) - 1e-12:
             raise ParameterOutOfRange("coeff_bound below a stored modulus")
         object.__setattr__(self, "coeff_bound", bound)
@@ -159,6 +165,21 @@ def profile_from_series(
 
 
 MAX_PROFILE_LENGTH = 1 << 16
+_CUT_TOL = 2.0 ** -64  # tail a lattice sum may skip, per unit of its coefficient bound
+
+
+def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
+    """Columns a lattice sum needs at each radius in ``r``.
+
+    For exponents e0, e0 + d, e0 + 2d, ... and coefficients of modulus at
+    most ``bound``, this is the least n with bound * r^(e0 + n d) / (1 - r^d)
+    <= tol, which bounds the whole tail from column n on.  Returned as
+    floats with no cap; at r = 0 only a zero exponent counts.
+    """
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        need = np.log(tol * (1.0 - r ** d) / bound) / np.log(r)
+    return np.where(r > 0.0, np.maximum(np.ceil((need - e0) / d), 0.0), float(e0 == 0))
 
 
 def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRUNC_TOL,
@@ -168,9 +189,7 @@ def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRU
         return 1
     if r >= 1.0:
         raise RadiusOutOfRange(f"no finite truncation certifies r={r}")
-    target = trunc_tol * (1.0 - r ** p) / coeff_bound
-    need = math.log(target) / math.log(r)  # exponent where the tail is small enough
-    length = max(1, math.ceil((need - m) / p))
+    length = max(1, int(_cut_length(m, p, r, coeff_bound, trunc_tol)))
     if length > MAX_PROFILE_LENGTH:
         raise TruncationInsufficient(
             f"certifying r={r} at tolerance {trunc_tol:.1e} would need "
@@ -190,20 +209,37 @@ def _as_r_grid(r) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(r, dtype=float))
     if grid.ndim != 1:
         raise ParameterOutOfRange("radius grid must be one-dimensional")
-    if grid.size and (grid.min() < 0.0 or grid.max() >= 1.0):
+    if grid.size and not (grid.min() >= 0.0 and grid.max() < 1.0):  # NaN fails too
         raise RadiusOutOfRange(
             f"radii must lie in [0, 1), got range [{grid.min()}, {grid.max()}]"
         )
     return grid
 
 
-def _psum(w: np.ndarray, exps: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_k w_k r^exps_k, vectorized over rows of w and entries of r."""
-    if w.shape[-1] == 0:
-        head = w.shape[:-1] if w.ndim > 1 else ()
-        return np.zeros(head + (r.size,))
-    powers = r[None, :] ** np.asarray(exps, dtype=float)[:, None]
-    return w @ powers
+def _psum(w: np.ndarray, exps: np.ndarray, r: np.ndarray, bound: float) -> np.ndarray:
+    """sum_k w_k r^exps_k, vectorized over rows of w and entries of r.
+
+    ``exps`` ascend in a constant step and |w_k| <= ``bound``.  Each radius
+    takes only the columns :func:`_cut_length` says it needs; on a grid
+    whose counts ascend, radii whose counts share a power-of-two ceiling
+    share one product.  Any other grid takes one product at the largest
+    count, and a count that is not a number takes every column.
+    """
+    exps = np.asarray(exps, dtype=float)
+    width = w.shape[-1]
+    need = np.full(r.size, width)
+    if width > 1:
+        need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
+    n = need.max(initial=0)
+    if need.min(initial=n) == n or np.any(need[1:] < need[:-1]):
+        return w[..., :n] @ r ** exps[:n, None]
+    out = np.empty(w.shape[:-1] + (r.size,))
+    group = np.frexp(np.maximum(need - 1, 0))[1]  # ceil(log2(need)), ascending
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = need[hi - 1]
+        np.matmul(w[..., :n], r[lo:hi] ** exps[:n, None], out=out[..., lo:hi])
+    return out
 
 
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
@@ -365,7 +401,7 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
-def _evaluate(th: _Theorem, mods, m, p, r, s) -> Tuple[np.ndarray, np.ndarray]:
+def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
     k = np.arange(length)
     mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
@@ -375,14 +411,17 @@ def _evaluate(th: _Theorem, mods, m, p, r, s) -> Tuple[np.ndarray, np.ndarray]:
         # One (S, K) temporary per term, dropped before the next one: the
         # scan path runs thousands of family rows in one call.
         w = mods[:, term.cols]
+        bound = coeff_bound
         if term.power == 2:
             w = w ** 2
+            bound = coeff_bound ** 2
         elif term.power == "s":
             w = w ** float(s)
+            bound = coeff_bound ** float(s)
         elif term.power == "signed":
             w = _signs(k[term.cols], m, p) * w
         a, b, c = term.exps
-        part = _psum(w, a * k[term.cols] * p + b * p + c * m, r)
+        part = _psum(w, a * k[term.cols] * p + b * p + c * m, r, bound)
         del w
         if term.weight is not None:
             part *= term.weight(v)
@@ -393,7 +432,7 @@ def _evaluate(th: _Theorem, mods, m, p, r, s) -> Tuple[np.ndarray, np.ndarray]:
     if th.absolute:
         np.abs(lhs, out=lhs)
     if th.rhs is None:
-        return lhs, np.ones_like(lhs)
+        return lhs, np.broadcast_to(1.0, lhs.shape)
     return lhs, np.broadcast_to(th.rhs(v), lhs.shape)
 
 
@@ -427,7 +466,7 @@ def theorem_margins(
         _check_truncation(mods.shape[1], m, p, grid, coeff_bound, trunc_tol)
     s = None if extras is None else extras.get("s")
     _check_applicable(theorem_id, th, mods, m, p, grid, s)
-    return _evaluate(th, mods, m, p, grid, s)
+    return _evaluate(th, mods, m, p, grid, s, coeff_bound)
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +501,8 @@ def bohr_sums_grid(
                           profile.coeff_bound, trunc_tol)
     k = np.arange(profile.mods.size)
     exps = k * profile.p + profile.m
-    b = _psum(mods, exps, grid)[0]
-    a = _psum(_signs(k, profile.m, profile.p) * mods, exps, grid)[0]
+    b = _psum(mods, exps, grid, profile.coeff_bound)[0]
+    a = _psum(_signs(k, profile.m, profile.p) * mods, exps, grid, profile.coeff_bound)[0]
     return b, a
 
 

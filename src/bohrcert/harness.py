@@ -103,6 +103,8 @@ _ROWS = {
 }
 CAMPAIGN_THEOREMS = tuple(_ROWS)
 _NO_RULES = fn._Theorem(terms=())
+MAX_GRID_POINTS = 1 << 20  # radii in one campaign grid
+MAX_SAMPLES = 1 << 16  # seeded functions per bank
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
 
@@ -187,6 +189,12 @@ class CampaignConfig:
             raise ParameterOutOfRange("r_stop must be < 1")
         if self.r_stop > 0.99:
             raise ParameterOutOfRange("r_stop is capped at 0.99")
+        # _grid's point count at r_stop, kept a float so a tiny r_step cannot overflow
+        if (self.r_stop - self.r_start) / self.r_step + 1e-9 >= MAX_GRID_POINTS:
+            raise ParameterOutOfRange(
+                f"the radius grid would exceed {MAX_GRID_POINTS} points; raise r_step")
+        if self.samples > MAX_SAMPLES:
+            raise ParameterOutOfRange(f"sample count is capped at {MAX_SAMPLES}")
         if self.format not in ("json", "csv"):
             raise ParameterOutOfRange(f"unknown report format {self.format!r}")
         if not self.depth >= 1:

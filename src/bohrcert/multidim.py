@@ -36,6 +36,7 @@ from .functionals import (
     InequalityCheck,
     LacunaryProfile,
     _as_r_grid,
+    _cut_length,
     _psum,
     evaluate_theorem,
     theorem_margins,
@@ -68,11 +69,11 @@ def lt_norm(v: Sequence[complex], t: float) -> float:
     arr = np.atleast_1d(np.asarray(v, dtype=complex))
     if arr.size == 0:
         raise ParameterOutOfRange("norm of an empty vector is undefined")
+    t = float(t)
+    if not t >= 1.0:  # also rejects NaN
+        raise ParameterOutOfRange(f"l_t norms need t >= 1, got t={t}")
     if math.isinf(t):
         return float(np.abs(arr).max())
-    t = float(t)
-    if t < 1.0:
-        raise ParameterOutOfRange(f"l_t norms need t >= 1, got t={t}")
     return float((np.abs(arr) ** t).sum() ** (1.0 / t))
 
 
@@ -88,7 +89,7 @@ class Direction:
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterOutOfRange("direction must be a nonempty complex vector")
         nrm = lt_norm(arr, self.t)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN entries
             raise ParameterOutOfRange(
                 f"direction must be unit-norm in l_t, got ||z0||_t = {nrm!r}"
             )
@@ -298,7 +299,7 @@ def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.n
     if not 1 <= m <= p:
         raise ShapeMismatch(f"the even-tail bound needs 1 <= m <= p, got m={m}, p={p}")
     k = np.arange(nu.shape[1])
-    lhs = _psum(nu[:, 2::2], k[2::2] * p + m, grid)
+    lhs = _psum(nu[:, 2::2], k[2::2] * p + m, grid, max(1.0, nu.max(initial=0.0)))
     nu0 = nu[:, :1]
     rhs = (grid ** (2 * p - m) / (1.0 - grid ** (2 * p))) * (
         grid ** (2 * m) - (nu0 * grid ** m) ** 2
@@ -372,8 +373,9 @@ def _lacunary_family_mods(a_grid: np.ndarray, length: int) -> np.ndarray:
     Row layout: mu_0 = a, mu_k = (1 - a^2) a^(k-1) for k >= 1.
     """
     a = np.asarray(a_grid, dtype=float)[:, None]
-    k = np.arange(length)[None, :]
-    mods = np.where(k == 0, a, (1.0 - a ** 2) * a ** np.maximum(k - 1, 0))
+    mods = a ** np.maximum(np.arange(length) - 1, 0)  # one (rows, length) array
+    mods *= 1.0 - a ** 2
+    mods[:, 0] = a[:, 0]
     return mods
 
 
@@ -416,7 +418,10 @@ def sharpness_scan(
         vals = a * r ** (p + m) + (1.0 - a ** 2) * r ** (2 * p + m) / (1.0 - r ** p)
         return float(vals.max())
 
-    length = max(2, (order - m) // p + 1)
+    # Family moduli are at most 1; columns past the lattice cut at r add
+    # nothing, and the order-limited length still fails the certificate
+    # wherever the order cannot certify r.
+    length = max(2, int(min((order - m) // p + 1, _cut_length(m, p, r, 1.0))))
     mods = _lacunary_family_mods(a, length)
     lhs, _ = theorem_margins(theorem_id, mods, m, p, [r])
     return float(lhs.max())

@@ -4,9 +4,10 @@ Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
-closed rational form, hand-derived geometric closed forms for the
-extremal families, and the paper's second algebraic forms of bounds that
-the library evaluates once.
+closed rational form, one product over every lattice column instead of
+the margin core's radius-blocked power sums, hand-derived geometric
+closed forms for the extremal families, and the paper's second algebraic
+forms of bounds that the library evaluates once.
 """
 
 import math
@@ -61,6 +62,15 @@ def fourier_coefficients(gammas, order, rho=0.5, npts=1024):
     hat = np.fft.fft(vals) / npts
     k = np.arange(order + 1)
     return hat[: order + 1] / rho ** k
+
+
+def full_psum(w, exps, r):
+    """sum_k w_k r^exps_k as one product over every column of w.
+
+    No column is skipped at any radius; the library's power sum takes
+    only the columns each radius needs.
+    """
+    return w @ (r[None, :] ** np.asarray(exps, dtype=float)[:, None])
 
 
 # hand-derived geometric sums for the automorphism family

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrcert import functionals as fn
 from bohrcert import schur
 from bohrcert.errors import (
     OddGapRequired,
+    ParameterOutOfRange,
     RadiusOutOfRange,
     RadiusOutOfWindow,
     ShapeMismatch,
@@ -13,6 +18,7 @@ from bohrcert.errors import (
 )
 
 from support import (
+    full_psum,
     mobius_linear_sum,
     mobius_majorant,
     mobius_square_sum,
@@ -69,6 +75,19 @@ class TestBohrSums:
             fn.bohr_sums(ZERO, 1.0)
         with pytest.raises(RadiusOutOfRange):
             fn.bohr_sums(ZERO, -0.1)
+        with pytest.raises(RadiusOutOfRange):
+            fn.bohr_sums_grid(ZERO, [0.3, np.nan])
+        with pytest.raises(RadiusOutOfRange):
+            fn.theorem_margins("ThmC", ZERO.mods, 0, 1, [np.nan, 0.3])
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_profile_rejects_nonfinite_bound(self, bound):
+        with pytest.raises(ParameterOutOfRange):
+            fn.LacunaryProfile(0, 1, [0.5, 0.25], coeff_bound=bound)
+
+    def test_profile_rejects_nan_moduli(self):
+        with pytest.raises(ParameterOutOfRange):
+            fn.LacunaryProfile(0, 1, [0.5, math.nan])
 
 
 class TestRefinedBound:
@@ -387,3 +406,79 @@ class TestTheoremTable:
                 for g, w in zip(got, want):
                     assert g.shape == w[:, cols].shape
                     np.testing.assert_allclose(g, w[:, cols], rtol=0, atol=1e-15)
+
+
+# Depth-5 Schur moduli, the margin core's own inputs, and their lattice
+# index; the cut cases below reuse them as every kind of lattice sum.
+CUT_BANK = np.vstack([np.abs(schur.sample_schur(7 ^ i, 5, 299).coeffs) for i in range(40)])
+CUT_K = np.arange(CUT_BANK.shape[1])
+CUT_GRID = np.linspace(0.0, 0.95, 300)
+PSUM_CASES = {  # name: (w, exps, radii, bound)
+    "grid_with_zero": (CUT_BANK, 3 * CUT_K + 1, CUT_GRID, 1.0),
+    "zero_exponent_at_zero": (CUT_BANK, CUT_K, np.array([0.0, 0.0, 0.3, 0.6]), 1.0),
+    "unsorted_grid": (CUT_BANK, 2 * CUT_K + 1,
+                      np.random.default_rng(5).permutation(CUT_GRID), 1.0),
+    "single_radius": (CUT_BANK, 3 * CUT_K + 2, np.array([0.83]), 1.0),
+    "near_one": (CUT_BANK, CUT_K, np.linspace(0.9, 0.999, 60), 1.0),
+    # moduli up to the bound only past column 60, where a cut taken for
+    # bound 1 would drop them
+    "bound_above_one": (CUT_BANK * np.where(CUT_K < 60, 1.0, 2.0 ** 40), 3 * CUT_K + 1,
+                        CUT_GRID, 2.0 ** 40),
+    "squares": (CUT_BANK ** 2, 6 * CUT_K + 2, CUT_GRID, 1.0),
+    "odd_slice": (CUT_BANK[:, 1::2], 3 * CUT_K[1::2] + 1, CUT_GRID, 1.0),
+    "even_slice": (CUT_BANK[:, 2::2] ** 2, 6 * CUT_K[2::2], CUT_GRID, 1.0),
+    "zero_columns": (CUT_BANK[:, :0], CUT_K[:0], CUT_GRID, 1.0),
+    # no cut can be read from a NaN bound, so every column is taken
+    "nan_bound": (CUT_BANK, 3 * CUT_K + 1, CUT_GRID, math.nan),
+}
+
+# lacunary_length_for(m, p, r, trunc_tol, coeff_bound), recorded before the
+# lattice cut shared its formula
+LENGTH_CASES = {
+    (0, 1, 0.0, 1e-10, 1.0): 1,
+    (0, 1, 0.5, 1e-10, 1.0): 35,
+    (1, 3, 0.95, 1e-10, 1.0): 162,
+    (2, 3, 0.95, 1e-10, 1.0): 162,
+    (3, 3, 0.95, 1e-10, 1.0): 162,
+    (0, 1, 0.95, 1e-10, 1.0): 508,
+    (0, 1, 0.99, 1e-10, 1.0): 2750,
+    (1, 1, 0.999, 1e-10, 1.0): 29918,
+    (2, 5, 0.7, 1e-12, 2.5): 16,
+    (0, 2, 0.3, 1e-6, 0.5): 6,
+    (3, 7, 0.9, 2.0 ** -64, 1.0): 61,
+    (0, 1, 0.5, 2.0 ** -40, 1.0): 41,
+    (4, 4, 1e-3, 1e-10, 1.0): 1,
+    (0, 1, 1e-6, 1e-3, 1.0): 1,
+    (1, 6, 0.81, 1e-10, 1.0): 19,
+    (0, 1, 0.9, 1e-10, 1.0): 241,
+}
+
+
+class TestLatticeCut:
+    @pytest.mark.parametrize("name", sorted(PSUM_CASES))
+    def test_psum_matches_full_contraction(self, name):
+        w, exps, radii, bound = PSUM_CASES[name]
+        got = fn._psum(w, exps, radii, bound)
+        want = full_psum(w, exps, radii)
+        assert got.shape == want.shape
+        # BLAS sums a column in an order that depends on the block it falls
+        # in (the full product differs from itself on sub-grids by up to 8
+        # ulps), so allow the worst-case gap between two summation orders
+        # of a K-term sum, 2 gamma_K sum_k |w_k| r^e_k (Higham, ch. 3).
+        k = w.shape[-1] * np.finfo(float).eps / 2
+        reorder = 2 * k / (1 - k) * full_psum(np.abs(w), exps, radii)
+        assert np.all(np.abs(got - want) <= 1e-15 + reorder)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 20), st.integers(1, 16), st.floats(1e-6, 0.999),
+           st.floats(0.1, 10.0))
+    def test_cut_length_is_least_certified_count(self, e0, d, r, bound):
+        n = float(fn._cut_length(e0, d, r, bound))
+        tail = lambda k: bound * r ** (e0 + k * d) / (1.0 - r ** d)
+        assert n >= 0 and n.is_integer()
+        assert tail(n) <= 2.0 ** -64 * (1 + 1e-9)
+        assert n == 0 or tail(n - 1) > 2.0 ** -64 * (1 - 1e-9)
+
+    def test_lacunary_length_for_recorded_values(self):
+        got = {case: fn.lacunary_length_for(*case) for case in LENGTH_CASES}
+        assert got == LENGTH_CASES

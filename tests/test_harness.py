@@ -322,6 +322,12 @@ class TestCli:
             cli_main(["radius", "--theorem", "Nope"])
         assert exc.value.code == 2
 
+    def test_table_unknown_theorem_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table", "--theorem", "Nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'Nope'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, config_text", [
         (["--theorems", "ThmC", "--shapes", "1-1"], None),
         (["--theorems", "ThmC", "--t", "foo"], None),
@@ -335,6 +341,8 @@ class TestCli:
         (None, '{"samples": 5}'),
         (None, '{"theorems": ["ThmC"], "tol": NaN}'),
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
+        (["--theorems", "ThmB", "--r-step", "1e-300"], None),
+        (None, '{"theorems": [], "samples": 1000000}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from bohrcert import functionals as fn
 from bohrcert import multidim as md
+from bohrcert import radius as rad
 from bohrcert import schur
 from bohrcert import series as ps
 from bohrcert.errors import (
     DegenerateDirection,
     ParameterOutOfRange,
+    RadiusOutOfRange,
     ShapeMismatch,
+    TruncationInsufficient,
     UnknownTheorem,
 )
+
+from support import full_psum
 
 E1 = md.Direction(np.array([1.0, 0.0, 0.0]), 2.0)
 
@@ -32,6 +37,11 @@ class TestLtNorm:
     def test_t_below_one(self):
         with pytest.raises(ParameterOutOfRange):
             md.lt_norm([1.0], 0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_t_nan_or_minus_inf(self, t):
+        with pytest.raises(ParameterOutOfRange):
+            md.lt_norm([1.0], t)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -63,6 +73,14 @@ class TestDirection:
         a = md.random_direction(3, 4, 2.0)
         b = md.random_direction(3, 4, 2.0)
         assert np.array_equal(a.z0, b.z0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            md.Direction(np.array([1.0, 0.0]), math.nan)
+        with pytest.raises(ParameterOutOfRange):
+            md.Direction(np.array([math.nan, 0.0]), 2.0)
+        with pytest.raises(ParameterOutOfRange):
+            md.random_direction(1, 4, math.nan)
 
     def test_sup_norm_inf_direction(self):
         d = md.random_direction(5, 4, math.inf)
@@ -201,6 +219,10 @@ class TestVectorCheck:
                 count += 1
         assert count == 60
 
+    def test_lemma21_rejects_nan_radius(self):
+        with pytest.raises(RadiusOutOfRange):
+            md.lemma21_margins(np.full((2, 8), 0.5), 1, 3, [0.3, np.nan])
+
 
 class TestSharpnessScan:
     def test_thm32_anchor_grid(self):
@@ -233,6 +255,11 @@ class TestSharpnessScan:
             want = r ** (p + m) / (1.0 - r ** (2 * p))
             assert got == pytest.approx(want, abs=1e-11)
 
+    def test_family_table_rows(self):
+        a = np.array([0.0, 1.0 / 3.0, 0.9, 0.999])
+        want = [[x] + [(1.0 - x * x) * x ** (k - 1) for k in range(1, 40)] for x in a]
+        np.testing.assert_allclose(md._lacunary_family_mods(a, 40), want, rtol=0, atol=1e-15)
+
     def test_thm31_requires_s(self):
         with pytest.raises(ParameterOutOfRange):
             md.sharpness_scan("Thm31", 1, 0, 0.3, [0.5])
@@ -240,3 +267,26 @@ class TestSharpnessScan:
     def test_unknown(self):
         with pytest.raises(UnknownTheorem):
             md.sharpness_scan("LemD", 1, 0, 0.3, [0.5])
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("equation, scan_id", [
+        ("ThmC34", "Thm34"), ("ThmC34", "Thm41"), ("Cor43", "Cor43"),
+    ])
+    def test_matches_full_family_table(self, equation, scan_id, p, monkeypatch):
+        grid = md.default_scan_grid(256)
+        scans = []
+        for m in range(p + 1):
+            r = rad.solve_radius(rad.RadiusSpec(equation, p, m))
+            for at in (r - 0.01, r + 0.01):
+                scans.append((m, at, md.sharpness_scan(scan_id, p, m, at, grid)))
+        # the whole order-512 table, every column in one product
+        monkeypatch.setattr(md, "_cut_length", lambda *args: math.inf)
+        monkeypatch.setattr(fn, "_psum", lambda w, exps, r, bound: full_psum(w, exps, r))
+        for m, at, got in scans:
+            assert abs(got - md.sharpness_scan(scan_id, p, m, at, grid)) <= 1e-15
+
+    def test_order_still_limits_certified_radius(self):
+        # order 512 leaves 85 moduli for (m, p) = (6, 6); 86 certify this radius
+        r = rad.solve_radius(rad.RadiusSpec("ThmC34", 6, 6)) + 0.01
+        with pytest.raises(TruncationInsufficient, match="need at least 86 lattice moduli, have 85"):
+            md.sharpness_scan("Thm34", 6, 6, r, md.default_scan_grid(256))
