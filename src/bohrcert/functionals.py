@@ -41,10 +41,25 @@ Within the stored moduli, each lattice sum also skips, per radius, the
 columns whose whole tail is at most 2^-64 * coeff_bound^power (power 1
 for the linear and signed sums, 2 for the square sums, s for the origin
 term), far below the truncation tolerance and the rounding of the sum.
+
+How a theorem is evaluated: each term of its ``_THEOREMS`` entry carries
+a weight that depends either on the sample (mu_0 or mu_1, shape (S, 1))
+or on the radius (shape (R,)); a weight that depends on both is written
+as two terms over the same lattice slice.  On a radius grid the terms are
+summed together: per-sample weights are folded into the stacked columns
+w_k (already powered or signed), per-radius weights into the table of
+powers r^e, and radii are grouped into buckets by the power-of-two
+ceiling of their largest column count, so the whole left side is one
+matrix product per bucket written into one (samples, radii) array.  One
+radius takes the terms one product at a time instead, each weight applied
+after its sum.  Either way each term keeps its own column count per
+radius, read from its unweighted bound coeff_bound^power, so the 2^-64
+skip and its certificate are the same on both routes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
@@ -216,30 +231,73 @@ def _as_r_grid(r) -> np.ndarray:
     return grid
 
 
+def _products(heads, columns, r: np.ndarray) -> np.ndarray:
+    """sum over parts of weight * sum_k w_k r^exps_k, on the radius grid r.
+
+    ``heads`` holds one (exps, bound, weight) per part: exponents that
+    ascend in a constant step, a bound on |w_k|, and a per-radius weight
+    of shape (R,) or None.  ``columns`` yields each part's w, of shape
+    (..., K), in the same order; it is read once, after the heads, so a
+    caller may build each part's columns only when they are stacked.
+
+    Each part takes, at each radius, the columns :func:`_cut_length` says
+    it needs, read from its own bound; a count that is not a number takes
+    every column.  On a grid whose largest count over the parts ascends,
+    radii whose largest counts share a power-of-two ceiling form one
+    bucket; any other grid is one bucket.  In a bucket each part takes the
+    largest of its counts there, and the bucket is one product of those
+    columns with a table of their weighted powers.  The parts' columns are
+    stacked once, part after part, as far as any bucket reads them; a
+    bucket that reads a prefix of the stack (one part always does) reads
+    it as a view, and any other bucket gathers its columns.
+    """
+    needs = []
+    for exps, bound, _ in heads:
+        need = np.full(r.size, exps.size)
+        if exps.size > 1:
+            need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
+        needs.append(need)
+    most = needs[0] if len(needs) == 1 else np.max(needs, axis=0)
+    edges = [0, r.size]
+    if r.size > 1 and np.all(most[1:] >= most[:-1]):
+        group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
+    counts = [[int(need[lo:hi].max(initial=0)) for need in needs]
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    width = [max(col) for col in zip(*counts)]  # columns of each part any bucket reads
+    starts = [0, *itertools.accumulate(width)]
+    if len(heads) == 1:
+        stack, exps = next(iter(columns)), heads[0][0]
+    else:
+        for j, w in enumerate(columns):
+            if j == 0:
+                stack = np.empty(w.shape[:-1] + (starts[-1],))
+            stack[..., starts[j]:starts[j + 1]] = w[..., :width[j]]
+        del w  # the stack is the only copy of the columns held from here on
+        exps = np.concatenate([h[0][:n] for h, n in zip(heads, width)])
+    out = np.empty(stack.shape[:-1] + (r.size,))
+    for lo, hi, take in zip(edges[:-1], edges[1:], counts):
+        if take[:-1] == width[:-1]:  # a prefix of the stack
+            cols = slice(0, sum(take))
+        else:
+            cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, take)])
+        table = r[lo:hi] ** exps[cols, None]
+        row = 0
+        for (_, _, weight), n in zip(heads, take):
+            if weight is not None:
+                table[row:row + n] *= weight[lo:hi]
+            row += n
+        np.matmul(stack[..., cols], table, out=out[..., lo:hi])
+    return out
+
+
 def _psum(w: np.ndarray, exps: np.ndarray, r: np.ndarray, bound: float) -> np.ndarray:
     """sum_k w_k r^exps_k, vectorized over rows of w and entries of r.
 
-    ``exps`` ascend in a constant step and |w_k| <= ``bound``.  Each radius
-    takes only the columns :func:`_cut_length` says it needs; on a grid
-    whose counts ascend, radii whose counts share a power-of-two ceiling
-    share one product.  Any other grid takes one product at the largest
-    count, and a count that is not a number takes every column.
+    The one-part, unweighted case of :func:`_products`: ``exps`` ascend in
+    a constant step and |w_k| <= ``bound``.
     """
-    exps = np.asarray(exps, dtype=float)
-    width = w.shape[-1]
-    need = np.full(r.size, width)
-    if width > 1:
-        need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
-    n = need.max(initial=0)
-    if need.min(initial=n) == n or np.any(need[1:] < need[:-1]):
-        return w[..., :n] @ r ** exps[:n, None]
-    out = np.empty(w.shape[:-1] + (r.size,))
-    group = np.frexp(np.maximum(need - 1, 0))[1]  # ceil(log2(need)), ascending
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = need[hi - 1]
-        np.matmul(w[..., :n], r[lo:hi] ** exps[:n, None], out=out[..., lo:hi])
-    return out
+    return _products([(np.asarray(exps, dtype=float), bound, None)], [w], r)
 
 
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
@@ -280,14 +338,16 @@ class _Term:
 
     ``power`` picks w_k: 1 for mu_k, 2 for mu_k^2, "signed" for
     (-1)^(kp+m) mu_k, and "s" for mu_k^s with s taken from the extras.
-    ``weight`` maps :class:`_Vars` to an array broadcasting against
-    (samples, radii); None means 1.
+    ``weight`` maps :class:`_Vars` to a per-radius weight of shape (R,)
+    and ``sample_weight`` to a per-sample one of shape (S, 1); None means
+    1.  A weight that depends on both is written as two terms.
     """
 
     cols: slice
     power: object
     exps: Tuple[int, int, int]
     weight: Optional[Callable[[_Vars], np.ndarray]] = None
+    sample_weight: Optional[Callable[[_Vars], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -319,10 +379,15 @@ def _den(v: _Vars) -> np.ndarray:
     return 1.0 - v.r ** (2 * v.p)
 
 
+def _over_one_plus_mu0(v: _Vars) -> np.ndarray:
+    return 1.0 / (1.0 + v.mu0)
+
+
 # sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
 _REFINED = (
     _Term(_TAIL, 1, (1, 0, 0)),
-    _Term(_TAIL, 2, (2, 0, 0), lambda v: 1.0 / (1.0 + v.mu0) + v.r / (1.0 - v.r)),
+    _Term(_TAIL, 2, (2, 0, 0), sample_weight=_over_one_plus_mu0),
+    _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r / (1.0 - v.r)),
 )
 _ALTERNATING = _Term(_TAIL, "signed", (1, 0, 1))
 _MAJORANT = (_Term(_ALL, 1, (1, 0, 1)),)
@@ -338,8 +403,8 @@ _THEOREMS = {
         rhs=lambda v: v.r ** v.p / _den(v)),
     "LemDEven": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 0)),
-         _Term(_TAIL, 2, (2, 0, 0),
-               lambda v: 1.0 / (1.0 + v.mu0) + v.r ** (2 * v.p) / _den(v))),
+         _Term(_TAIL, 2, (2, 0, 0), sample_weight=_over_one_plus_mu0),
+         _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r ** (2 * v.p) / _den(v))),
         rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / _den(v))),
     # Thm41 is this bound term by term: r^(p-m) r^(2kp+2m) = r^(p+m) r^(2kp).
     "ThmC": _Theorem(
@@ -353,7 +418,7 @@ _THEOREMS = {
     # 2kp + m, both nonnegative, so r = 0 is safe.
     "Thm32": _Theorem(
         (_Term(_TAIL, 1, (1, 0, 1)),
-         _Term(_FROM2, 2, (2, -1, 1), lambda v: 1.0 / (1.0 + v.mu1)),
+         _Term(_FROM2, 2, (2, -1, 1), sample_weight=lambda v: 1.0 / (1.0 + v.mu1)),
          _Term(_FROM2, 2, (2, 0, 1), lambda v: 1.0 / (1.0 - v.r ** v.p))),
         vanishing_start=True),
     "Thm34": _Theorem(
@@ -364,7 +429,7 @@ _THEOREMS = {
     # same way; both square sums stay finite at r = 0.
     "Cor43": _Theorem(
         (_ALTERNATING,
-         _Term(_ALL, 2, (2, 0, 1), lambda v: (-1.0) ** v.m / (1.0 + v.mu0)),
+         _Term(_ALL, 2, (2, 0, 1), sample_weight=lambda v: (-1.0) ** v.m / (1.0 + v.mu0)),
          _Term(_ALL, 2, (2, 2, 1), lambda v: (-1.0) ** v.m / _den(v))),
         absolute=True, odd_gap=True),
     "BombieriUpper": _Theorem(
@@ -401,34 +466,63 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
+def _lattice(term: _Term, k, m, p, s, coeff_bound):
+    """A term's exponents over its lattice slice and the bound on its w_k."""
+    a, b, c = term.exps
+    bound = coeff_bound
+    if term.power == 2:
+        bound = coeff_bound ** 2
+    elif term.power == "s":
+        bound = coeff_bound ** float(s)
+    return (a * k[term.cols] * p + b * p + c * m).astype(float), bound
+
+
+def _columns(term: _Term, mods, k, m, p, s) -> np.ndarray:
+    """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed mu_k."""
+    w = mods[:, term.cols]
+    if term.power == 2:
+        return w ** 2
+    if term.power == "s":
+        return w ** float(s)
+    if term.power == "signed":
+        return _signs(k[term.cols], m, p) * w
+    return w
+
+
 def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
     k = np.arange(length)
     mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
     v = _Vars(r, mods[:, :1], mu1, m, p)
-    lhs = None
-    for term in th.terms:
-        # One (S, K) temporary per term, dropped before the next one: the
-        # scan path runs thousands of family rows in one call.
-        w = mods[:, term.cols]
-        bound = coeff_bound
-        if term.power == 2:
-            w = w ** 2
-            bound = coeff_bound ** 2
-        elif term.power == "s":
-            w = w ** float(s)
-            bound = coeff_bound ** float(s)
-        elif term.power == "signed":
-            w = _signs(k[term.cols], m, p) * w
-        a, b, c = term.exps
-        part = _psum(w, a * k[term.cols] * p + b * p + c * m, r, bound)
-        del w
-        if term.weight is not None:
-            part *= term.weight(v)
-        if lhs is None:
-            lhs = part
-        else:
-            lhs += part
+    lattice = [_lattice(term, k, m, p, s, coeff_bound) for term in th.terms]
+    # The route follows the radius count.  A grid folds every weight into
+    # the operands and sums all terms in one product per bucket, so lhs is
+    # the one (S, R) array built here.  One radius (every sharpness scan
+    # and scalar entry point) sums the terms one product at a time, holding
+    # one term's (S, K) columns at once: stacking there would only copy the
+    # columns of a scan's ~2000 family rows.  perfbench has a workload on
+    # each side: fine_grid's grids hold ~1100-1900 radii, scan_table's
+    # calls one.
+    if r.size > 1:
+        def columns():
+            for term in th.terms:
+                w = _columns(term, mods, k, m, p, s)
+                yield w if term.sample_weight is None else w * term.sample_weight(v)
+
+        heads = [(exps, bound, None if term.weight is None else term.weight(v))
+                 for term, (exps, bound) in zip(th.terms, lattice)]
+        lhs = _products(heads, columns(), r)
+    else:
+        lhs = None
+        for term, (exps, bound) in zip(th.terms, lattice):
+            part = _psum(_columns(term, mods, k, m, p, s), exps, r, bound)
+            for weight in (term.sample_weight, term.weight):
+                if weight is not None:
+                    part *= weight(v)
+            if lhs is None:
+                lhs = part
+            else:
+                lhs += part
     if th.absolute:
         np.abs(lhs, out=lhs)
     if th.rhs is None:

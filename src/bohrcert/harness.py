@@ -199,6 +199,10 @@ class CampaignConfig:
             raise ParameterOutOfRange(f"unknown report format {self.format!r}")
         if not self.depth >= 1:
             raise ParameterOutOfRange("sampler depth must be >= 1")
+        if not self.dims >= 1:
+            raise ParameterOutOfRange(f"dims must be >= 1, got {self.dims}")
+        if not self.scan_steps >= 0:
+            raise ParameterOutOfRange(f"scan_steps must be >= 0, got {self.scan_steps}")
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
         else:
             lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
                                           trunc_tol=config.trunc_tol)
-        margins = rhs - lhs
+        margins = np.subtract(rhs, lhs, out=lhs)
         if row.per_function:
             # each sample is checked below its own radius
             radii = rad.thm31_radius(bank[:, 0], s)

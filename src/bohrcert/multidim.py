@@ -292,7 +292,8 @@ def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.n
     lhs = sum_{k>=1} nu_{2k} r^(2kp+m)
     rhs = (r^(2p-m)/(1-r^2p)) (r^2m - (nu_0 r^m)^2)
 
-    where nu are raw directional coefficient norms (radius 1).
+    where nu are raw directional coefficient norms (radius 1).  The right
+    side is built as the rank-1 product (1 - nu_0^2) r^(2p+m)/(1-r^2p).
     """
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
     grid = _as_r_grid(r)
@@ -300,10 +301,7 @@ def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.n
         raise ShapeMismatch(f"the even-tail bound needs 1 <= m <= p, got m={m}, p={p}")
     k = np.arange(nu.shape[1])
     lhs = _psum(nu[:, 2::2], k[2::2] * p + m, grid, max(1.0, nu.max(initial=0.0)))
-    nu0 = nu[:, :1]
-    rhs = (grid ** (2 * p - m) / (1.0 - grid ** (2 * p))) * (
-        grid ** (2 * m) - (nu0 * grid ** m) ** 2
-    )
+    rhs = np.multiply(1.0 - nu[:, :1] ** 2, grid ** (2 * p + m) / (1.0 - grid ** (2 * p)))
     return lhs, rhs
 
 
@@ -362,6 +360,8 @@ def default_scan_grid(steps: int = 256) -> np.ndarray:
     vanishing-start envelope at its sharp radius for shape (0, 1)), and
     near-boundary values where the origin-weighted scans peak.
     """
+    if steps < 0:
+        raise ParameterOutOfRange(f"the scan grid needs a step count >= 0, got {steps}")
     grid = np.linspace(0.0, 0.98, steps)
     extra = np.array([1.0 / 3.0, 0.99, 0.995, 0.999, 0.9995, 0.9999])
     return np.unique(np.concatenate([grid, extra]))

@@ -5,9 +5,10 @@ library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
 closed rational form, one product over every lattice column instead of
-the margin core's radius-blocked power sums, hand-derived geometric
-closed forms for the extremal families, and the paper's second algebraic
-forms of bounds that the library evaluates once.
+the margin core's radius-blocked power sums, each inequality's left side
+term by term as written instead of the margin core's stacked products,
+hand-derived geometric closed forms for the extremal families, and the
+paper's second algebraic forms of bounds that the library evaluates once.
 """
 
 import math
@@ -71,6 +72,84 @@ def full_psum(w, exps, r):
     only the columns each radius needs.
     """
     return w @ (r[None, :] ** np.asarray(exps, dtype=float)[:, None])
+
+
+# Each catalog left side as written: (lattice slice, power, (a, b, c),
+# weight) per term, the term being weight * sum_k w_k r^(a k p + b p + c m)
+# with w_k = mu_k, mu_k^2, mu_k^s or (-1)^(kp+m) mu_k; a weight is a
+# function of (r, mu_0, mu_1, m, p) and may mix radii and samples.
+
+
+def _den(r, p):
+    return 1.0 - r ** (2 * p)
+
+
+_TAIL, _ALL = slice(1, None), slice(None)
+_REFINED = [(_TAIL, 1, (1, 0, 0), None),
+            (_TAIL, 2, (2, 0, 0), lambda r, mu0, mu1, m, p: 1 / (1 + mu0) + r / (1 - r))]
+_ALTERNATING = (_TAIL, "signed", (1, 0, 1), None)
+_MAJORANT = [(_ALL, 1, (1, 0, 1), None)]
+WRITTEN_TERMS = {  # id: (terms, modulus of the sum)
+    "ThmB": (_REFINED, False),
+    "LemDOdd": ([(slice(1, None, 2), 1, (1, 0, 0), None),
+                 (_ALL, 2, (2, 0, 0), lambda r, mu0, mu1, m, p: r ** p / _den(r, p))], False),
+    "LemDEven": ([(slice(2, None, 2), 1, (1, 0, 0), None),
+                  (_TAIL, 2, (2, 0, 0),
+                   lambda r, mu0, mu1, m, p: 1 / (1 + mu0) + r ** (2 * p) / _den(r, p))], False),
+    "ThmC": ([_ALTERNATING,
+              (_ALL, 2, (2, 0, 0),
+               lambda r, mu0, mu1, m, p: (-1.0) ** (m + p) * r ** (p + m) / _den(r, p))], True),
+    "Thm31": ([(slice(0, 1), "s", (0, 0, 0), None)] + _REFINED, False),
+    "Thm32": ([(_TAIL, 1, (1, 0, 1), None),
+               (slice(2, None), 2, (2, -1, 1), lambda r, mu0, mu1, m, p: 1 / (1 + mu1)),
+               (slice(2, None), 2, (2, 0, 1), lambda r, mu0, mu1, m, p: 1 / (1 - r ** p))], False),
+    "Thm34": ([(slice(1, None, 2), 1, (1, 0, 1), None),
+               (_ALL, 2, (2, 0, 2), lambda r, mu0, mu1, m, p: r ** (p - m) / _den(r, p))], False),
+    "Cor43": ([_ALTERNATING,
+               (_ALL, 2, (2, 0, 1), lambda r, mu0, mu1, m, p: (-1.0) ** m / (1 + mu0)),
+               (_ALL, 2, (2, 2, 1), lambda r, mu0, mu1, m, p: (-1.0) ** m / _den(r, p))], True),
+    "BombieriUpper": (_MAJORANT, False),
+    "BBUpper": (_MAJORANT, False),
+}
+WRITTEN_TERMS["Thm41"] = WRITTEN_TERMS["ThmC"]
+
+
+def written_lhs(theorem_id, mods, m, p, r, s=None):
+    """A catalog left side on (samples, radii), term by term as written.
+
+    Each term is one :func:`full_psum` over its whole lattice slice, its
+    weight applied after the sum; terms are added in the order written and
+    the modulus is taken last.  Also returns the reorder bound
+    2 gamma_K sum |terms| (Higham, ch. 3) with K twice the summands
+    written: the most that any other order of the same sums may differ
+    by, weights folded into the summands and each term split in two.
+    """
+    mods = np.atleast_2d(np.asarray(mods, dtype=float))
+    r = np.asarray(r, dtype=float)
+    k = np.arange(mods.shape[1])
+    mu0 = mods[:, :1]
+    mu1 = mods[:, 1:2] if mods.shape[1] > 1 else np.zeros_like(mu0)
+    terms, absolute = WRITTEN_TERMS[theorem_id]
+    lhs = size = 0.0
+    count = 0
+    for cols, power, (a, b, c), weight in terms:
+        w = mods[:, cols]
+        if power == 2:
+            w = w ** 2
+        elif power == "s":
+            w = w ** s
+        elif power == "signed":
+            w = np.where((k[cols] * p + m) % 2 == 0, 1.0, -1.0) * w
+        exps = a * k[cols] * p + b * p + c * m
+        part, scale = full_psum(w, exps, r), full_psum(np.abs(w), exps, r)
+        if weight is not None:
+            part = part * weight(r, mu0, mu1, m, p)
+            scale = scale * np.abs(weight(r, mu0, mu1, m, p))
+        lhs = lhs + part
+        size = size + scale
+        count += 2 * w.shape[1]
+    gamma = count * np.finfo(float).eps / 2
+    return (np.abs(lhs) if absolute else lhs), 2 * gamma / (1 - gamma) * size
 
 
 # hand-derived geometric sums for the automorphism family

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrcert import functionals as fn
+from bohrcert import multidim as md
 from bohrcert import schur
 from bohrcert.errors import (
     OddGapRequired,
@@ -24,6 +27,7 @@ from support import (
     mobius_square_sum,
     refined_bound_rhs,
     thm41_lhs,
+    written_lhs,
 )
 
 ORDER = 512
@@ -482,3 +486,106 @@ class TestLatticeCut:
     def test_lacunary_length_for_recorded_values(self):
         got = {case: fn.lacunary_length_for(*case) for case in LENGTH_CASES}
         assert got == LENGTH_CASES
+
+
+# Depth-5 banks that certify r = 0.95, at each shape an id is stated for;
+# the vanishing-start id gets a zero lattice start prepended.
+ROUTE_SHAPES = ((0, 1), (1, 1), (0, 2), (1, 3), (3, 3))
+ROUTE_S = 1.5
+ROUTE_GRIDS = {
+    "with_zero": np.linspace(0.0, 0.95, 240),
+    "to_095": np.linspace(0.5, 0.95, 200),
+    "unsorted": np.random.default_rng(9).permutation(np.linspace(0.0, 0.95, 240)),
+    "single_radius": np.array([0.83]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def route_bank(m, p):
+    length = fn.lacunary_length_for(m, p, 0.95) + 1
+    return np.vstack([np.abs(schur.sample_schur(11 ^ i, 5, length - 1).coeffs)
+                      for i in range(30)])
+
+
+def route_cases(tid):
+    """(bank, m, p) for every shape in ROUTE_SHAPES the id is stated for."""
+    th = fn._THEOREMS[tid]
+    for m, p in ROUTE_SHAPES:
+        if th.shape not in (None, (m, p)) or (th.odd_gap and p % 2 == 0):
+            continue
+        bank = route_bank(m, p)
+        if th.vanishing_start:
+            bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+        yield bank, m, p
+
+
+def in_window(tid, grid):
+    """The grid's radii inside the id's window, or its midpoint if none are."""
+    window = fn._THEOREMS[tid].window
+    if window is None:
+        return grid
+    lo, hi = window[0], min(window[1], 0.95)
+    inside = grid[(grid >= lo) & (grid <= hi)]
+    return inside if inside.size else np.array([(lo + hi) / 2])
+
+
+class TestStackedRoute:
+    """The margin core against each left side as written, term by term."""
+
+    @pytest.mark.parametrize("tid", fn.THEOREM_IDS)
+    def test_matches_written_terms(self, tid):
+        for bank, m, p in route_cases(tid):
+            for name, grid in ROUTE_GRIDS.items():
+                grid = in_window(tid, grid)
+                lhs, _ = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+                want, reorder = written_lhs(tid, bank, m, p, grid, s=ROUTE_S)
+                assert lhs.shape == want.shape
+                assert np.all(np.abs(lhs - want) <= 1e-15 + reorder), (m, p, name)
+
+    @pytest.mark.parametrize("tid", fn.THEOREM_IDS)
+    def test_one_radius_matches_grid(self, tid):
+        # one radius takes the per-term route and a grid the stacked one;
+        # the first, middle and last radii fall in the first, a middle and
+        # the last bucket of the grid's counts
+        for bank, m, p in route_cases(tid):
+            grid = in_window(tid, np.linspace(0.001, 0.95, 600))
+            lhs, _ = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+            for i in (0, grid.size // 2, grid.size - 1):
+                alone, _ = fn.theorem_margins(tid, bank, m, p, grid[i:i + 1],
+                                              extras={"s": ROUTE_S})
+                _, reorder = written_lhs(tid, bank, m, p, grid[i:i + 1], s=ROUTE_S)
+                assert np.all(np.abs(alone - lhs[:, i:i + 1]) <= 1e-15 + reorder), (m, p, i)
+
+
+# The campaign's margin-core call: 500 depth-5 samples of order 162, the
+# lattice length that certifies r = 0.95 at shape (1, 3), on a 0.0005 step.
+BUDGET_BANK = np.vstack([np.abs(schur.sample_schur(3 ^ i, 5, 162).coeffs) for i in range(500)])
+BUDGET_SHIFTED = np.hstack([np.zeros((500, 1)), BUDGET_BANK])  # a vanishing start
+BUDGET_GRID = 0.001 + 0.0005 * np.arange(1899)
+BUDGET_CALLS = {  # core: (call, (S, R) arrays it returns)
+    "LemDOdd": (lambda: fn.theorem_margins("LemDOdd", BUDGET_BANK, 1, 3, BUDGET_GRID), 1),
+    "LemDEven": (lambda: fn.theorem_margins("LemDEven", BUDGET_BANK, 1, 3, BUDGET_GRID), 2),
+    "ThmC": (lambda: fn.theorem_margins("ThmC", BUDGET_BANK, 1, 3, BUDGET_GRID), 1),
+    "Thm34": (lambda: fn.theorem_margins("Thm34", BUDGET_BANK, 1, 3, BUDGET_GRID), 1),
+    "Thm32": (lambda: fn.theorem_margins("Thm32", BUDGET_SHIFTED, 1, 3, BUDGET_GRID), 1),
+    "Cor43": (lambda: fn.theorem_margins("Cor43", BUDGET_BANK, 1, 3, BUDGET_GRID), 1),
+    "Lem21": (lambda: md.lemma21_margins(BUDGET_BANK, 1, 3, BUDGET_GRID), 2),
+}
+
+
+class TestAllocationBudget:
+    @pytest.mark.parametrize("core", sorted(BUDGET_CALLS))
+    def test_peak_within_returned_arrays(self, core):
+        # numpy reports its buffers to tracemalloc, so this counts bytes, not
+        # time: a core may hold its returned (S, R) arrays plus 0.6 of one
+        call, returned = BUDGET_CALLS[core]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        cells = BUDGET_BANK.shape[0] * BUDGET_GRID.size
+        assert out[0].shape == (500, 1899)
+        assert peak <= (returned + 0.6) * cells * 8, peak / (cells * 8)

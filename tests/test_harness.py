@@ -343,6 +343,8 @@ class TestCli:
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),
+        (None, '{"theorems": ["Thm34"], "shapes": [[1, 3]], "scan_steps": -3}'),
+        (None, '{"theorems": ["LemD", "Lem21"], "shapes": [[1, 3]], "dims": 0}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
@@ -354,6 +356,13 @@ class TestCli:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
         assert "Traceback" not in err
+
+    def test_sharpness_negative_steps_exits_two(self, capsys):
+        code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "3", "--m", "1",
+                         "--r", "0.7", "--a-steps", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "bohrcert: error: the scan grid needs a step count >= 0, got -1\n"
 
     def test_verify_needs_input(self):
         assert cli_main(["verify"]) == 2

@@ -219,6 +219,18 @@ class TestVectorCheck:
                 count += 1
         assert count == 60
 
+    @pytest.mark.parametrize("m, p", [(m, p) for p in (1, 2, 3) for m in range(1, p + 1)])
+    def test_lemma21_rhs_matches_written_form(self, m, p):
+        nu0 = np.linspace(0.0, 1.0, 21)
+        nu = np.hstack([nu0[:, None], np.full((nu0.size, 6), 0.1)])
+        grid = np.linspace(0.0, 0.95, 96)
+        _, rhs = md.lemma21_margins(nu, m, p, grid)
+        want = (grid ** (2 * p - m) / (1.0 - grid ** (2 * p))) * (
+            grid ** (2 * m) - (nu0[:, None] * grid ** m) ** 2)
+        # a few roundings of the nu_0 = 0 value, the largest either form takes
+        scale = grid ** (2 * p + m) / (1.0 - grid ** (2 * p))
+        assert np.all(np.abs(rhs - want) <= 8 * np.finfo(float).eps * scale)
+
     def test_lemma21_rejects_nan_radius(self):
         with pytest.raises(RadiusOutOfRange):
             md.lemma21_margins(np.full((2, 8), 0.5), 1, 3, [0.3, np.nan])
@@ -259,6 +271,11 @@ class TestSharpnessScan:
         a = np.array([0.0, 1.0 / 3.0, 0.9, 0.999])
         want = [[x] + [(1.0 - x * x) * x ** (k - 1) for k in range(1, 40)] for x in a]
         np.testing.assert_allclose(md._lacunary_family_mods(a, 40), want, rtol=0, atol=1e-15)
+
+    def test_scan_grid_step_count(self):
+        assert md.default_scan_grid(0).size == 6  # the fixed extra points only
+        with pytest.raises(ParameterOutOfRange, match="step count >= 0, got -1"):
+            md.default_scan_grid(-1)
 
     def test_thm31_requires_s(self):
         with pytest.raises(ParameterOutOfRange):
