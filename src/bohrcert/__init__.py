@@ -47,6 +47,7 @@ from .multidim import (
     SliceMapping,
     frechet_norms,
     lt_norm,
+    random_directions,
     sharpness_scan,
     slice_from_direction,
     vector_check,
@@ -61,6 +62,7 @@ from .radius import (
 from .schur import (
     SchurParameters,
     extremal_family,
+    sample_bank,
     sample_schur,
     schur_to_taylor,
 )

@@ -19,7 +19,9 @@ radius equations from :mod:`bohrcert.radius`.
 Determinism contract: per-sample seeds are derived as row_seed XOR
 sample index, with row_seed a CRC of the row label mixed with the config
 seed, so identical configs produce byte-identical reports regardless of
-how the work would be scheduled.
+how the work would be scheduled.  A bank, and a vector row's directions,
+are drawn in one batch; sample i still draws from its own generator
+seeded row_seed XOR i, exactly as a single draw would.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from . import functionals as fn
 from . import multidim as md
 from . import radius as rad
 from .errors import BohrcertError, CampaignError, ParameterOutOfRange
-from .schur import sample_schur
+from .schur import sample_bank
+from .schur import sample_schur  # noqa: F401  perfbench probes it by name (ROADMAP item 1)
 
 __all__ = [
     "CAMPAIGN_THEOREMS",
@@ -250,29 +253,19 @@ def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
 
     One bank per shape, sized so the tail certificate passes at r_stop
     (one spare modulus for the vanishing-start rows, which shift by one);
-    per-sample seeds are bank_seed XOR sample index.
+    per-sample seeds are bank_seed XOR sample index, and the whole bank
+    is drawn and expanded in one batch.
     """
     key = (m, p)
     have = cache.get(key)
     if have is not None:
         return have
     length = fn.lacunary_length_for(m, p, config.r_stop, config.trunc_tol) + 1
-    order = length - 1
     bank_seed = _row_seed(config.seed, f"bank:{m}:{p}")
-    rows = []
-    for i in range(config.samples):
-        f = sample_schur(bank_seed ^ i, config.depth, order)
-        rows.append(np.abs(f.coeffs))
-    mat = np.vstack(rows)
+    seeds = [bank_seed ^ i for i in range(config.samples)]
+    mat = np.abs(sample_bank(seeds, config.depth, length - 1))
     cache[key] = mat
     return mat
-
-
-def _directions(config: CampaignConfig, label: str, t: float) -> List[md.Direction]:
-    seed = _row_seed(config.seed, "dirs:" + label)
-    return [
-        md.random_direction(seed ^ i, config.dims, t) for i in range(config.samples)
-    ]
 
 
 def _row_shapes(row: RowSpec, config: CampaignConfig) -> List[Tuple[int, int]]:
@@ -296,8 +289,10 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
     leaves no (sample, radius) cell to check.
     """
     if row.vector:
-        sup = np.array([d.sup_norm for d in _directions(config, label, t)])
-        bank = sup[:, None] * bank
+        dir_seed = _row_seed(config.seed, "dirs:" + label)
+        z0 = md.random_directions([dir_seed ^ i for i in range(config.samples)],
+                                  config.dims, t)
+        bank = np.abs(z0).max(axis=1)[:, None] * bank
     if row.shift:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     extras = None if s is None else {"s": s}

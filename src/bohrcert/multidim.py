@@ -50,6 +50,7 @@ __all__ = [
     "SliceMapping",
     "lt_norm",
     "random_direction",
+    "random_directions",
     "slice_from_direction",
     "frechet_norms",
     "vector_check",
@@ -64,17 +65,30 @@ SCAN_IDS = ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
 VECTOR_IDS = ("Thm34", "Thm41", "Cor42", "Cor43", "Lem21")
 
 
-def lt_norm(v: Sequence[complex], t: float) -> float:
-    """l_t norm (sum |v_i|^t)^(1/t); t = inf gives the max norm."""
-    arr = np.atleast_1d(np.asarray(v, dtype=complex))
-    if arr.size == 0:
+def _lt_norms(rows: np.ndarray, t: float) -> np.ndarray:
+    """l_t norm of each vector along the last axis of a complex array."""
+    if rows.shape[-1] == 0:
         raise ParameterOutOfRange("norm of an empty vector is undefined")
     t = float(t)
     if not t >= 1.0:  # also rejects NaN
         raise ParameterOutOfRange(f"l_t norms need t >= 1, got t={t}")
+    mods = np.abs(rows)
     if math.isinf(t):
-        return float(np.abs(arr).max())
-    return float((np.abs(arr) ** t).sum() ** (1.0 / t))
+        return mods.max(axis=-1)
+    return (mods ** t).sum(axis=-1) ** (1.0 / t)
+
+
+def lt_norm(v: Sequence[complex], t: float) -> float:
+    """l_t norm (sum |v_i|^t)^(1/t); t = inf gives the max norm."""
+    return float(_lt_norms(np.atleast_1d(np.asarray(v, dtype=complex)), t))
+
+
+def _check_unit(norms: np.ndarray) -> None:
+    """A direction's rule: each l_t norm within 1e-12 of 1 (NaN fails)."""
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    if bad.size:
+        nrm = float(np.ravel(norms)[bad[0]])
+        raise ParameterOutOfRange(f"direction must be unit-norm in l_t, got ||z0||_t = {nrm!r}")
 
 
 @dataclass(frozen=True)
@@ -88,11 +102,7 @@ class Direction:
         arr = np.array(self.z0, dtype=complex, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterOutOfRange("direction must be a nonempty complex vector")
-        nrm = lt_norm(arr, self.t)
-        if not abs(nrm - 1.0) <= 1e-12:  # also rejects NaN entries
-            raise ParameterOutOfRange(
-                f"direction must be unit-norm in l_t, got ||z0||_t = {nrm!r}"
-            )
+        _check_unit(_lt_norms(arr, self.t))
         arr.setflags(write=False)
         object.__setattr__(self, "z0", arr)
         object.__setattr__(self, "t", float(self.t))
@@ -114,11 +124,32 @@ class Direction:
         return float(np.abs(self.z0).max())
 
 
+def random_directions(seeds: Sequence[int], n: int, t: float) -> np.ndarray:
+    """Unit vectors of l_t^n, one row per seed: complex gaussian entries, normalized.
+
+    Row i draws from ``np.random.default_rng(seeds[i])``: n normals for
+    the real parts, then n for the imaginary parts.  Every row is checked
+    as :class:`Direction` checks a vector.
+    """
+    seeds = list(seeds)
+    re = np.empty((len(seeds), n))
+    im = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        re[i] = rng.normal(size=n)
+        im[i] = rng.normal(size=n)
+    rows = re + 1j * im
+    nrm = _lt_norms(rows, t)
+    if (nrm == 0.0).any():
+        raise DegenerateDirection("cannot normalize the zero vector")
+    rows /= nrm[:, None]
+    _check_unit(_lt_norms(rows, t))
+    return rows
+
+
 def random_direction(seed: int, n: int, t: float) -> Direction:
-    """Deterministic unit direction: complex gaussian entries, normalized."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return Direction.normalized(v, t)
+    """Deterministic unit direction; the one-row case of :func:`random_directions`."""
+    return Direction(random_directions([seed], n, t)[0], t)
 
 
 @dataclass(frozen=True)
@@ -401,10 +432,12 @@ def sharpness_scan(
     """
     if theorem_id not in SCAN_IDS:
         raise UnknownTheorem(f"no sharpness scan for id {theorem_id!r}")
+    if not (p >= 1 and 0 <= m <= p):
+        raise ParameterOutOfRange(f"scans need 1 <= p and 0 <= m <= p, got m={m}, p={p}")
     a = np.asarray(a_grid, dtype=float)
     if a.size == 0:
         raise ParameterOutOfRange("empty family-parameter grid")
-    if a.min() < 0.0 or a.max() >= 1.0:
+    if not (a.min() >= 0.0 and a.max() < 1.0):  # also rejects NaN
         raise ParameterOutOfRange("family parameters must lie in [0, 1)")
     if not 0.0 < r < 1.0:
         raise RadiusOutOfRange(f"scan radius must lie in (0, 1), got {r}")

@@ -10,7 +10,11 @@ Two sources of test functions:
   lifts) that realize equality in the coefficient inequalities.
 
 Everything here is deterministic: the sampler is keyed by an integer
-seed, and identical seeds reproduce identical series bit for bit.
+seed, and identical seeds reproduce identical series bit for bit.  A
+bank of samples is drawn in one batch (:func:`sample_bank`): each sample
+still draws from its own generator, seeded with its own seed, and the
+recursion and the long division run over all rows at once; a single
+sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ from .series import DEFAULT_ORDER, TruncatedSeries
 
 __all__ = [
     "SchurParameters",
+    "taylor_rows",
     "schur_to_taylor",
+    "sample_gammas",
     "sample_parameters",
+    "sample_bank",
     "sample_schur",
     "extremal_family",
     "EXTREMAL_KINDS",
@@ -36,6 +43,32 @@ __all__ = [
 SAMPLING_RADIUS = 0.95
 
 EXTREMAL_KINDS = ("L1", "LacunaryD", "L2", "Monomial")
+
+
+def _check_gammas(gammas: np.ndarray) -> None:
+    """The recursion's parameter rules over an (S, depth) array, one row each.
+
+    Every entry must be finite, interior entries must have modulus
+    strictly below 1, and only the final entry may reach the boundary
+    circle.  Errors name the first offending entry (and its row, for a
+    batch).
+    """
+    if gammas.ndim != 2:
+        raise ParameterOutOfRange("parameters must be an (S, depth) array")
+    if gammas.shape[1] == 0:
+        raise ParameterOutOfRange("at least one parameter is required")
+
+    def fail(i, what):
+        row = "" if gammas.shape[0] == 1 else f"row {i}: "
+        raise ParameterOutOfRange(row + what)
+
+    for i, j in np.argwhere(~np.isfinite(gammas))[:1]:
+        fail(i, f"parameter {j} is not finite: {gammas[i, j]}")
+    mods = np.abs(gammas)
+    for i, j in np.argwhere(mods[:, :-1] >= 1.0)[:1]:
+        fail(i, f"interior parameter {j} has modulus {mods[i, j]:.6f} >= 1")
+    for i in np.flatnonzero(mods[:, -1] > 1.0 + 1e-12)[:1]:
+        fail(i, f"final parameter has modulus {mods[i, -1]:.6f} > 1")
 
 
 @dataclass(frozen=True)
@@ -50,20 +83,7 @@ class SchurParameters:
 
     def __post_init__(self):
         gammas = tuple(complex(g) for g in self.gammas)
-        if not gammas:
-            raise ParameterOutOfRange("at least one parameter is required")
-        for j, g in enumerate(gammas):
-            if not np.isfinite(g):
-                raise ParameterOutOfRange(f"parameter {j} is not finite: {g}")
-        for j, g in enumerate(gammas[:-1]):
-            if abs(g) >= 1.0:
-                raise ParameterOutOfRange(
-                    f"interior parameter {j} has modulus {abs(g):.6f} >= 1"
-                )
-        if abs(gammas[-1]) > 1.0 + 1e-12:
-            raise ParameterOutOfRange(
-                f"final parameter has modulus {abs(gammas[-1]):.6f} > 1"
-            )
+        _check_gammas(np.array([gammas], dtype=complex))
         object.__setattr__(self, "gammas", gammas)
 
     def __len__(self):
@@ -77,6 +97,60 @@ def _as_params(params: ParamsLike) -> SchurParameters:
     if isinstance(params, SchurParameters):
         return params
     return SchurParameters(tuple(params))
+
+
+def taylor_rows(gammas, order: int) -> np.ndarray:
+    """Taylor coefficients 0..order of one recursion per row of ``gammas``.
+
+    ``gammas`` is an (S, depth) array; row i holds gamma_0..gamma_M of
+    function i and obeys the :class:`SchurParameters` rules.  Returns an
+    (S, order + 1) complex array.  See :func:`schur_to_taylor` for the
+    recursion; here P and Q are carried for all rows at once, and the long
+    division P/Q runs as one recurrence over k across the rows.  Q(0) = 1
+    and Q has degree at most depth - 1, so
+        q_k = p_k - sum_{j=1..depth-1} Q_j q_{k-j}.
+    The lags are summed in ``scipy.signal.lfilter``'s order, the highest
+    lag first, and each complex product is formed from its real parts as
+    lfilter forms it, so a row equals the series of that one function
+    divided on its own.
+    """
+    gammas = np.asarray(gammas, dtype=complex)
+    _check_gammas(gammas)
+    if order < 0:
+        raise ParameterOutOfRange("order must be nonnegative")
+    rows, depth = gammas.shape
+    num = gammas[:, -1:]
+    den = np.ones((rows, 1), dtype=complex)
+    zero = np.zeros((rows, 1), dtype=complex)
+    for j in range(depth - 2, -1, -1):
+        g = gammas[:, j : j + 1]
+        znum = np.hstack((zero, num))
+        den = np.hstack((den, zero))
+        num, den = g * den + znum, den + np.conj(g) * znum
+
+    # Real and imaginary parts on axis 1 and rows last, so that every step
+    # reads and writes contiguous (2, S) blocks.
+    out = np.zeros((order + 1, 2, rows))
+    head = min(depth, order + 1)
+    out[:head, 0] = num.real.T[:head]
+    out[:head, 1] = num.imag.T[:head]
+    lags = den[:, 1:].T  # Q_1..Q_{depth-1}
+    # Q_j q = (Re Q_j Re q - Im Q_j Im q, Im Q_j Re q + Re Q_j Im q)
+    by_re = np.stack((lags.real, lags.imag), axis=1)
+    by_im = np.stack((-lags.imag, lags.real), axis=1)
+    # ahead[t] collects -Q_j q_{t-j} as each q_{t-j} is found, so the
+    # highest lag arrives first, as in lfilter's delay line.
+    ahead = np.zeros((order + depth, 2, rows))
+    prod = np.empty_like(by_re)
+    term = np.empty_like(by_re)
+    for k in range(order + 1 if depth > 1 else 0):
+        q = out[k]
+        q += ahead[k]  # q_k = (lagged sum) + p_k
+        np.multiply(by_re, q[0], out=prod)
+        np.multiply(by_im, q[1], out=term)
+        prod += term
+        ahead[k + 1 : k + depth] -= prod
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).view(complex)[..., 0]
 
 
 def schur_to_taylor(params: ParamsLike, order: int) -> TruncatedSeries:
@@ -94,35 +168,51 @@ def schur_to_taylor(params: ParamsLike, order: int) -> TruncatedSeries:
     from P = gamma_M, Q = 1.  Q(0) = 1 at every step, and since
     |Q'|^2 - |P'|^2 = (1 - |gamma_j|^2)(|Q|^2 - |z P|^2), Q has no zero in
     the open disk.  One long division P/Q then gives every coefficient at
-    O(order * M) cost.
+    O(order * M) cost.  This is the one-row case of :func:`taylor_rows`.
     """
     params = _as_params(params)
-    if order < 0:
-        raise ParameterOutOfRange("order must be nonnegative")
-    gammas = params.gammas
-    num = np.array([gammas[-1]], dtype=complex)
-    den = np.ones(1, dtype=complex)
-    for g in reversed(gammas[:-1]):
-        znum = np.concatenate(([0.0], num))
-        den = np.append(den, 0.0)
-        num, den = g * den + znum, den + np.conj(g) * znum
-    return TruncatedSeries(ps._divide(num, den, order), 1.0)
+    return TruncatedSeries(taylor_rows([params.gammas], order)[0], 1.0)
+
+
+def sample_gammas(seeds: Sequence[int], depth: int,
+                  radius: float = SAMPLING_RADIUS) -> np.ndarray:
+    """Parameters of one seeded draw per seed, as an (S, depth) array.
+
+    Row i draws gamma_0..gamma_{depth-1} area-uniformly on the disk of
+    ``radius`` from ``np.random.default_rng(seeds[i])``: first the depth
+    uniforms of the moduli, then the depth uniform angles.
+    """
+    if depth < 1:
+        raise ParameterOutOfRange("depth must be >= 1")
+    seeds = list(seeds)
+    area = np.empty((len(seeds), depth))
+    theta = np.empty((len(seeds), depth))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        area[i] = rng.uniform(size=depth)
+        theta[i] = rng.uniform(0.0, 2.0 * np.pi, size=depth)
+    return radius * np.sqrt(area) * np.exp(1j * theta)
 
 
 def sample_parameters(seed: int, depth: int, radius: float = SAMPLING_RADIUS) -> SchurParameters:
     """Draw gamma_0..gamma_{depth-1} area-uniformly on the disk of ``radius``."""
-    if depth < 1:
-        raise ParameterOutOfRange("depth must be >= 1")
-    rng = np.random.default_rng(seed)
-    rho = radius * np.sqrt(rng.uniform(size=depth))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=depth)
-    return SchurParameters(tuple(rho * np.exp(1j * theta)))
+    return SchurParameters(tuple(sample_gammas([seed], depth, radius)[0]))
+
+
+def sample_bank(seeds: Sequence[int], depth: int, order: int = DEFAULT_ORDER,
+                radius: float = SAMPLING_RADIUS) -> np.ndarray:
+    """Taylor coefficients of one seeded member of the class per seed, as rows.
+
+    Row i is the series of ``sample_schur(seeds[i], depth, order, radius)``;
+    the whole bank is drawn and expanded in one batch.
+    """
+    return taylor_rows(sample_gammas(seeds, depth, radius), order)
 
 
 def sample_schur(seed: int, depth: int, order: int = DEFAULT_ORDER,
                  radius: float = SAMPLING_RADIUS) -> TruncatedSeries:
     """Deterministic random member of the class; same seed, same output."""
-    return schur_to_taylor(sample_parameters(seed, depth, radius), order)
+    return TruncatedSeries(sample_bank([seed], depth, order, radius)[0], 1.0)
 
 
 def extremal_family(kind: str, a: float, m: int, p: int,

@@ -4,16 +4,19 @@ Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
-closed rational form, one product over every lattice column instead of
-the margin core's radius-blocked power sums, each inequality's left side
-term by term as written instead of the margin core's stacked products,
-hand-derived geometric closed forms for the extremal families, and the
-paper's second algebraic forms of bounds that the library evaluates once.
+closed rational form, one function's P/Q and lfilter instead of the
+division over a whole bank, one product over every lattice column
+instead of the margin core's radius-blocked power sums, each
+inequality's left side term by term as written instead of the margin
+core's stacked products, hand-derived geometric closed forms for the
+extremal families, and the paper's second algebraic forms of bounds that
+the library evaluates once.
 """
 
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from bohrcert import series as ps
 
@@ -54,6 +57,25 @@ def series_route_taylor(gammas, order):
         f = ps.mul(num, ps.reciprocal(den))
     return f.coeffs
 
+
+
+def one_function_route_taylor(gammas, order):
+    """Taylor coefficients of one function: its own P/Q, then lfilter.
+
+    The recursion's polynomials are built one function at a time and
+    divided by ``scipy.signal.lfilter``, as a single function was expanded
+    before banks were drawn in one batch.
+    """
+    num = np.array([complex(gammas[-1])])
+    den = np.ones(1, dtype=complex)
+    for g in reversed(gammas[:-1]):
+        znum = np.concatenate(([0.0], num))
+        den = np.append(den, 0.0)
+        num, den = g * den + znum, den + np.conj(g) * znum
+    impulse = np.zeros(order + 1, dtype=complex)
+    head = min(num.size, order + 1)
+    impulse[:head] = num[:head]
+    return lfilter([1.0 + 0.0j], den, impulse)
 
 def fourier_coefficients(gammas, order, rho=0.5, npts=1024):
     """Taylor coefficients via FFT inversion of pointwise values on |z|=rho."""

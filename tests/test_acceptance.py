@@ -154,11 +154,7 @@ def test_criterion_4_sharpness_straddle():
 
 def test_criterion_5_envelopes():
     order = 2560  # certifies the majorant sum at r = 0.99 to 6.7e-10
-    bank = []
-    for i in range(200):
-        f = schur.sample_schur((SWEEP_SEED * 31) ^ i, 3, order)
-        bank.append(np.abs(f.coeffs))
-    bank = np.vstack(bank)
+    bank = np.abs(schur.sample_bank([(SWEEP_SEED * 31) ^ i for i in range(200)], 3, order))
 
     lo_grid = np.concatenate([
         np.arange(1.0 / 3.0, fn.BOMBIERI_HI, 0.005), [fn.BOMBIERI_HI]

@@ -414,7 +414,7 @@ class TestTheoremTable:
 
 # Depth-5 Schur moduli, the margin core's own inputs, and their lattice
 # index; the cut cases below reuse them as every kind of lattice sum.
-CUT_BANK = np.vstack([np.abs(schur.sample_schur(7 ^ i, 5, 299).coeffs) for i in range(40)])
+CUT_BANK = np.abs(schur.sample_bank([7 ^ i for i in range(40)], 5, 299))
 CUT_K = np.arange(CUT_BANK.shape[1])
 CUT_GRID = np.linspace(0.0, 0.95, 300)
 PSUM_CASES = {  # name: (w, exps, radii, bound)
@@ -503,8 +503,7 @@ ROUTE_GRIDS = {
 @functools.lru_cache(maxsize=None)
 def route_bank(m, p):
     length = fn.lacunary_length_for(m, p, 0.95) + 1
-    return np.vstack([np.abs(schur.sample_schur(11 ^ i, 5, length - 1).coeffs)
-                      for i in range(30)])
+    return np.abs(schur.sample_bank([11 ^ i for i in range(30)], 5, length - 1))
 
 
 def route_cases(tid):
@@ -559,7 +558,7 @@ class TestStackedRoute:
 
 # The campaign's margin-core call: 500 depth-5 samples of order 162, the
 # lattice length that certifies r = 0.95 at shape (1, 3), on a 0.0005 step.
-BUDGET_BANK = np.vstack([np.abs(schur.sample_schur(3 ^ i, 5, 162).coeffs) for i in range(500)])
+BUDGET_BANK = np.abs(schur.sample_bank([3 ^ i for i in range(500)], 5, 162))
 BUDGET_SHIFTED = np.hstack([np.zeros((500, 1)), BUDGET_BANK])  # a vanishing start
 BUDGET_GRID = 0.001 + 0.0005 * np.arange(1899)
 BUDGET_CALLS = {  # core: (call, (S, R) arrays it returns)

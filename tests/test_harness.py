@@ -364,6 +364,18 @@ class TestCli:
         assert code == 2
         assert err == "bohrcert: error: the scan grid needs a step count >= 0, got -1\n"
 
+    @pytest.mark.parametrize("flags", [
+        ["--theorem", "Thm34", "--p", "0", "--m", "0", "--r", "0.5"],
+        ["--theorem", "Thm32", "--p", "0", "--r", "0.5"],
+        ["--theorem", "Thm32", "--p", "1", "--m", "2", "--r", "0.5"],
+    ])
+    def test_sharpness_bad_shape_exits_two(self, flags, capsys):
+        code = cli_main(["sharpness", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
+        assert "Traceback" not in err
+
     def test_verify_needs_input(self):
         assert cli_main(["verify"]) == 2
 

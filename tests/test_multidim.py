@@ -87,6 +87,55 @@ class TestDirection:
         assert d.sup_norm == pytest.approx(1.0, abs=1e-12)
 
 
+
+class _ZeroNormals:
+    """A generator whose normal draws are all zero."""
+
+    def __init__(self, seed):
+        pass
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
+class TestRandomDirections:
+    """The batched draw the campaign uses: one (S, n) array per vector row."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, math.inf])
+    def test_campaign_sup_norms_match_direction(self, t):
+        seeds = [0x5EED ^ i for i in range(300)]
+        # the campaign's sup norms, as harness._row_margin forms them
+        sup = np.abs(md.random_directions(seeds, 4, t)).max(axis=1)
+        for seed, got in zip(seeds, sup):
+            rng = np.random.default_rng(seed)
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            assert got == md.Direction.normalized(v, t).sup_norm  # bit for bit
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.5, math.inf])
+    def test_rows_are_unit_and_match_one_draw(self, t):
+        seeds = [17 ^ i for i in range(40)]
+        rows = md.random_directions(seeds, 5, t)
+        assert rows.shape == (40, 5)
+        for seed, row in zip(seeds, rows):
+            rng = np.random.default_rng(seed)
+            v = rng.normal(size=5) + 1j * rng.normal(size=5)
+            assert md.lt_norm(row, t) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(row - md.Direction.normalized(v, t).z0).max() <= 1e-15
+
+    def test_rejects_what_lt_norm_rejects(self):
+        for t in (0.5, math.nan, -math.inf):
+            with pytest.raises(ParameterOutOfRange):
+                md.random_directions([1, 2], 4, t)
+        with pytest.raises(ParameterOutOfRange):
+            md.random_directions([1, 2], 0, 2.0)
+
+    def test_zero_vector_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(md.np.random, "default_rng", _ZeroNormals)
+        with pytest.raises(DegenerateDirection):
+            md.random_directions([1, 2, 3], 4, 2.0)
+        with pytest.raises(DegenerateDirection):
+            md.random_direction(1, 4, 2.0)
+
 class TestSliceFromDirection:
     def test_monomial_slice(self):
         s = md.slice_from_direction("SharpThm41", E1, 8, m=1, p=1)
@@ -276,6 +325,19 @@ class TestSharpnessScan:
         assert md.default_scan_grid(0).size == 6  # the fixed extra points only
         with pytest.raises(ParameterOutOfRange, match="step count >= 0, got -1"):
             md.default_scan_grid(-1)
+
+    @pytest.mark.parametrize("scan_id, p, m", [
+        ("Thm34", 0, 0), ("Thm32", 0, 0), ("Thm32", 1, 2), ("Thm41", 3, -1),
+        ("Thm31", 0, 0),
+    ])
+    def test_scan_rejects_bad_shape(self, scan_id, p, m):
+        with pytest.raises(ParameterOutOfRange, match="1 <= p and 0 <= m <= p"):
+            md.sharpness_scan(scan_id, p, m, 0.5, [0.5], s=1.0)
+
+    @pytest.mark.parametrize("scan_id", ["Thm31", "Thm32", "Thm34"])
+    def test_scan_rejects_nan_parameter(self, scan_id):
+        with pytest.raises(ParameterOutOfRange, match=r"lie in \[0, 1\)"):
+            md.sharpness_scan(scan_id, 1, 0, 0.5, [0.2, math.nan, 0.4], s=1.0)
 
     def test_thm31_requires_s(self):
         with pytest.raises(ParameterOutOfRange):

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from bohrcert import schur
 from bohrcert.errors import ParameterOutOfRange
 
-from support import fourier_coefficients, pointwise_recursion, series_route_taylor
+from support import (
+    fourier_coefficients,
+    one_function_route_taylor,
+    pointwise_recursion,
+    series_route_taylor,
+)
 
 
 def disk_points(count, radius=0.999):
@@ -116,6 +121,83 @@ class TestSampleSchur:
         long = schur.sample_schur(11, 4, 64)
         assert np.allclose(short.coeffs, long.coeffs[:17], atol=1e-15)
 
+
+
+class TestBatchedBank:
+    """The whole-bank route: one recurrence over k for every row at once."""
+
+    @pytest.mark.parametrize("order", [0, 1, 16, 161])
+    def test_bank_rows_match_series_route(self, order):
+        for depth in range(1, 10):
+            seeds = [(3000 + depth) ^ i for i in range(4)]
+            gammas = schur.sample_gammas(seeds, depth)
+            bank = schur.sample_bank(seeds, depth, order)
+            assert bank.shape == (4, order + 1)
+            for row, g in zip(bank, gammas):
+                assert np.abs(row - series_route_taylor(g, order)).max() < 1e-12
+
+    def test_bank_order_below_depth(self):
+        seeds = [41 ^ i for i in range(5)]
+        gammas = schur.sample_gammas(seeds, 9)
+        for order in (0, 3, 8):
+            bank = schur.taylor_rows(gammas, order)
+            for row, g in zip(bank, gammas):
+                assert np.abs(row - series_route_taylor(g, order)).max() < 1e-12
+
+    @pytest.mark.parametrize("order", [0, 3, 161])
+    def test_rows_equal_one_function_division(self, order):
+        # lags summed in lfilter's order, products formed as lfilter forms
+        # them: each row is bit for bit the function expanded on its own
+        for depth in range(1, 10):
+            seeds = [(5000 + depth) ^ i for i in range(6)]
+            gammas = schur.sample_gammas(seeds, depth)
+            bank = schur.sample_bank(seeds, depth, order)
+            for row, g in zip(bank, gammas):
+                assert np.array_equal(row, one_function_route_taylor(g, order))
+
+    def test_split_bank_reproduces_serial(self):
+        seeds = [20240802 ^ i for i in range(500)]
+        whole = schur.sample_bank(seeds, 5, 161)
+        assert np.array_equal(whole[:7], schur.sample_bank(seeds[:7], 5, 161))
+        assert np.array_equal(whole[250:], schur.sample_bank(seeds[250:], 5, 161))
+        for i in (0, 6, 499):
+            assert np.array_equal(whole[i], schur.sample_schur(seeds[i], 5, 161).coeffs)
+
+    def test_gammas_match_parameters(self):
+        seeds = [9 ^ i for i in range(6)]
+        gammas = schur.sample_gammas(seeds, 4)
+        for seed, g in zip(seeds, gammas):
+            assert tuple(g) == schur.sample_parameters(seed, 4).gammas
+
+    @pytest.mark.parametrize("where, value", [
+        ((3, 1), np.nan),  # not finite
+        ((2, 0), 1.0),  # interior on the circle
+        ((4, 2), 0.6 + 0.9j),  # interior outside the disk
+        ((1, 3), 1.0 + 1e-9),  # final outside the disk
+    ])
+    def test_batched_rejects_bad_parameters(self, where, value):
+        gammas = schur.sample_gammas(range(6), 4)
+        gammas[where] = value
+        with pytest.raises(ParameterOutOfRange, match=f"row {where[0]}: "):
+            schur.taylor_rows(gammas, 8)
+
+    def test_batched_accepts_final_on_circle(self):
+        gammas = schur.sample_gammas(range(3), 4)
+        gammas[:, -1] = np.exp(1j * np.array([0.1, 2.0, -1.0]))
+        bank = schur.taylor_rows(gammas, 64)
+        for row, g in zip(bank, gammas):
+            assert np.abs(row - series_route_taylor(g, 64)).max() < 1e-12
+
+    def test_batched_shape_and_order_checks(self):
+        with pytest.raises(ParameterOutOfRange):
+            schur.taylor_rows(np.zeros(3), 4)  # one row must still be 2-D
+        with pytest.raises(ParameterOutOfRange):
+            schur.taylor_rows(np.zeros((2, 0)), 4)
+        with pytest.raises(ParameterOutOfRange):
+            schur.taylor_rows(np.zeros((2, 3)), -1)
+        with pytest.raises(ParameterOutOfRange):
+            schur.sample_gammas([1, 2], 0)
+        assert schur.sample_bank([], 3, 5).shape == (0, 6)
 
 class TestExtremalFamily:
     def test_lacunary_moduli_law(self):
