@@ -30,9 +30,7 @@ from .functionals import (
     bohr_sums_grid,
     evaluate_theorem,
     evaluate_theorem_grid,
-    lemmaD_bounds,
     profile_from_series,
-    refined_thmB,
     theorem_margins,
 )
 from .harness import (
@@ -54,7 +52,6 @@ from .multidim import (
 )
 from .radius import (
     RadiusSpec,
-    classical_bohr_radius,
     closed_form_radius,
     equation_value,
     solve_radius,

@@ -201,6 +201,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"{_PROG}: io error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size too large to allocate is a usage error too
+        print(f"{_PROG}: error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

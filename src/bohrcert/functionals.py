@@ -22,9 +22,6 @@ BombieriUpper  majorant envelope (3 - sqrt(8(1-r^2)))/r on [1/3, 1/sqrt(2)]
 BBUpper        majorant envelope 1/sqrt(1-r^2) on (1/sqrt(2), 1)
 =============  ==============================================================
 
-ThmB and the LemD pair also have dedicated entry points,
-:func:`refined_thmB` and :func:`lemmaD_bounds`.
-
 Where a theorem's facts live: its left side (weighted lattice power sums
 of mu, mu^2 or signed mu), its right side and the conditions it is stated
 under (shape, odd gap, vanishing start, radius window) are one entry of
@@ -86,8 +83,6 @@ __all__ = [
     "profile_from_series",
     "bohr_sums",
     "bohr_sums_grid",
-    "refined_thmB",
-    "lemmaD_bounds",
     "evaluate_theorem",
     "evaluate_theorem_grid",
     "theorem_margins",
@@ -393,9 +388,19 @@ _ALTERNATING = _Term(_TAIL, "signed", (1, 0, 1))
 _MAJORANT = (_Term(_ALL, 1, (1, 0, 1)),)
 
 _THEOREMS = {
+    # sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
+    #     <= (r/(1-r)) (1 - mu_0^2),
+    # unconditional on [0, 1), with equality on the disk automorphism family.
     "ThmB": _Theorem(
         _REFINED, rhs=lambda v: (v.r / (1.0 - v.r)) * (1.0 - v.mu0 ** 2), shape=(0, 1)),
-    # The square sum is r^p/(1-r^2p) * sum mu_k^2 r^(2kp), the
+    # The LemD pair holds for any shape on all of [0, 1), and the lifted
+    # automorphism family attains equality in each:
+    #   odd:  sum_{k>=1} mu_{2k-1} r^((2k-1)p)
+    #         + (r^p/(1-r^2p)) sum_{k>=0} mu_k^2 r^(2kp)   <= r^p/(1-r^2p)
+    #   even: sum_{k>=1} mu_{2k} r^(2kp)
+    #         + (1/(1+mu_0) + r^2p/(1-r^2p)) sum_{k>=1} mu_k^2 r^(2kp)
+    #                                             <= (1-mu_0^2) r^2p/(1-r^2p)
+    # The odd square sum is r^p/(1-r^2p) * sum mu_k^2 r^(2kp), the
     # nonnegative-exponent form of the weighted sum over r^((2k-1)p).
     "LemDOdd": _Theorem(
         (_Term(_ODD, 1, (1, 0, 0)),
@@ -605,54 +610,6 @@ def bohr_sums(
 ) -> Tuple[float, float]:
     b, a = bohr_sums_grid(profile, [r], trunc_tol)
     return float(b[0]), float(a[0])
-
-
-def refined_thmB(
-    profile: LacunaryProfile,
-    r: float,
-    tol: float = DEFAULT_MARGIN_TOL,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> InequalityCheck:
-    """Refined majorant bound for shape (0, 1):
-
-    sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
-        <= (r/(1-r)) (1 - mu_0^2),
-
-    an unconditional bound on [0, 1), with equality on the disk
-    automorphism family.
-    """
-    lhs, rhs = theorem_margins("ThmB", profile.mods, profile.m, profile.p,
-                               [r], trunc_tol=trunc_tol,
-                               coeff_bound=profile.coeff_bound,
-                               exact=profile.exact)
-    return _check_from("ThmB", r, lhs[0, 0], rhs[0, 0], tol)
-
-
-def lemmaD_bounds(
-    profile: LacunaryProfile,
-    r: float,
-    tol: float = DEFAULT_MARGIN_TOL,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> Tuple[InequalityCheck, InequalityCheck]:
-    """Odd-part and even-part unconditional bounds for any lacunary shape.
-
-    odd:  sum_{k>=1} mu_{2k-1} r^((2k-1)p)
-          + (r^p/(1-r^2p)) sum_{k>=0} mu_k^2 r^(2kp)   <= r^p/(1-r^2p)
-    even: sum_{k>=1} mu_{2k} r^(2kp)
-          + (1/(1+mu_0) + r^2p/(1-r^2p)) sum_{k>=1} mu_k^2 r^(2kp)
-                                                       <= (1-mu_0^2) r^2p/(1-r^2p)
-
-    Both hold on all of [0, 1); the lifted automorphism family attains
-    equality in each.
-    """
-    args = dict(trunc_tol=trunc_tol, coeff_bound=profile.coeff_bound,
-                exact=profile.exact)
-    lo, ro = theorem_margins("LemDOdd", profile.mods, profile.m, profile.p, [r], **args)
-    le, re_ = theorem_margins("LemDEven", profile.mods, profile.m, profile.p, [r], **args)
-    return (
-        _check_from("LemDOdd", r, lo[0, 0], ro[0, 0], tol),
-        _check_from("LemDEven", r, le[0, 0], re_[0, 0], tol),
-    )
 
 
 def evaluate_theorem_grid(

@@ -182,6 +182,8 @@ class CampaignConfig:
                 raise ParameterOutOfRange(f"invalid shape (m={m}, p={p})")
         if not all(t >= 1.0 for t in self.t_values):
             raise ParameterOutOfRange("norm indices t must be >= 1 or inf")
+        if not all(s > 0.0 for s in self.s_values):  # NaN fails too
+            raise ParameterOutOfRange("s_values must hold exponents s > 0")
         if math.isnan(self.tol) or not 0.0 < self.trunc_tol < math.inf:
             raise ParameterOutOfRange("tol must be a number and trunc_tol in (0, inf)")
         if not self.samples >= 1:
@@ -351,7 +353,10 @@ def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
     if row.scan is not None and radius is not None and not (row.scan_m0_only and m != 0):
         at = radius + _SCAN_OFFSET
         if 0.0 < at < 1.0:
-            sharp = md.sharpness_scan(row.scan, cp, cm, at, scan_grid, s=s)
+            # The scan's default order 512 where it certifies ``at``, so those
+            # scans read the same columns; more where the row's shape needs them.
+            order = max(512, cm + cp * fn.lacunary_length_for(cm, cp, at))
+            sharp = md.sharpness_scan(row.scan, cp, cm, at, scan_grid, s=s, order=order)
 
     ok = True
     if min_margin is not None and not min_margin >= -config.tol:

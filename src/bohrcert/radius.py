@@ -40,8 +40,6 @@ __all__ = [
     "closed_form_radius",
     "solve_radius",
     "bisect_root",
-    "mobius_equality_radius",
-    "classical_bohr_radius",
 ]
 
 RADIUS_IDS = ("ThmC34", "Thm31", "Thm32", "Cor43", "ClassicBohr", "Alternating")
@@ -191,50 +189,3 @@ def solve_radius(spec: RadiusSpec, tol: float = 1e-12, use_closed_form: bool = T
             f"{spec.id}: expected a negative value at r={lo}, got {flo:.3e}"
         )
     return bisect_root(lambda r: equation_value(spec, r), lo, 1.0, tol)
-
-
-def mobius_equality_radius(a: float, tol: float = 1e-12) -> float:
-    """Radius where the majorant sum of (a - z)/(1 - a z) first reaches 1.
-
-    The majorant sum has the closed form a + (1 - a^2) r / (1 - a r),
-    strictly increasing in r, so the equality radius is found by
-    bisection on [0, 1].  (Analytically it equals 1/(1 + 2a); the tests
-    hold this implementation to that.)
-    """
-    if not 0.0 <= a < 1.0:
-        raise ParameterOutOfRange(f"family parameter a={a} outside [0, 1)")
-
-    # B_a(r) - 1 = (1 - a) * [(1 + a) r / (1 - a r) - 1]; dividing out the
-    # positive factor (1 - a) keeps the root well conditioned as a -> 1,
-    # where the raw gap collapses into rounding noise.
-    def majorant_gap(r: float) -> float:
-        return (1.0 + a) * r / (1.0 - a * r) - 1.0
-
-    hi = majorant_gap(1.0)
-    if hi <= 0.0:
-        return 1.0
-    return bisect_root(majorant_gap, 0.0, 1.0, tol)
-
-
-def classical_bohr_radius(tol: float = 1e-9, grid_points: int = 17, max_level: int = 60) -> float:
-    """Infimum of the automorphism-family equality radii, by grid refinement.
-
-    The equality radius 1/(1 + 2a) decreases toward 1/3 as a -> 1 without
-    being attained; the refinement pushes the grid end toward 1 until the
-    minimum stabilizes within ``tol``.
-    """
-    if not tol > 0.0:
-        raise ToleranceTooSmall(f"tolerance must be positive, got {tol}")
-    best_prev = None
-    delta = 0.5
-    for _ in range(max_level):
-        step = (1.0 - delta) / (grid_points - 1)
-        best = min(
-            mobius_equality_radius(i * step, tol=tol * 1e-3)
-            for i in range(grid_points)
-        )
-        if best_prev is not None and abs(best_prev - best) < 0.5 * tol:
-            return best
-        best_prev = best
-        delta *= 0.25
-    return best_prev

@@ -11,7 +11,8 @@ radius r.
 
 The default working order is 256, which certifies absolute sums to about
 2e-11 at r = 0.9.  Evaluators that need more (larger radii, tighter
-tolerances) must be given longer series; see ``schur_tail_bound``.
+tolerances) must be given longer series; see
+``functionals.lacunary_length_for``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ __all__ = [
     "reciprocal",
     "mobius_map",
     "monomial_lift",
-    "evaluate",
-    "schur_tail_bound",
 ]
 
 DEFAULT_ORDER = 256
@@ -220,19 +219,3 @@ def monomial_lift(s: TruncatedSeries, m: int, p: int) -> TruncatedSeries:
     coeffs[m :: p] = s.coeffs
     # |z^m s(z^p)| <= |s| on the disk, so the bound carries over.
     return TruncatedSeries(coeffs, s.sup_bound)
-
-
-def evaluate(s: TruncatedSeries, z) -> np.ndarray:
-    """Evaluate the truncated polynomial at z (scalar or array)."""
-    return np.polynomial.polynomial.polyval(z, s.coeffs)
-
-
-def schur_tail_bound(order: int, r: float, coeff_bound: float = 1.0) -> float:
-    """Certified bound on the neglected tail of a coefficient-bounded sum.
-
-    If |c_k| <= coeff_bound for all k, the terms dropped beyond ``order``
-    at radius r sum to at most coeff_bound * r^(order+1) / (1 - r).
-    """
-    if not 0.0 <= r < 1.0:
-        raise ParameterOutOfRange(f"tail bound defined for 0 <= r < 1, got {r}")
-    return coeff_bound * r ** (order + 1) / (1.0 - r)

@@ -9,8 +9,9 @@ division over a whole bank, one product over every lattice column
 instead of the margin core's radius-blocked power sums, each
 inequality's left side term by term as written instead of the margin
 core's stacked products, hand-derived geometric closed forms for the
-extremal families, and the paper's second algebraic forms of bounds that
-the library evaluates once.
+extremal families, a grid refinement over the automorphism family's
+equality radii for the classical radius 1/3, and the paper's second
+algebraic forms of bounds that the library evaluates once.
 """
 
 import math
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from bohrcert import series as ps
+from bohrcert.radius import bisect_root
 
 
 def brute_cauchy_product(a, b, n):
@@ -191,6 +193,47 @@ def mobius_square_sum(a, r):
 def mobius_majorant(a, r):
     """B(r) = a + (1 - a^2) r / (1 - a r)."""
     return a + mobius_linear_sum(a, r)
+
+
+def mobius_equality_radius(a, tol=1e-12):
+    """Radius where the majorant sum of (a - z)/(1 - a z) first reaches 1.
+
+    The majorant sum a + (1 - a^2) r / (1 - a r) is strictly increasing
+    in r, so the root is bisected on [0, 1]; analytically it is
+    1/(1 + 2a).
+    """
+    # B_a(r) - 1 = (1 - a) * [(1 + a) r / (1 - a r) - 1]; dividing out the
+    # positive factor (1 - a) keeps the root well conditioned as a -> 1,
+    # where the raw gap collapses into rounding noise.
+    def majorant_gap(r):
+        return (1.0 + a) * r / (1.0 - a * r) - 1.0
+
+    if majorant_gap(1.0) <= 0.0:
+        return 1.0
+    return bisect_root(majorant_gap, 0.0, 1.0, tol)
+
+
+def classical_bohr_radius(tol=1e-9, grid_points=17, max_level=60):
+    """Infimum of the automorphism-family equality radii, by grid refinement.
+
+    The oracle of the ``ClassicBohr`` radius: the equality radius
+    1/(1 + 2a) decreases toward 1/3 as a -> 1 without being attained, so
+    the refinement pushes the grid end toward 1 until the minimum
+    stabilizes within ``tol``.
+    """
+    best_prev = None
+    delta = 0.5
+    for _ in range(max_level):
+        step = (1.0 - delta) / (grid_points - 1)
+        best = min(
+            mobius_equality_radius(i * step, tol=tol * 1e-3)
+            for i in range(grid_points)
+        )
+        if best_prev is not None and abs(best_prev - best) < 0.5 * tol:
+            return best
+        best_prev = best
+        delta *= 0.25
+    return best_prev
 
 
 def refined_bound_rhs(a, r):

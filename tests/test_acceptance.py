@@ -109,8 +109,8 @@ def test_criterion_3_extremal_equality():
         worst = max(worst, np.abs(re_ - le).max())
 
     mob = fn.profile_from_series(schur.extremal_family("LacunaryD", 0.5, 0, 1, 512), 0, 1)
-    anchor_b = fn.refined_thmB(mob, 0.2)
-    _, anchor_d = fn.lemmaD_bounds(mob, 0.5)
+    anchor_b = fn.evaluate_theorem("ThmB", mob, 0.2)
+    anchor_d = fn.evaluate_theorem("LemDEven", mob, 0.5)
     anchors_ok = (
         abs(anchor_b.lhs - 0.1875) <= TOL_ANCHOR
         and abs(anchor_b.rhs - 0.1875) <= TOL_ANCHOR

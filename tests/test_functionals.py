@@ -96,13 +96,13 @@ class TestBohrSums:
 
 class TestRefinedBound:
     def test_extremal_equality_anchor(self):
-        chk = fn.refined_thmB(mobius_profile(0.5), 0.2)
+        chk = fn.evaluate_theorem("ThmB", mobius_profile(0.5), 0.2)
         assert chk.lhs == pytest.approx(0.1875, abs=1e-12)
         assert chk.rhs == pytest.approx(0.1875, abs=1e-12)
         assert chk.satisfied
 
     def test_extremal_equality_half(self):
-        chk = fn.refined_thmB(mobius_profile(0.5), 0.5)
+        chk = fn.evaluate_theorem("ThmB", mobius_profile(0.5), 0.5)
         assert chk.lhs == pytest.approx(0.75, abs=1e-12)
         assert chk.rhs == pytest.approx(0.75, abs=1e-12)
 
@@ -110,23 +110,23 @@ class TestRefinedBound:
         for a in (0.3, 0.5, 0.7, 0.9):
             prof = mobius_profile(a)
             for r in np.arange(0.05, 0.901, 0.05):
-                chk = fn.refined_thmB(prof, r)
+                chk = fn.evaluate_theorem("ThmB", prof, r)
                 assert abs(chk.margin) < 1e-10
 
     def test_zero_profile(self):
-        chk = fn.refined_thmB(ZERO, 0.4)
+        chk = fn.evaluate_theorem("ThmB", ZERO, 0.4)
         assert chk.lhs == 0.0
         assert chk.rhs == pytest.approx(0.4 / 0.6)
 
     def test_shape_mismatch(self):
         prof = fn.LacunaryProfile(1, 1, [0.0, 0.5], exact=True)
         with pytest.raises(ShapeMismatch):
-            fn.refined_thmB(prof, 0.3)
+            fn.evaluate_theorem("ThmB", prof, 0.3)
 
     def test_oracle_decomposition(self):
         # cross-check lhs against the hand-derived geometric sums
         a, r = 0.6, 0.45
-        chk = fn.refined_thmB(mobius_profile(a), r)
+        chk = fn.evaluate_theorem("ThmB", mobius_profile(a), r)
         want = mobius_linear_sum(a, r) + (
             1.0 / (1.0 + a) + r / (1.0 - r)
         ) * mobius_square_sum(a, r)
@@ -136,12 +136,12 @@ class TestRefinedBound:
 
 class TestLemmaDBounds:
     def test_even_equality_anchor(self):
-        _, even = fn.lemmaD_bounds(mobius_profile(0.5), 0.5)
+        even = fn.evaluate_theorem("LemDEven", mobius_profile(0.5), 0.5)
         assert even.lhs == pytest.approx(0.25, abs=1e-12)
         assert even.rhs == pytest.approx(0.25, abs=1e-12)
 
     def test_odd_equality(self):
-        odd, _ = fn.lemmaD_bounds(mobius_profile(0.5), 0.5)
+        odd = fn.evaluate_theorem("LemDOdd", mobius_profile(0.5), 0.5)
         assert odd.lhs == pytest.approx(odd.rhs, abs=1e-12)
         assert odd.rhs == pytest.approx(0.5 / 0.75, abs=1e-12)
 
@@ -149,26 +149,29 @@ class TestLemmaDBounds:
         for (m, p) in [(0, 1), (1, 2), (2, 3)]:
             prof = mobius_profile(0.7, m, p)
             for r in (0.2, 0.5, 0.8):
-                odd, even = fn.lemmaD_bounds(prof, r)
+                odd = fn.evaluate_theorem("LemDOdd", prof, r)
+                even = fn.evaluate_theorem("LemDEven", prof, r)
                 assert abs(odd.margin) < 1e-10
                 assert abs(even.margin) < 1e-10
 
     def test_zero_profile_p2(self):
         prof = fn.LacunaryProfile(0, 2, np.zeros(3), coeff_bound=0.0, exact=True)
-        odd, _ = fn.lemmaD_bounds(prof, 0.3)
+        odd = fn.evaluate_theorem("LemDOdd", prof, 0.3)
         assert odd.lhs == 0.0
         assert odd.rhs == pytest.approx(0.09 / (1 - 0.0081))
 
     def test_steep_family_satisfied(self):
         prof = mobius_profile(0.9, 1, 2)
-        odd, even = fn.lemmaD_bounds(prof, 0.6)
+        odd = fn.evaluate_theorem("LemDOdd", prof, 0.6)
+        even = fn.evaluate_theorem("LemDEven", prof, 0.6)
         assert odd.satisfied and even.satisfied
 
     def test_random_samples_satisfied(self):
         for seed in range(20):
             prof = sample_profile(seed, 1, 2)
             for r in (0.3, 0.7, 0.9):
-                odd, even = fn.lemmaD_bounds(prof, r)
+                odd = fn.evaluate_theorem("LemDOdd", prof, r)
+                even = fn.evaluate_theorem("LemDEven", prof, r)
                 assert odd.margin >= -1e-9
                 assert even.margin >= -1e-9
 

@@ -77,6 +77,11 @@ class TestCampaignConfig:
         with pytest.raises(ParameterOutOfRange):
             small_config(format="yaml")
 
+    @pytest.mark.parametrize("s", [math.nan, -1.0, 0.0])
+    def test_rejects_nonpositive_s_before_any_row(self, s):
+        with pytest.raises(ParameterOutOfRange, match="s_values"):
+            small_config(theorems=("ThmB", "Thm31"), s_values=(1.0, s))
+
     def test_config_file_round_trip(self):
         text = json.dumps(
             {
@@ -124,6 +129,17 @@ class TestRunCampaign:
         assert row.radius == pytest.approx(0.6)
         assert row.sharpness_max is not None and row.sharpness_max > 1.0
         assert row.passed
+
+    def test_high_gap_scans_certify_their_radius(self, tmp_path):
+        # radius + 0.01 at (6, 6) needs 86 lattice moduli, more than order 512 gives
+        out = tmp_path / "rep.json"
+        code = cli_main(["verify", "--theorems", "Thm34,Thm41", "--shapes", "6:6,7:7",
+                         "--samples", "20", "--output", str(out)])
+        assert code == 0
+        rows = hn.report_from_json(out.read_text()).rows
+        assert [(r.theorem, r.m, r.p) for r in rows] == [
+            ("Thm34", 6, 6), ("Thm34", 7, 7), ("Thm41", 7, 7)]
+        assert all(r.passed and r.sharpness_max > 1.0 for r in rows)
 
     def test_empty_theorem_list(self):
         rep = hn.run_campaign(hn.CampaignConfig(theorems=()))
@@ -345,6 +361,14 @@ class TestCli:
         (None, '{"theorems": [], "samples": 1000000}'),
         (None, '{"theorems": ["Thm34"], "shapes": [[1, 3]], "scan_steps": -3}'),
         (None, '{"theorems": ["LemD", "Lem21"], "shapes": [[1, 3]], "dims": 0}'),
+        (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [NaN]}'),
+        (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [-1]}'),
+        (None, '{"theorems": ["Thm31"], "s_values": [1, 0]}'),
+        # sizes of 2^50 elements, which numpy refuses before allocating anything
+        (["--theorems", "ThmB", "--samples", "2", "--depth", str(2 ** 50)], None),
+        (None, '{"theorems": ["Lem21"], "shapes": [[1, 1]], "samples": 2, "dims": %d}'
+         % 2 ** 50),
+        (None, '{"theorems": ["ThmB"], "samples": 2, "scan_steps": %d}' % 2 ** 50),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
@@ -368,6 +392,8 @@ class TestCli:
         ["--theorem", "Thm34", "--p", "0", "--m", "0", "--r", "0.5"],
         ["--theorem", "Thm32", "--p", "0", "--r", "0.5"],
         ["--theorem", "Thm32", "--p", "1", "--m", "2", "--r", "0.5"],
+        # a 2^50-point grid, which numpy refuses before allocating anything
+        ["--theorem", "Thm34", "--p", "3", "--m", "1", "--r", "0.7", "--a-steps", str(2 ** 50)],
     ])
     def test_sharpness_bad_shape_exits_two(self, flags, capsys):
         code = cli_main(["sharpness", *flags])

@@ -12,7 +12,7 @@ from bohrcert.errors import (
     UnknownTheorem,
 )
 
-from support import thmc_product_form
+from support import classical_bohr_radius, mobius_equality_radius, thmc_product_form
 
 
 class TestEquationValue:
@@ -133,14 +133,19 @@ class TestSolveRadius:
 
 class TestClassicalBohrRadius:
     def test_grid_infimum(self):
-        assert rd.classical_bohr_radius(1e-6) == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert classical_bohr_radius(1e-6) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_equality_radius_examples(self):
-        assert rd.mobius_equality_radius(0.0) == pytest.approx(1.0)
-        assert rd.mobius_equality_radius(0.5) == pytest.approx(0.5, abs=1e-12)
+        assert mobius_equality_radius(0.0) == pytest.approx(1.0)
+        assert mobius_equality_radius(0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_equality_radius_closed_form(self):
         for a in (0.1, 0.25, 0.6, 0.85, 0.99):
-            assert rd.mobius_equality_radius(a) == pytest.approx(
+            assert mobius_equality_radius(a) == pytest.approx(
                 1.0 / (1.0 + 2.0 * a), abs=1e-11
             )
+
+    @pytest.mark.parametrize("use_closed_form", [True, False])
+    def test_table_entry_matches_oracle(self, use_closed_form):
+        got = rd.solve_radius(rd.RadiusSpec("ClassicBohr"), use_closed_form=use_closed_form)
+        assert got == pytest.approx(classical_bohr_radius(1e-9), abs=1e-9)

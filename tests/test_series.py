@@ -176,15 +176,6 @@ class TestHelpers:
         with pytest.raises(ParameterOutOfRange):
             ps.truncate(ps.from_coeffs([1.0]), 3)
 
-    def test_evaluate(self):
-        s = ps.from_coeffs([1.0, 2.0, 1.0])
-        assert ps.evaluate(s, 0.5) == pytest.approx(2.25)
-
-    def test_tail_bound(self):
-        assert ps.schur_tail_bound(256, 0.9) == pytest.approx(0.9 ** 257 / 0.1)
-        with pytest.raises(ParameterOutOfRange):
-            ps.schur_tail_bound(10, 1.0)
-
     def test_immutable_coeffs(self):
         s = ps.from_coeffs([1.0, 2.0])
         with pytest.raises(ValueError):

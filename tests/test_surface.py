@@ -1,0 +1,61 @@
+"""The names other code relies on: README examples, ``__all__``, and the
+attributes the benchmark tracer patches by name."""
+
+import importlib
+import importlib.util
+import pkgutil
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import bohrcert
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACING = ROOT / "perfbench" / "tracing.py"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(bohrcert.__path__)
+                 if m.name != "__main__")
+
+
+def test_readme_examples_print_what_their_comments_state():
+    """Run the README's python blocks in order; each print line states its
+    output in a trailing comment (numbers to 1e-12, booleans exactly)."""
+    printed, stated = [], []
+
+    def capture(*args):
+        printed.append(" ".join(str(a) for a in args))
+
+    namespace = {"print": capture}
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        stated += re.findall(r"^print\(.*#\s*(.*)$", block, re.M)
+        exec(compile(block, str(README), "exec"), namespace)
+    assert stated and len(printed) == len(stated)
+    for got, want in zip(printed, stated):
+        got, want = got.split(), re.sub(r"\(.*\)", "", want).split()
+        assert len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            if w in ("True", "False"):
+                assert g == w
+            else:
+                assert float(g) == pytest.approx(float(w), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve(name):
+    module = importlib.import_module(f"bohrcert.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    """Every attribute perfbench's tracer wraps exists, so a traced run can start."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    probes = tracing.LAYER_PROBES + tracing.SCAN_PROBES + tracing.MARGIN_BATCH_PROBES
+    missing = [f"{p.module.__name__}.{p.attr}" for p in probes if not hasattr(p.module, p.attr)]
+    assert probes
+    assert missing == []
