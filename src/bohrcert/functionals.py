@@ -20,11 +20,12 @@ Thm41          alternating variant of Thm34; the same bound as ThmC, term by ter
 Cor43          alternating sum with origin-weighted square term, bound 1
 BombieriUpper  majorant envelope (3 - sqrt(8(1-r^2)))/r on [1/3, 1/sqrt(2)]
 BBUpper        majorant envelope 1/sqrt(1-r^2) on (1/sqrt(2), 1)
+Lem21          even-tail bound of the slices of f = z*g, shapes with m >= 1
 =============  ==============================================================
 
 Where a theorem's facts live: its left side (weighted lattice power sums
 of mu, mu^2 or signed mu), its right side and the conditions it is stated
-under (shape, odd gap, vanishing start, radius window) are one entry of
+under (shape, odd gap, m >= 1, vanishing start, radius window) are one entry of
 ``_THEOREMS``, evaluated by one engine.  Its radius equation is in
 :mod:`bohrcert.radius`; how a campaign runs it is in ``harness._ROWS``.
 
@@ -350,8 +351,9 @@ class _Theorem:
     """lhs = sum of the terms (its modulus if ``absolute``) <= rhs.
 
     ``rhs`` None means the bound 1.  The rest are the conditions the bound
-    is stated under: the one shape (m, p), an odd gap p, a vanishing
-    lattice start mu_0 = 0, and a radius window [lo, hi].
+    is stated under: the one shape (m, p), an odd gap p, a lattice that
+    starts at m >= 1 (the slices of f = z*g), a vanishing lattice start
+    mu_0 = 0, and a radius window [lo, hi].
     """
 
     terms: Tuple[_Term, ...]
@@ -359,6 +361,7 @@ class _Theorem:
     absolute: bool = False
     shape: Optional[Tuple[int, int]] = None
     odd_gap: bool = False
+    positive_m: bool = False
     vanishing_start: bool = False
     window: Optional[Tuple[float, float]] = None
 
@@ -443,6 +446,13 @@ _THEOREMS = {
     "BBUpper": _Theorem(
         _MAJORANT, rhs=lambda v: 1.0 / np.sqrt(1.0 - v.r ** 2),
         window=(float(np.nextafter(BOMBIERI_HI, 1.0)), 1.0)),
+    # sum_{k>=1} nu_{2k} r^(2kp+m) <= (r^(2p-m)/(1-r^2p)) (r^2m - (nu_0 r^m)^2)
+    # on the raw directional norms nu of f = z*g, whose lattice starts at
+    # m >= 1; the right side is built as (1 - nu_0^2) r^(2p+m)/(1-r^2p).
+    "Lem21": _Theorem(
+        (_Term(_EVEN, 1, (1, 0, 1)),),
+        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p + v.m) / _den(v)),
+        positive_m=True),
 }
 _THEOREMS["Thm41"] = _THEOREMS["ThmC"]
 
@@ -456,6 +466,8 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         )
     if th.odd_gap and p % 2 == 0:
         raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
+    if th.positive_m and m < 1:
+        raise ShapeMismatch(f"{theorem_id} is stated for shapes with m >= 1, got m={m}")
     if th.vanishing_start and np.any(mods[:, 0] > 1e-12):
         raise ShapeMismatch(
             "this bound needs a vanishing lattice start (mu_0 = 0); "

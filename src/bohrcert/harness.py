@@ -12,9 +12,11 @@ pass/fail verdict:
 
 Where a row's facts live: ``_ROWS`` maps each campaign id to a
 :class:`RowSpec` (its margin cores, radius equation, sharpness family,
-bank transform and vector flag).  The cores' formulas, shape and odd-gap
-rules and radius windows are read from ``functionals._THEOREMS``, the
-radius equations from :mod:`bohrcert.radius`.
+bank transform and vector flag).  Every core is a ``functionals._THEOREMS``
+entry, and its formula, its shape, odd-gap and m >= 1 rules and its radius
+window are read from there; the radius equations from
+:mod:`bohrcert.radius`.  A requested id whose every shape its rules drop
+is an error, raised before any row runs.
 
 Determinism contract: per-sample seeds are derived as row_seed XOR
 sample index, with row_seed a CRC of the row label mixed with the config
@@ -58,9 +60,9 @@ __all__ = [
 class RowSpec:
     """How a campaign runs one theorem id.
 
-    A core's formula, its shape and odd-gap rules and its radius window
-    are read from its ``functionals._THEOREMS`` entry; this holds only
-    what the campaign adds.
+    A core's formula, its shape, odd-gap and m >= 1 rules and its radius
+    window are read from its ``functionals._THEOREMS`` entry; this holds
+    only what the campaign adds.
     """
 
     cores: Tuple[str, ...]  # margin cores; the row's margin is the least
@@ -79,8 +81,8 @@ class RowSpec:
 
     @property
     def rules(self) -> "fn._Theorem":
-        """The first core's ``_THEOREMS`` entry; Lem21's core has none."""
-        return fn._THEOREMS.get(self.cores[0], _NO_RULES)
+        """The first core's ``_THEOREMS`` entry, whose rules the row follows."""
+        return fn._THEOREMS[self.cores[0]]
 
 
 # Rows with no radius equation hold on all of [0, 1) (ThmB, LemD, Lem21)
@@ -100,12 +102,11 @@ _ROWS = {
                      shift=True),
     # No constructive witness of the Cor43 radius is known for m >= 1.
     "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True),
-    "Lem21": RowSpec(("Lem21",), vector=True),  # multidim.lemma21_margins
+    "Lem21": RowSpec(("Lem21",), vector=True),
     "BombieriUpper": RowSpec(("BombieriUpper",), at=(0, 1)),
     "BBUpper": RowSpec(("BBUpper",), at=(0, 1)),
 }
 CAMPAIGN_THEOREMS = tuple(_ROWS)
-_NO_RULES = fn._Theorem(terms=())
 MAX_GRID_POINTS = 1 << 20  # radii in one campaign grid
 MAX_SAMPLES = 1 << 16  # seeded functions per bank
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
@@ -270,17 +271,24 @@ def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
     return mat
 
 
-def _row_shapes(row: RowSpec, config: CampaignConfig) -> List[Tuple[int, int]]:
+def _row_shapes(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
+    """The shapes an id runs at: its fixed one, or the requested ones its rules keep."""
+    row = _ROWS[theorem]
     rules = row.rules
     fixed = row.shape or row.at or rules.shape
     if fixed is not None:
         return [fixed]
-    shapes = list(config.shapes)
+    shapes, needs = list(config.shapes), []
     if rules.odd_gap:
         shapes = [(m, p) for m, p in shapes if p % 2 == 1]
-    if row.vector:
-        # vector rows slice f = z*g, whose lattice starts at m >= 1
+        needs.append("an odd gap p")
+    if rules.positive_m:
         shapes = [(m, p) for m, p in shapes if m >= 1]
+        needs.append("m >= 1")
+    if config.shapes and not shapes:
+        asked = ", ".join(f"{m}:{p}" for m, p in config.shapes)
+        raise ParameterOutOfRange(
+            f"{theorem} needs {' and '.join(needs)}, which no requested shape has ({asked})")
     return shapes
 
 
@@ -300,11 +308,8 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
     extras = None if s is None else {"s": s}
     least = None
     for core in row.cores:
-        if core == "Lem21":
-            lhs, rhs = md.lemma21_margins(bank, m, p, grid)
-        else:
-            lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
-                                          trunc_tol=config.trunc_tol)
+        lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
+                                      trunc_tol=config.trunc_tol)
         margins = np.subtract(rhs, lhs, out=lhs)
         if row.per_function:
             # each sample is checked below its own radius
@@ -382,11 +387,12 @@ def run_campaign(config: CampaignConfig) -> Report:
     """Run every row of the campaign; deterministic for a given config."""
     rows: List[ReportRow] = []
     bank_cache: Dict = {}
-    for theorem in config.theorems:
+    plan = [(theorem, _row_shapes(theorem, config)) for theorem in config.theorems]
+    for theorem, shapes in plan:
         row = _ROWS[theorem]
         t_list = config.t_values if row.vector else (None,)
         s_list = config.s_values if row.per_function else (None,)
-        for (m, p) in _row_shapes(row, config):
+        for (m, p) in shapes:
             for t in t_list:
                 for s in s_list:
                     try:

@@ -35,12 +35,11 @@ from .functionals import (
     DEFAULT_TRUNC_TOL,
     InequalityCheck,
     LacunaryProfile,
-    _as_r_grid,
     _cut_length,
-    _psum,
     evaluate_theorem,
     theorem_margins,
 )
+from .schur import extremal_family
 from .series import TruncatedSeries
 
 __all__ = [
@@ -63,6 +62,12 @@ SLICE_KINDS = ("SharpThm34", "SharpThm41", "SharpCor42", "GeneralZG")
 SCAN_IDS = ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
 
 VECTOR_IDS = ("Thm34", "Thm41", "Cor42", "Cor43", "Lem21")
+# named slice kind -> (its extremal_family E, the fixed (m, p) if any)
+_NAMED_SLICES = {
+    "SharpThm34": ("LacunaryD", None),
+    "SharpThm41": ("Monomial", None),
+    "SharpCor42": ("LacunaryD", (1, 1)),
+}
 
 
 def _lt_norms(rows: np.ndarray, t: float) -> np.ndarray:
@@ -220,72 +225,41 @@ def slice_from_direction(
     GeneralZG:   f_j = z_j g(z); the caller passes the one-variable slice
                  of g along z0, and the components are h_j = (z0)_j z g(z).
 
-    The named families need z0 with nonzero first coordinate.
+    Each named mapping is f_j = (z_j / z1) E(z1) with E its
+    :func:`~bohrcert.schur.extremal_family` in ``_NAMED_SLICES``, so with
+    w = (z0)_1 its slice is GeneralZG's with z g(z) = E(z w) / w, whose
+    coefficient n is e_n w^(n-1).  Every E has e_0 = 0, so nothing is
+    divided by w; but the named mappings need w != 0.
     """
     if kind not in SLICE_KINDS:
         raise UnknownTheorem(f"no slice family with kind {kind!r}")
-    w = complex(z0.z0[0])
-
-    if kind == "SharpCor42":
-        m, p = 1, 1
-    if kind in ("SharpThm34", "SharpThm41"):
-        if m is None or p is None or not (1 <= m <= p):
-            raise ParameterOutOfRange(f"{kind} needs 1 <= m <= p, got m={m}, p={p}")
-    if order < (m or 0) + (p or 1):
+    family, fixed = _NAMED_SLICES.get(kind, (None, None))
+    m, p = fixed or (m, p)
+    if m is None or p is None or not 1 <= m <= p:
+        raise ParameterOutOfRange(f"{kind} needs a shape with 1 <= m <= p, got m={m}, p={p}")
+    if order < m + p:
         raise ParameterOutOfRange("order must reach at least m + p")
 
-    if kind in ("SharpThm34", "SharpThm41", "SharpCor42") and abs(w) == 0.0:
-        raise DegenerateDirection(
-            f"{kind} slices need a direction with nonzero first coordinate"
-        )
-
-    if kind == "SharpThm34":
-        if a is None:
-            raise ParameterOutOfRange("SharpThm34 needs the family parameter a")
-        # f_1(lambda z0) = (lambda w)^m * phi(lambda^p) with
-        # phi(u) = (a - w^p u)/(1 - a w^p u); the other components are the
-        # same series rescaled by (z0)_j / w.
-        base_order = max(1, -((m - order) // p))
-        seed = np.zeros(base_order + 1, dtype=complex)
-        seed[1] = w ** p
-        phi = ps.mobius_map(float(a), TruncatedSeries(seed, 1.0))
-        body = ps.monomial_lift(phi, m, p)
-        body = ps.truncate(body, order) if body.order > order else body
-        comps = [ps.scale(body, w ** m)]
-        comps += [ps.scale(body, z0.z0[j] * w ** (m - 1)) for j in range(1, z0.n)]
-    elif kind == "SharpThm41":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[m + p] = 1.0
-        mono = TruncatedSeries(coeffs, 1.0)
-        comps = [ps.scale(mono, w ** (m + p))]
-        comps += [ps.scale(mono, z0.z0[j] * w ** (m + p - 1)) for j in range(1, z0.n)]
-    elif kind == "SharpCor42":
-        if a is None:
-            raise ParameterOutOfRange("SharpCor42 needs the family parameter a")
-        mob = ps.mobius_map(float(a), TruncatedSeries(
-            np.concatenate([[0.0, w], np.zeros(order - 1, dtype=complex)]), 1.0))
-        body = ps.shift(mob, 1)
-        comps = [ps.scale(body, z0.z0[j]) for j in range(z0.n)]
-    else:  # GeneralZG
+    if family is None:  # GeneralZG
         if g is None:
             raise ParameterOutOfRange("GeneralZG needs the sliced factor g")
-        if m is None or p is None or not 1 <= m <= p:
-            raise ParameterOutOfRange(
-                f"GeneralZG needs a shape with 1 <= m <= p, got m={m}, p={p}"
-            )
         if g.sup_bound is None or g.sup_bound > 1.0 + 1e-12:
             raise ParameterOutOfRange("GeneralZG needs g with sup_bound <= 1")
         # z * g exactly; never pad g with fabricated zero coefficients, so
         # the slice order is capped by what g actually determines.
-        body = TruncatedSeries(
-            np.concatenate([np.zeros(1, dtype=complex), g.coeffs]), g.sup_bound
-        )
-        if body.order > order:
-            body = ps.truncate(body, order)
-        comps = [ps.scale(body, z0.z0[j]) for j in range(z0.n)]
-
-    comps = [TruncatedSeries(c.coeffs, 1.0) for c in comps]
-    return SliceMapping(tuple(comps), m, p, z0.t, exact=(kind == "SharpThm41"))
+        body = np.concatenate([[0.0], g.coeffs])[: order + 1]
+    else:
+        w = complex(z0.z0[0])
+        if w == 0.0:
+            raise DegenerateDirection(
+                f"{kind} slices need a direction with nonzero first coordinate"
+            )
+        if a is None and family != "Monomial":
+            raise ParameterOutOfRange(f"{kind} needs the family parameter a")
+        e = extremal_family(family, 0.0 if a is None else a, m, p, order).coeffs
+        body = e * w ** np.maximum(np.arange(e.size) - 1, 0)
+    comps = tuple(TruncatedSeries(zj * body, 1.0) for zj in z0.z0)
+    return SliceMapping(comps, m, p, z0.t, exact=(family == "Monomial"))
 
 
 def frechet_norms(slice_map: SliceMapping, r: float) -> np.ndarray:
@@ -318,22 +292,12 @@ def _profile_from_slice(slice_map: SliceMapping) -> LacunaryProfile:
 
 
 def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched even-tail bound for f = z*g slices.
+    """Batched even-tail bound of f = z*g slices: the catalog's ``Lem21``.
 
-    lhs = sum_{k>=1} nu_{2k} r^(2kp+m)
-    rhs = (r^(2p-m)/(1-r^2p)) (r^2m - (nu_0 r^m)^2)
-
-    where nu are raw directional coefficient norms (radius 1).  The right
-    side is built as the rank-1 product (1 - nu_0^2) r^(2p+m)/(1-r^2p).
+    ``nu`` are the raw directional coefficient norms (radius 1) of whole
+    slices, so no tail is certified.
     """
-    nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    grid = _as_r_grid(r)
-    if not 1 <= m <= p:
-        raise ShapeMismatch(f"the even-tail bound needs 1 <= m <= p, got m={m}, p={p}")
-    k = np.arange(nu.shape[1])
-    lhs = _psum(nu[:, 2::2], k[2::2] * p + m, grid, max(1.0, nu.max(initial=0.0)))
-    rhs = np.multiply(1.0 - nu[:, :1] ** 2, grid ** (2 * p + m) / (1.0 - grid ** (2 * p)))
-    return lhs, rhs
+    return theorem_margins("Lem21", nu, m, p, r, exact=True)
 
 
 def vector_check(
@@ -348,22 +312,13 @@ def vector_check(
 
     Builds the directional-norm profile and delegates to the scalar
     catalog; Cor42 reindexes its (1, 1) slice to the vanishing-start shape
-    (0, 1), and Lem21 is the dedicated even-tail bound.  The f = z*g ids
-    need m >= 1.
+    (0, 1).  Every id checks a slice of f = z*g, so needs m >= 1.
     """
     if theorem_id not in VECTOR_IDS:
         raise UnknownTheorem(f"no vector check with id {theorem_id!r}")
     m, p = slice_map.m, slice_map.p
-    if theorem_id in ("Thm34", "Thm41", "Cor43", "Lem21") and m < 1:
+    if m < 1:
         raise ShapeMismatch(f"{theorem_id} needs shape 1 <= m <= p, got m={m}")
-
-    if theorem_id == "Lem21":
-        nu = frechet_norms(slice_map, 1.0)
-        lhs, rhs = lemma21_margins(nu, m, p, [r])
-        lhs, rhs = float(lhs[0, 0]), float(rhs[0, 0])
-        margin = rhs - lhs
-        return InequalityCheck("Lem21", float(r), lhs, rhs,
-                               bool(margin >= -tol), margin, tol)
 
     if theorem_id == "Cor42":
         if (m, p) != (1, 1):

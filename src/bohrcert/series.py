@@ -78,15 +78,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def coefficient(self, k: int) -> complex:
-        """c_k for 0 <= k <= order; coefficients beyond the order are unknown."""
-        if not 0 <= k <= self.order:
-            raise ParameterOutOfRange(f"coefficient index {k} outside stored range")
-        return complex(self.coeffs[k])
-
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
     def __repr__(self):
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         return (

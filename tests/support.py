@@ -79,14 +79,38 @@ def one_function_route_taylor(gammas, order):
     impulse[:head] = num[:head]
     return lfilter([1.0 + 0.0j], den, impulse)
 
-def fourier_coefficients(gammas, order, rho=0.5, npts=1024):
-    """Taylor coefficients via FFT inversion of pointwise values on |z|=rho."""
+def fft_coefficients(func, order, rho=0.5, npts=1024):
+    """Taylor coefficients 0..order of func by FFT inversion on |z| = rho.
+
+    ``func`` maps the (npts,) circle points to values of shape (npts, ...);
+    the coefficients come back with the index on the last axis.
+    """
     t = np.arange(npts)
     z = rho * np.exp(2j * np.pi * t / npts)
-    vals = pointwise_recursion(gammas, z)
-    hat = np.fft.fft(vals) / npts
+    hat = np.fft.fft(func(z), axis=0) / npts
     k = np.arange(order + 1)
-    return hat[: order + 1] / rho ** k
+    return np.moveaxis(hat[: order + 1], 0, -1) / rho ** k
+
+
+def fourier_coefficients(gammas, order, rho=0.5, npts=1024):
+    """Taylor coefficients via FFT inversion of pointwise values on |z|=rho."""
+    return fft_coefficients(lambda z: pointwise_recursion(gammas, z), order, rho, npts)
+
+
+def named_mapping(kind, z, a, m, p):
+    """A named mapping of ``multidim.slice_from_direction`` at points z.
+
+    ``z`` is an (N, n) array of points of C^n; returns the (N, n) values
+    f_j(z), by pointwise complex arithmetic.
+    """
+    z1 = z[:, :1]
+    if kind == "SharpThm34":
+        return z * z1 ** (m - 1) * (a - z1 ** p) / (1.0 - a * z1 ** p)
+    if kind == "SharpThm41":
+        return z * z1 ** (m + p - 1)
+    if kind == "SharpCor42":
+        return z * (a - z1) / (1.0 - a * z1)
+    raise ValueError(kind)
 
 
 def full_psum(w, exps, r):
@@ -134,6 +158,7 @@ WRITTEN_TERMS = {  # id: (terms, modulus of the sum)
                (_ALL, 2, (2, 2, 1), lambda r, mu0, mu1, m, p: (-1.0) ** m / _den(r, p))], True),
     "BombieriUpper": (_MAJORANT, False),
     "BBUpper": (_MAJORANT, False),
+    "Lem21": ([(slice(2, None, 2), 1, (1, 0, 1), None)], False),
 }
 WRITTEN_TERMS["Thm41"] = WRITTEN_TERMS["ThmC"]
 

@@ -254,6 +254,16 @@ class TestEvaluateTheorem:
         with pytest.raises(TruncationInsufficient):
             fn.evaluate_theorem("ThmC", prof, 0.9)
 
+    def test_lem21_certifies_its_tail(self):
+        # a campaign's Lem21 core certifies its tail as every core does;
+        # lemma21_margins takes its moduli as whole slices
+        short = np.full((2, 8), 0.5)
+        with pytest.raises(TruncationInsufficient):
+            fn.theorem_margins("Lem21", short, 1, 3, [0.95])
+        assert md.lemma21_margins(short, 1, 3, [0.95])[0].shape == (2, 1)
+        with pytest.raises(ShapeMismatch):
+            fn.theorem_margins("Lem21", short, 0, 3, [0.3])
+
     def test_scalar_equals_grid_path(self):
         prof = sample_profile(3, 0, 1)
         grid = np.array([0.1, 0.4, 0.7])
@@ -394,6 +404,14 @@ TABLE_CASES = {
             [[0.7578125, 0.8262499999999999], [0.78125, 0.9109999999999999]],
         ],
         [[1.5118578920369088, 2.294157338705618], [1.5118578920369088, 2.294157338705618]]),
+    # recorded from multidim.lemma21_margins before Lem21 joined the table
+    "Lem21": (1, 3, [0.3, 0.6], MODS, None,
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[2.7337499999999994e-05, 0.003499199999999999], [2.1869999999999996e-05, 0.0027993599999999994]],
+        ],
+        [[0.00016414466145820298, 0.022022690655209447], [0.0002101051666664998, 0.02818904403866809]]),
 }
 
 
@@ -513,7 +531,8 @@ def route_cases(tid):
     """(bank, m, p) for every shape in ROUTE_SHAPES the id is stated for."""
     th = fn._THEOREMS[tid]
     for m, p in ROUTE_SHAPES:
-        if th.shape not in (None, (m, p)) or (th.odd_gap and p % 2 == 0):
+        if (th.shape not in (None, (m, p)) or (th.odd_gap and p % 2 == 0)
+                or (th.positive_m and m < 1)):
             continue
         bank = route_bank(m, p)
         if th.vanishing_start:

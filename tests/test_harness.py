@@ -146,6 +146,20 @@ class TestRunCampaign:
         assert rep.rows == ()
         assert rep.all_pass
 
+    @pytest.mark.parametrize("theorem, shape, rule", [
+        ("Thm41", (6, 6), "an odd gap p"),
+        ("Cor43", (0, 2), "an odd gap p"),
+        ("Lem21", (0, 1), "m >= 1"),
+    ])
+    def test_id_with_no_kept_shape_raises_before_any_row(self, theorem, shape, rule,
+                                                         monkeypatch):
+        ran = []
+        monkeypatch.setattr(hn, "_run_row", lambda *args: ran.append(args))
+        cfg = hn.CampaignConfig(theorems=("ThmB", theorem), shapes=(shape,), samples=2)
+        with pytest.raises(ParameterOutOfRange, match=f"^{theorem} needs {rule}, "):
+            hn.run_campaign(cfg)
+        assert ran == []
+
     def test_odd_gap_shapes_filtered(self):
         cfg = hn.CampaignConfig(
             theorems=("ThmC",), shapes=((0, 2), (1, 1)), samples=5, seed=1, r_stop=0.6
@@ -369,6 +383,9 @@ class TestCli:
         (None, '{"theorems": ["Lem21"], "shapes": [[1, 1]], "samples": 2, "dims": %d}'
          % 2 ** 50),
         (None, '{"theorems": ["ThmB"], "samples": 2, "scan_steps": %d}' % 2 ** 50),
+        # a requested id whose rules drop every requested shape
+        (["--theorems", "Thm41", "--shapes", "6:6"], None),
+        (["--theorems", "Lem21", "--shapes", "0:1"], None),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:

@@ -19,7 +19,7 @@ from bohrcert.errors import (
     UnknownTheorem,
 )
 
-from support import full_psum
+from support import fft_coefficients, full_psum, named_mapping
 
 E1 = md.Direction(np.array([1.0, 0.0, 0.0]), 2.0)
 
@@ -166,6 +166,28 @@ class TestSliceFromDirection:
                                     g=ps.constant(c, 4, abs(c)))
         for j, h in enumerate(s.components):
             assert h.coeffs[1] == pytest.approx(c * z0.z0[j])
+
+    @pytest.mark.parametrize("t", [2.0, math.inf])
+    @pytest.mark.parametrize("kind, a, m, p", [
+        ("SharpThm34", 0.6, 1, 1),
+        ("SharpThm34", 0.8, 2, 3),
+        ("SharpThm41", None, 1, 2),
+        ("SharpThm41", None, 3, 3),
+        ("SharpCor42", 0.6, None, None),
+    ])
+    def test_matches_pointwise_mapping(self, kind, a, m, p, t):
+        # w = (z0)_1 off the real axis: each component is the mapping at
+        # lambda z0, inverted by FFT on |lambda| = 0.9
+        z0 = md.Direction.normalized([0.6 + 0.5j, -0.3 + 0.2j, 0.1 - 0.4j], t)
+        order = 48
+        s = md.slice_from_direction(kind, z0, order, a=a, m=m, p=p)
+        mm, pp = (1, 1) if kind == "SharpCor42" else (m, p)
+        want = fft_coefficients(
+            lambda lam: named_mapping(kind, lam[:, None] * z0.z0[None, :], a, mm, pp),
+            order, rho=0.9)
+        got = np.array([h.coeffs for h in s.components])
+        assert got.shape == want.shape == (3, order + 1)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_degenerate_direction(self):
         z0 = md.Direction(np.array([0.0, 1.0]), 2.0)

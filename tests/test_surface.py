@@ -1,5 +1,6 @@
-"""The names other code relies on: README examples, ``__all__``, and the
-attributes the benchmark tracer patches by name."""
+"""The names other code relies on: README examples, ``__all__``, the
+attributes the benchmark tracer patches by name, and the tables that name
+each other's entries."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bohrcert
+from bohrcert import functionals, harness, multidim, schur
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -59,3 +61,14 @@ def test_benchmark_probes_resolve(monkeypatch):
     missing = [f"{p.module.__name__}.{p.attr}" for p in probes if not hasattr(p.module, p.attr)]
     assert probes
     assert missing == []
+
+
+def test_row_cores_are_catalog_entries():
+    cores = {core for row in harness._ROWS.values() for core in row.cores}
+    assert cores <= set(functionals._THEOREMS), cores - set(functionals._THEOREMS)
+
+
+def test_named_slices_are_extremal_families():
+    named = multidim._NAMED_SLICES
+    assert set(named) == set(multidim.SLICE_KINDS) - {"GeneralZG"}
+    assert {family for family, _ in named.values()} <= set(schur.EXTREMAL_KINDS)
