@@ -285,7 +285,9 @@ def _row_shapes(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
     if rules.positive_m:
         shapes = [(m, p) for m, p in shapes if m >= 1]
         needs.append("m >= 1")
-    if config.shapes and not shapes:
+    if not config.shapes:
+        raise ParameterOutOfRange(f"{theorem} needs a shape m:p, and none was requested")
+    if not shapes:
         asked = ", ".join(f"{m}:{p}" for m, p in config.shapes)
         raise ParameterOutOfRange(
             f"{theorem} needs {' and '.join(needs)}, which no requested shape has ({asked})")

@@ -39,7 +39,7 @@ from .functionals import (
     evaluate_theorem,
     theorem_margins,
 )
-from .schur import extremal_family
+from .schur import _streams, extremal_family
 from .series import TruncatedSeries
 
 __all__ = [
@@ -132,18 +132,17 @@ class Direction:
 def random_directions(seeds: Sequence[int], n: int, t: float) -> np.ndarray:
     """Unit vectors of l_t^n, one row per seed: complex gaussian entries, normalized.
 
-    Row i draws from ``np.random.default_rng(seeds[i])``: n normals for
-    the real parts, then n for the imaginary parts.  Every row is checked
-    as :class:`Direction` checks a vector.
+    Row i draws from the stream of ``np.random.default_rng(seeds[i])``,
+    reached without building that generator (see ``schur._streams``): n
+    normals for the real parts, then n for the imaginary parts.  Seeds
+    are integers in [0, 2^128).  Every row is checked as
+    :class:`Direction` checks a vector.
     """
     seeds = list(seeds)
-    re = np.empty((len(seeds), n))
-    im = np.empty((len(seeds), n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        re[i] = rng.normal(size=n)
-        im[i] = rng.normal(size=n)
-    rows = re + 1j * im
+    z = np.empty((len(seeds), 2 * n))
+    for rng, row in zip(_streams(seeds), z):
+        rng.standard_normal(out=row)
+    rows = z[:, :n] + 1j * z[:, n:]
     nrm = _lt_norms(rows, t)
     if (nrm == 0.0).any():
         raise DegenerateDirection("cannot normalize the zero vector")

@@ -12,13 +12,15 @@ Two sources of test functions:
 Everything here is deterministic: the sampler is keyed by an integer
 seed, and identical seeds reproduce identical series bit for bit.  A
 bank of samples is drawn in one batch (:func:`sample_bank`): each sample
-still draws from its own generator, seeded with its own seed, and the
+draws the stream of ``np.random.default_rng(seed)`` for its own seed,
+with the seeding hash computed for the whole bank at once, and the
 recursion and the long division run over all rows at once; a single
 sample is the one-row case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -43,6 +45,78 @@ __all__ = [
 SAMPLING_RADIUS = 0.95
 
 EXTREMAL_KINDS = ("L1", "LacunaryD", "L2", "Monomial")
+
+
+def _hash_steps(init: int, mult: int, n: int):
+    """(xor, multiplier) of n SeedSequence hash steps: h, then h * mult, mod 2^32."""
+    h = [init * mult ** k & 0xFFFFFFFF for k in range(n + 1)]
+    return [(np.uint32(x), np.uint32(m)) for x, m in zip(h, h[1:])]
+
+
+# numpy's SeedSequence (NEP 19) with its pool of 4 words: 4 + 12 hashes
+# mix the entropy in, 8 more give generate_state(4, uint64); then PCG64's
+# setseq seeding step with the 128-bit LCG multiplier.
+_MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_OUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> np.uint32(16))
+
+
+def _hash(x: np.ndarray, step) -> np.ndarray:
+    xor, mult = step
+    return _fold((x ^ xor) * mult)
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """(S, 4) uint32 words of each seed, least significant first."""
+    ints = []
+    for seed in seeds:
+        try:
+            ints.append(operator.index(seed))
+        except TypeError:
+            raise ParameterOutOfRange(
+                f"seed must be an integer in [0, 2**128), got {seed!r}") from None
+    for seed in (min(ints, default=0), max(ints, default=0)):
+        if not 0 <= seed <= _M128:
+            raise ParameterOutOfRange(f"seed must be an integer in [0, 2**128), got {seed}")
+    big = np.array(ints, dtype=object)
+    halves = np.stack((big & _M64, big >> 64), axis=1).astype(np.uint64)
+    return halves.astype("<u8").view("<u4").astype(np.uint32)
+
+
+def _streams(seeds: Sequence[int]):
+    """Yield, per seed, a generator in the state of ``np.random.default_rng(seed)``.
+
+    One Generator is reused: its PCG64 state is set for each seed in turn,
+    so a yielded generator is good until the next one.  The states come
+    from numpy's own seeding, run for all seeds at once: SeedSequence
+    hashes the seed's uint32 words into a 4-word pool and expands it to
+    two 128-bit words (state, stream), and PCG64's setseq step turns them
+    into (state, inc).  Seeds are zero-padded to 4 words, which is exact
+    below 2^128, because SeedSequence hashes a 0 for each pool word past
+    the entropy.  Seeds outside [0, 2^128) raise ParameterOutOfRange.
+    """
+    words = _seed_words(seeds)
+    steps = iter(_MIX_STEPS)
+    pool = [_hash(words[:, i], next(steps)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _fold(_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(steps)))
+    out = np.stack([_hash(pool[i % 4], step) for i, step in enumerate(_OUT_STEPS)], axis=1)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _check_gammas(gammas: np.ndarray) -> None:
@@ -179,19 +253,20 @@ def sample_gammas(seeds: Sequence[int], depth: int,
     """Parameters of one seeded draw per seed, as an (S, depth) array.
 
     Row i draws gamma_0..gamma_{depth-1} area-uniformly on the disk of
-    ``radius`` from ``np.random.default_rng(seeds[i])``: first the depth
-    uniforms of the moduli, then the depth uniform angles.
+    ``radius`` from the stream of ``np.random.default_rng(seeds[i])``,
+    reached without building that generator (see :func:`_streams`):
+    first the depth uniforms of the moduli, then the depth uniform angles.
+    Seeds are integers in [0, 2^128).
     """
     if depth < 1:
         raise ParameterOutOfRange("depth must be >= 1")
     seeds = list(seeds)
-    area = np.empty((len(seeds), depth))
-    theta = np.empty((len(seeds), depth))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        area[i] = rng.uniform(size=depth)
-        theta[i] = rng.uniform(0.0, 2.0 * np.pi, size=depth)
-    return radius * np.sqrt(area) * np.exp(1j * theta)
+    u = np.empty((len(seeds), 2 * depth))
+    for rng, row in zip(_streams(seeds), u):
+        rng.random(out=row)
+    # uniform(0, 2 pi) is 0 + 2 pi * random(), so this is the same angle
+    theta = 2.0 * np.pi * u[:, depth:]
+    return radius * np.sqrt(u[:, :depth]) * np.exp(1j * theta)
 
 
 def sample_parameters(seed: int, depth: int, radius: float = SAMPLING_RADIUS) -> SchurParameters:

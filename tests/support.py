@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
-closed rational form, one function's P/Q and lfilter instead of the
+closed rational form, one ``np.random.default_rng`` per seed instead of
+the samplers' batched seeding, one function's P/Q and lfilter instead of the
 division over a whole bank, one product over every lattice column
 instead of the margin core's radius-blocked power sums, each
 inequality's left side term by term as written instead of the margin
@@ -78,6 +79,39 @@ def one_function_route_taylor(gammas, order):
     head = min(num.size, order + 1)
     impulse[:head] = num[:head]
     return lfilter([1.0 + 0.0j], den, impulse)
+
+def per_seed_gammas(seeds, depth, radius=0.95):
+    """Schur parameters drawn from one ``np.random.default_rng`` per seed.
+
+    Row i: depth uniforms for the squared moduli, then depth uniform
+    angles on [0, 2 pi), as the sampler drew them seed by seed.
+    """
+    area = np.empty((len(seeds), depth))
+    theta = np.empty((len(seeds), depth))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        area[i] = rng.uniform(size=depth)
+        theta[i] = rng.uniform(0.0, 2.0 * np.pi, size=depth)
+    return radius * np.sqrt(area) * np.exp(1j * theta)
+
+
+def per_seed_directions(seeds, n, t):
+    """Unit rows of l_t^n drawn from one ``np.random.default_rng`` per seed.
+
+    Row i: n normals for the real parts, then n for the imaginary parts,
+    divided by the row's l_t norm.
+    """
+    re = np.empty((len(seeds), n))
+    im = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        re[i] = rng.normal(size=n)
+        im[i] = rng.normal(size=n)
+    rows = re + 1j * im
+    mods = np.abs(rows)
+    nrm = mods.max(axis=1) if math.isinf(t) else (mods ** t).sum(axis=1) ** (1.0 / t)
+    return rows / nrm[:, None]
+
 
 def fft_coefficients(func, order, rho=0.5, npts=1024):
     """Taylor coefficients 0..order of func by FFT inversion on |z| = rho.

@@ -386,6 +386,8 @@ class TestCli:
         # a requested id whose rules drop every requested shape
         (["--theorems", "Thm41", "--shapes", "6:6"], None),
         (["--theorems", "Lem21", "--shapes", "0:1"], None),
+        # ids without a fixed shape, and no shape requested
+        (None, '{"theorems": ["ThmC", "Lem21"], "shapes": [], "output": "-"}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:

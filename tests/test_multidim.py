@@ -19,7 +19,7 @@ from bohrcert.errors import (
     UnknownTheorem,
 )
 
-from support import fft_coefficients, full_psum, named_mapping
+from support import fft_coefficients, full_psum, named_mapping, per_seed_directions
 
 E1 = md.Direction(np.array([1.0, 0.0, 0.0]), 2.0)
 
@@ -91,11 +91,9 @@ class TestDirection:
 class _ZeroNormals:
     """A generator whose normal draws are all zero."""
 
-    def __init__(self, seed):
-        pass
-
-    def normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
 
 
 class TestRandomDirections:
@@ -129,8 +127,22 @@ class TestRandomDirections:
         with pytest.raises(ParameterOutOfRange):
             md.random_directions([1, 2], 0, 2.0)
 
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.5, math.inf])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rows_equal_per_seed_draws(self, n, t):
+        seeds = [0, 2**64, 2**128 - 1] + [0xD1A5 ^ i for i in range(64)]
+        assert np.array_equal(md.random_directions(seeds, n, t),
+                              per_seed_directions(seeds, n, t))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 2.0, None])
+    def test_seed_domain(self, seed):
+        for call in (lambda: md.random_directions([3, seed], 4, 2.0),
+                     lambda: md.random_direction(seed, 4, 2.0)):
+            with pytest.raises(ParameterOutOfRange, match=r"^seed must be an integer"):
+                call()
+
     def test_zero_vector_is_degenerate(self, monkeypatch):
-        monkeypatch.setattr(md.np.random, "default_rng", _ZeroNormals)
+        monkeypatch.setattr(md, "_streams", lambda seeds: (_ZeroNormals() for _ in seeds))
         with pytest.raises(DegenerateDirection):
             md.random_directions([1, 2, 3], 4, 2.0)
         with pytest.raises(DegenerateDirection):

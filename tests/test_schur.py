@@ -9,6 +9,7 @@ from bohrcert.errors import ParameterOutOfRange
 from support import (
     fourier_coefficients,
     one_function_route_taylor,
+    per_seed_gammas,
     pointwise_recursion,
     series_route_taylor,
 )
@@ -198,6 +199,49 @@ class TestBatchedBank:
         with pytest.raises(ParameterOutOfRange):
             schur.sample_gammas([1, 2], 0)
         assert schur.sample_bank([], 3, 5).shape == (0, 6)
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1]
+CAMPAIGN_SEEDS = [0x5EED1234 ^ i for i in range(64)]  # bank_seed ^ i
+
+
+class TestStreams:
+    """The batched seeding against numpy's own, state by state and draw by draw.
+
+    These fail, rather than let the samples drift, if numpy ever changes
+    how default_rng seeds PCG64.
+    """
+
+    @pytest.mark.parametrize("seeds", [EDGE_SEEDS, CAMPAIGN_SEEDS])
+    def test_states_equal_numpy_seeding(self, seeds):
+        got = [rng.bit_generator.state for rng in schur._streams(seeds)]
+        assert len(got) == len(seeds)
+        for seed, state in zip(seeds, got):
+            assert state == np.random.PCG64(seed).state, seed
+
+    @pytest.mark.parametrize("depth", [1, 9])
+    @pytest.mark.parametrize("seeds", [EDGE_SEEDS, CAMPAIGN_SEEDS])
+    def test_gammas_and_banks_equal_per_seed_draws(self, seeds, depth):
+        want = per_seed_gammas(seeds, depth)
+        assert np.array_equal(schur.sample_gammas(seeds, depth), want)
+        assert np.array_equal(schur.sample_bank(seeds, depth, 40), schur.taylor_rows(want, 40))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 2.0, None])
+    def test_seed_domain(self, seed):
+        calls = [
+            lambda: schur.sample_gammas([3, seed], 4),
+            lambda: schur.sample_bank([seed], 4, 8),
+            lambda: schur.sample_schur(seed, 4, 8),
+            lambda: schur.sample_parameters(seed, 4),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterOutOfRange, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):
+                call()
+
+    def test_integer_like_seeds_are_their_value(self):
+        want = schur.sample_gammas([5, 2**128 - 1], 3)
+        assert np.array_equal(schur.sample_gammas([np.uint64(5), 2**128 - 1], 3), want)
+        assert np.array_equal(schur.sample_gammas([np.int8(5), 2**128 - 1], 3), want)
+
 
 class TestExtremalFamily:
     def test_lacunary_moduli_law(self):
