@@ -63,12 +63,6 @@ from .schur import (
     sample_schur,
     schur_to_taylor,
 )
-from .series import (
-    TruncatedSeries,
-    mobius_map,
-    monomial_lift,
-    mul,
-    reciprocal,
-)
+from .series import TruncatedSeries, mul, reciprocal
 
 __version__ = "0.1.0"

@@ -21,9 +21,13 @@ from typing import List, Optional
 
 from . import harness, multidim, radius
 from .errors import BohrcertError, ParameterOutOfRange
+from .functionals import _ROWS
 
 _PROG = "bohrcert"
-_TABLE_IDS = ("ThmC34", "Thm32", "Cor43")  # the radius equations that vary over (p, m)
+# the radius equations that vary over (p, m): those of the rows whose
+# radius does not depend on the function
+_TABLE_IDS = tuple(dict.fromkeys(
+    row.equation for row in _ROWS.values() if row.equation and not row.per_function))
 
 
 def _parse_t(text: str) -> float:

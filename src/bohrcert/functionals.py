@@ -27,7 +27,9 @@ Where a theorem's facts live: its left side (weighted lattice power sums
 of mu, mu^2 or signed mu), its right side and the conditions it is stated
 under (shape, odd gap, m >= 1, vanishing start, radius window) are one entry of
 ``_THEOREMS``, evaluated by one engine.  Its radius equation is in
-:mod:`bohrcert.radius`; how a campaign runs it is in ``harness._ROWS``.
+:mod:`bohrcert.radius`; how a campaign row runs it (its cores, radius
+equation, scan, fixed shape and reindexing) is one :class:`RowSpec` of
+``_ROWS``, next to ``_THEOREMS``.
 
 All evaluators certify their truncation: with coefficient moduli bounded
 by ``coeff_bound`` (1 for anything drawn from the unit-ball classes), the
@@ -457,6 +459,58 @@ _THEOREMS = {
 _THEOREMS["Thm41"] = _THEOREMS["ThmC"]
 
 THEOREM_IDS = tuple(_THEOREMS)
+
+
+@dataclass(frozen=True)
+class RowSpec:
+    """How a campaign (and, for a vector id, ``multidim.vector_check``) runs one id.
+
+    A core's formula, its shape, odd-gap and m >= 1 rules and its radius
+    window are read from its ``_THEOREMS`` entry; this holds only what the
+    row adds.
+    """
+
+    cores: Tuple[str, ...]  # margin cores; the row's margin is the least
+    equation: Optional[str] = None  # radius equation id
+    at: Optional[Tuple[int, int]] = None  # fixed (m, p) of the core and the equation
+    shape: Optional[Tuple[int, int]] = None  # the row's own (m, p) where it differs from ``at``
+    scan: Optional[str] = None  # sharpness family run just above the radius
+    scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
+    vector: bool = False  # one row per t; bank scaled by each direction's sup norm
+    shift: bool = False  # the moduli get a vanishing lattice start prepended
+
+    @property
+    def per_function(self) -> bool:
+        """The radius depends on |f(0)| and the exponent s."""
+        return self.equation == "Thm31"
+
+    @property
+    def rules(self) -> _Theorem:
+        """The first core's ``_THEOREMS`` entry, whose rules the row follows."""
+        return _THEOREMS[self.cores[0]]
+
+
+# Rows with no radius equation hold on all of [0, 1) (ThmB, LemD, Lem21)
+# or on their core's window (the envelopes).
+_ROWS = {
+    "ThmB": RowSpec(("ThmB",)),
+    "LemD": RowSpec(("LemDOdd", "LemDEven")),
+    "ThmC": RowSpec(("ThmC",), "ThmC34"),
+    "Thm31": RowSpec(("Thm31",), "Thm31", scan="Thm31"),
+    "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32", shift=True),
+    "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34"),
+    "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41"),
+    "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32", shift=True),
+    # the (1, 1) norms of f = z*g, reindexed to start at 0, are a
+    # vanishing-start (0, 1) profile
+    "Cor42": RowSpec(("Thm32",), "Thm32", at=(0, 1), shape=(1, 1), vector=True,
+                     shift=True),
+    # No constructive witness of the Cor43 radius is known for m >= 1.
+    "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True),
+    "Lem21": RowSpec(("Lem21",), vector=True),
+    "BombieriUpper": RowSpec(("BombieriUpper",), at=(0, 1)),
+    "BBUpper": RowSpec(("BBUpper",), at=(0, 1)),
+}
 
 
 def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:

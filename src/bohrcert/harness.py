@@ -10,9 +10,9 @@ pass/fail verdict:
     pass  <=>  min margin >= -tol below the radius, and the scan exceeds
                1 above it (where a scan is defined).
 
-Where a row's facts live: ``_ROWS`` maps each campaign id to a
-:class:`RowSpec` (its margin cores, radius equation, sharpness family,
-bank transform and vector flag).  Every core is a ``functionals._THEOREMS``
+Where a row's facts live: ``functionals._ROWS`` maps each campaign id to
+a ``RowSpec`` (its margin cores, radius equation, sharpness family, bank
+transform and vector flag).  Every core is a ``functionals._THEOREMS``
 entry, and its formula, its shape, odd-gap and m >= 1 rules and its radius
 window are read from there; the radius equations from
 :mod:`bohrcert.radius`.  A requested id whose every shape its rules drop
@@ -40,6 +40,7 @@ from . import functionals as fn
 from . import multidim as md
 from . import radius as rad
 from .errors import BohrcertError, CampaignError, ParameterOutOfRange
+from .functionals import _ROWS
 from .schur import sample_bank
 from .schur import sample_schur  # noqa: F401  perfbench probes it by name (ROADMAP item 1)
 
@@ -55,60 +56,11 @@ __all__ = [
     "config_from_json",
 ]
 
-
-@dataclass(frozen=True)
-class RowSpec:
-    """How a campaign runs one theorem id.
-
-    A core's formula, its shape, odd-gap and m >= 1 rules and its radius
-    window are read from its ``functionals._THEOREMS`` entry; this holds
-    only what the campaign adds.
-    """
-
-    cores: Tuple[str, ...]  # margin cores; the row's margin is the least
-    equation: Optional[str] = None  # radius equation id
-    at: Optional[Tuple[int, int]] = None  # fixed (m, p) of the core and the equation
-    shape: Optional[Tuple[int, int]] = None  # the row's own (m, p) where it differs from ``at``
-    scan: Optional[str] = None  # sharpness family run just above the radius
-    scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
-    vector: bool = False  # one row per t; bank scaled by each direction's sup norm
-    shift: bool = False  # bank gets a vanishing lattice start prepended
-
-    @property
-    def per_function(self) -> bool:
-        """The radius depends on |f(0)| and the exponent s."""
-        return self.equation == "Thm31"
-
-    @property
-    def rules(self) -> "fn._Theorem":
-        """The first core's ``_THEOREMS`` entry, whose rules the row follows."""
-        return fn._THEOREMS[self.cores[0]]
-
-
-# Rows with no radius equation hold on all of [0, 1) (ThmB, LemD, Lem21)
-# or on their core's window (the envelopes).
-_ROWS = {
-    "ThmB": RowSpec(("ThmB",)),
-    "LemD": RowSpec(("LemDOdd", "LemDEven")),
-    "ThmC": RowSpec(("ThmC",), "ThmC34"),
-    "Thm31": RowSpec(("Thm31",), "Thm31", scan="Thm31"),
-    "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32", shift=True),
-    "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34"),
-    "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41"),
-    "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32", shift=True),
-    # the (1, 1) norms of f = z*g, reindexed to start at 0, are a
-    # vanishing-start (0, 1) profile
-    "Cor42": RowSpec(("Thm32",), "Thm32", at=(0, 1), shape=(1, 1), vector=True,
-                     shift=True),
-    # No constructive witness of the Cor43 radius is known for m >= 1.
-    "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True),
-    "Lem21": RowSpec(("Lem21",), vector=True),
-    "BombieriUpper": RowSpec(("BombieriUpper",), at=(0, 1)),
-    "BBUpper": RowSpec(("BBUpper",), at=(0, 1)),
-}
 CAMPAIGN_THEOREMS = tuple(_ROWS)
 MAX_GRID_POINTS = 1 << 20  # radii in one campaign grid
 MAX_SAMPLES = 1 << 16  # seeded functions per bank
+MAX_DEPTH = 64  # sampler parameters per function; the bank build is O(depth^2)
+MAX_DIMS = 64  # coordinates of a vector row's directions
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
 
@@ -209,6 +161,10 @@ class CampaignConfig:
             raise ParameterOutOfRange(f"dims must be >= 1, got {self.dims}")
         if not self.scan_steps >= 0:
             raise ParameterOutOfRange(f"scan_steps must be >= 0, got {self.scan_steps}")
+        for name, cap in (("depth", MAX_DEPTH), ("dims", MAX_DIMS),
+                          ("scan_steps", md.MAX_SCAN_STEPS)):
+            if getattr(self, name) > cap:
+                raise ParameterOutOfRange(f"{name} is capped at {cap}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ the family parameter, witnessing failure just above the sharp radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     UnknownTheorem,
 )
 from .functionals import (
+    _ROWS,
     DEFAULT_MARGIN_TOL,
     DEFAULT_TRUNC_TOL,
     InequalityCheck,
@@ -39,7 +40,7 @@ from .functionals import (
     evaluate_theorem,
     theorem_margins,
 )
-from .schur import _streams, extremal_family
+from .schur import _streams, extremal_family, family_moduli
 from .series import TruncatedSeries
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
 
 SLICE_KINDS = ("SharpThm34", "SharpThm41", "SharpCor42", "GeneralZG")
 SCAN_IDS = ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
+MAX_SCAN_STEPS = 1 << 16  # family parameters of a default scan grid
 
 VECTOR_IDS = ("Thm34", "Thm41", "Cor42", "Cor43", "Lem21")
 # named slice kind -> (its extremal_family E, the fixed (m, p) if any)
@@ -283,13 +285,6 @@ def frechet_norms(slice_map: SliceMapping, r: float) -> np.ndarray:
     return nu
 
 
-def _profile_from_slice(slice_map: SliceMapping) -> LacunaryProfile:
-    return LacunaryProfile(
-        slice_map.m, slice_map.p, frechet_norms(slice_map, 1.0),
-        exact=slice_map.exact,
-    )
-
-
 def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.ndarray]:
     """Batched even-tail bound of f = z*g slices: the catalog's ``Lem21``.
 
@@ -309,28 +304,28 @@ def vector_check(
 ) -> InequalityCheck:
     """Evaluate a vector-valued bound on one slice at radius r.
 
-    Builds the directional-norm profile and delegates to the scalar
-    catalog; Cor42 reindexes its (1, 1) slice to the vanishing-start shape
-    (0, 1).  Every id checks a slice of f = z*g, so needs m >= 1.
+    Runs the id's ``functionals._ROWS`` row on the slice's directional-norm
+    profile: its first core, at the row's fixed shape where it has one.
+    Cor42 takes (1, 1) slices, and the row reindexes their norms to the
+    vanishing-start shape (0, 1) of its Thm32 core.  Every id checks a
+    slice of f = z*g, so needs m >= 1.
     """
     if theorem_id not in VECTOR_IDS:
         raise UnknownTheorem(f"no vector check with id {theorem_id!r}")
     m, p = slice_map.m, slice_map.p
     if m < 1:
         raise ShapeMismatch(f"{theorem_id} needs shape 1 <= m <= p, got m={m}")
-
-    if theorem_id == "Cor42":
-        if (m, p) != (1, 1):
-            raise ShapeMismatch(f"Cor42 applies to shape (1, 1), got ({m},{p})")
-        nu = frechet_norms(slice_map, 1.0)
-        profile = LacunaryProfile(0, 1, np.concatenate([[0.0], nu]))
-        check = evaluate_theorem("Thm32", profile, r, tol=tol, trunc_tol=trunc_tol)
-        return InequalityCheck("Cor42", check.r, check.lhs, check.rhs,
-                               check.satisfied, check.margin, tol)
-
-    profile = _profile_from_slice(slice_map)
-    return evaluate_theorem(theorem_id, profile, r, extras=extras,
-                            tol=tol, trunc_tol=trunc_tol)
+    row = _ROWS[theorem_id]
+    if row.shape is not None and (m, p) != row.shape:
+        raise ShapeMismatch(f"{theorem_id} applies to shape {row.shape}, got ({m},{p})")
+    nu = frechet_norms(slice_map, 1.0)
+    if row.shift:
+        nu = np.concatenate([[0.0], nu])
+    cm, cp = row.at or (m, p)
+    profile = LacunaryProfile(cm, cp, nu, exact=slice_map.exact)
+    check = evaluate_theorem(row.cores[0], profile, r, extras=extras,
+                             tol=tol, trunc_tol=trunc_tol)
+    return replace(check, theorem_id=theorem_id)
 
 
 # ----------------------------------------------------------------------
@@ -347,21 +342,12 @@ def default_scan_grid(steps: int = 256) -> np.ndarray:
     """
     if steps < 0:
         raise ParameterOutOfRange(f"the scan grid needs a step count >= 0, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise ParameterOutOfRange(
+            f"the scan grid's step count is capped at {MAX_SCAN_STEPS}, got {steps}")
     grid = np.linspace(0.0, 0.98, steps)
     extra = np.array([1.0 / 3.0, 0.99, 0.995, 0.999, 0.9995, 0.9999])
     return np.unique(np.concatenate([grid, extra]))
-
-
-def _lacunary_family_mods(a_grid: np.ndarray, length: int) -> np.ndarray:
-    """Moduli of z^m (a - z^p)/(1 - a z^p) per family parameter, as rows.
-
-    Row layout: mu_0 = a, mu_k = (1 - a^2) a^(k-1) for k >= 1.
-    """
-    a = np.asarray(a_grid, dtype=float)[:, None]
-    mods = a ** np.maximum(np.arange(length) - 1, 0)  # one (rows, length) array
-    mods *= 1.0 - a ** 2
-    mods[:, 0] = a[:, 0]
-    return mods
 
 
 def sharpness_scan(
@@ -409,6 +395,6 @@ def sharpness_scan(
     # nothing, and the order-limited length still fails the certificate
     # wherever the order cannot certify r.
     length = max(2, int(min((order - m) // p + 1, _cut_length(m, p, r, 1.0))))
-    mods = _lacunary_family_mods(a, length)
+    mods = family_moduli(a, length)
     lhs, _ = theorem_margins(theorem_id, mods, m, p, [r])
     return float(lhs.max())

@@ -7,7 +7,12 @@ Two sources of test functions:
   |f| <= 1 on the unit disk, and reaches the whole class as the sequence
   varies;
 * the named extremal families (disk automorphisms and their lacunary
-  lifts) that realize equality in the coefficient inequalities.
+  lifts) that realize equality in the coefficient inequalities.  They
+  are written in closed form: z^m (a - z^p)/(1 - a z^p) has lattice
+  moduli mu_0 = a and mu_k = (1 - a^2) a^(k-1), which
+  :func:`family_moduli` writes for a whole grid of parameters at once.
+  The sharpness scans read that table, and :func:`extremal_family`
+  places one row of it on the lattice.
 
 Everything here is deterministic: the sampler is keyed by an integer
 seed, and identical seeds reproduce identical series bit for bit.  A
@@ -26,7 +31,6 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from . import series as ps
 from .errors import ParameterOutOfRange
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -38,6 +42,7 @@ __all__ = [
     "sample_parameters",
     "sample_bank",
     "sample_schur",
+    "family_moduli",
     "extremal_family",
     "EXTREMAL_KINDS",
 ]
@@ -290,41 +295,54 @@ def sample_schur(seed: int, depth: int, order: int = DEFAULT_ORDER,
     return TruncatedSeries(sample_bank([seed], depth, order, radius)[0], 1.0)
 
 
+def family_moduli(a_grid, length: int) -> np.ndarray:
+    """Moduli of z^m (a - z^p)/(1 - a z^p) per family parameter, as rows.
+
+    Row layout: mu_0 = a, mu_k = (1 - a^2) a^(k-1) for k >= 1.
+    """
+    a = np.asarray(a_grid, dtype=float)[:, None]
+    mods = a ** np.maximum(np.arange(length) - 1, 0)  # one (rows, length) array
+    mods *= 1.0 - a ** 2
+    mods[:, 0] = a[:, 0]
+    return mods
+
+
 def extremal_family(kind: str, a: float, m: int, p: int,
                     order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Named families realizing equality in the coefficient bounds.
 
     L1:        (a - z) / (1 - a z), the plain disk automorphism.
     LacunaryD: z^m (a - z^p) / (1 - a z^p); index m carries a, index
-               k*p + m carries modulus (1 - a^2) a^(k-1) for k >= 1.
+               k*p + m carries -(1 - a^2) a^(k-1) for k >= 1.
     L2:        z^(p+m) (a - z^p) / (1 - a z^p), the vanishing-start variant.
     Monomial:  z^(m+p) (the parameter a is ignored).
+
+    Every kind takes a shape 1 <= p, 0 <= m <= p (L1 ignores it).  The
+    automorphism kinds are built in closed form: one row of
+    :func:`family_moduli` placed on the lattice with signs a, -mu_k.
     """
     if kind not in EXTREMAL_KINDS:
         raise ParameterOutOfRange(f"unknown extremal family {kind!r}")
+    if not (p >= 1 and 0 <= m <= p):
+        raise ParameterOutOfRange(
+            f"extremal families need 1 <= p and 0 <= m <= p, got m={m}, p={p}"
+        )
     a = float(a)
     if kind != "Monomial" and not 0.0 <= a < 1.0:
         raise ParameterOutOfRange(f"family parameter a={a} outside [0, 1)")
-    if kind in ("LacunaryD", "L2"):
-        if not (p >= 1 and 0 <= m <= p):
-            raise ParameterOutOfRange(
-                f"lacunary families need 1 <= p and 0 <= m <= p, got m={m}, p={p}"
-            )
     if order < 1:
         raise ParameterOutOfRange("order must be >= 1")
 
+    coeffs = np.zeros(order + 1, dtype=complex)
     if kind == "Monomial":
-        k = m + p
-        coeffs = np.zeros(order + 1, dtype=complex)
-        if k <= order:
-            coeffs[k] = 1.0
+        if m + p <= order:
+            coeffs[m + p] = 1.0
         return TruncatedSeries(coeffs, 1.0)
 
-    if kind == "L1":
-        return ps.mobius_map(a, ps.identity(order))
-
-    lift_m = m if kind == "LacunaryD" else p + m
-    base_order = max(1, -((lift_m - order) // p))  # ceil((order - lift_m) / p)
-    base = ps.mobius_map(a, ps.identity(base_order))
-    lifted = ps.monomial_lift(base, lift_m, p)
-    return ps.truncate(lifted, order) if lifted.order > order else lifted
+    start, step = {"L1": (0, 1), "LacunaryD": (m, p), "L2": (p + m, p)}[kind]
+    lattice = coeffs[start::step]
+    if lattice.size:
+        row = family_moduli([a], lattice.size)[0]
+        row[1:] *= -1.0
+        lattice[:] = row
+    return TruncatedSeries(coeffs, 1.0)

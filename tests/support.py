@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code it checks: plain double loops instead of convolutions,
 pointwise complex arithmetic plus FFT inversion instead of series
 recurrences, step-by-step series arithmetic instead of the sampler's
-closed rational form, one ``np.random.default_rng`` per seed instead of
+closed rational form, long division instead of the extremal families'
+closed form, one ``np.random.default_rng`` per seed instead of
 the samplers' batched seeding, one function's P/Q and lfilter instead of the
 division over a whole bank, one product over every lattice column
 instead of the margin core's radius-blocked power sums, each
@@ -22,6 +23,7 @@ from scipy.signal import lfilter
 
 from bohrcert import series as ps
 from bohrcert.radius import bisect_root
+from bohrcert.series import TruncatedSeries
 
 
 def brute_cauchy_product(a, b, n):
@@ -52,14 +54,15 @@ def series_route_taylor(gammas, order):
     O(order^2) per parameter and never forms the rational P/Q that the
     library divides out once.
     """
-    f = ps.constant(gammas[-1], order, abs(complex(gammas[-1])))
+    f = np.zeros(order + 1, dtype=complex)
+    f[0] = gammas[-1]
     for g in reversed(gammas[:-1]):
-        zf = ps.shift(f, 1)
-        num = ps.add(ps.constant(g, order), zf)
-        den = ps.add(ps.one(order), ps.scale(zf, np.conj(g)))
-        f = ps.mul(num, ps.reciprocal(den))
-    return f.coeffs
-
+        zf = np.concatenate(([0.0], f[:-1]))  # z f, cut to the order
+        num, den = zf.copy(), np.conj(g) * zf
+        num[0] += g
+        den[0] += 1.0
+        f = ps.mul(TruncatedSeries(num), ps.reciprocal(TruncatedSeries(den))).coeffs
+    return f
 
 
 def one_function_route_taylor(gammas, order):
@@ -79,6 +82,7 @@ def one_function_route_taylor(gammas, order):
     head = min(num.size, order + 1)
     impulse[:head] = num[:head]
     return lfilter([1.0 + 0.0j], den, impulse)
+
 
 def per_seed_gammas(seeds, depth, radius=0.95):
     """Schur parameters drawn from one ``np.random.default_rng`` per seed.
@@ -233,6 +237,53 @@ def written_lhs(theorem_id, mods, m, p, r, s=None):
         count += 2 * w.shape[1]
     gamma = count * np.finfo(float).eps / 2
     return (np.abs(lhs) if absolute else lhs), 2 * gamma / (1 - gamma) * size
+
+
+# the division route of the automorphism families, the oracle of the
+# closed form in ``schur.extremal_family``
+
+
+def identity(order):
+    """The coordinate function z, a Schur-class map of the disk."""
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[1] = 1.0
+    return TruncatedSeries(coeffs, 1.0)
+
+
+def mobius_map(a, s):
+    """Post-compose s with w -> (a - w)/(1 - a w), divided out by lfilter.
+
+    The long division num/den to the order of s runs the recurrence
+    d_0 q_k = n_k - sum_{j=1..k} d_j q_{k-j}, an IIR filter applied to the
+    numerator.  For 0 <= a < 1 and |s| <= 1 the result is Schur-class.
+    """
+    num = -s.coeffs.copy()
+    num[0] += a
+    den = -a * s.coeffs
+    den[0] += 1.0
+    return TruncatedSeries(lfilter([1.0 + 0.0j], den, num), 1.0)
+
+
+def monomial_lift(s, m, p):
+    """z^m s(z^p): coefficient k of s lands at index k p + m, the rest are 0."""
+    coeffs = np.zeros(s.order * p + m + 1, dtype=complex)
+    coeffs[m::p] = s.coeffs
+    # |z^m s(z^p)| <= |s| on the disk, so the bound carries over
+    return TruncatedSeries(coeffs, s.sup_bound)
+
+
+def division_family(kind, a, m, p, order):
+    """Coefficients 0..order of an automorphism kind of ``extremal_family``.
+
+    (a - z)/(1 - a z) is divided out to as many terms as the lattice
+    reaches, lifted to start at m (LacunaryD) or p + m (L2) with step p,
+    and cut to the order; L1 is the (0, 1) lift.
+    """
+    if kind == "L1":
+        m, p = 0, 1
+    start = p + m if kind == "L2" else m
+    base_order = max(1, -((start - order) // p))  # ceil((order - start) / p)
+    return monomial_lift(mobius_map(a, identity(base_order)), start, p).coeffs[: order + 1]
 
 
 # hand-derived geometric sums for the automorphism family

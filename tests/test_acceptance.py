@@ -16,7 +16,7 @@ from bohrcert import multidim as md
 from bohrcert import radius as rd
 from bohrcert import schur
 
-from support import fourier_coefficients, thm41_lhs, thmc_product_form
+from support import fourier_coefficients, monomial_lift, thm41_lhs, thmc_product_form
 
 TOL_RADIUS = 1e-9
 TOL_MARGIN = 1e-9
@@ -201,13 +201,11 @@ def test_criterion_6_structural_identities():
         l_c, _ = fn.evaluate_theorem_grid("ThmC", prof, grid)
         worst_lhs = max(worst_lhs, np.abs(l_c - thm41_lhs(prof.mods, m, p, grid)).max())
 
-    from bohrcert import series as ps
-
     worst_vec = 0.0
     one_dir = md.Direction(np.array([1.0]), 2.0)
     for seed, (m, p) in enumerate([(1, 1), (1, 3), (2, 3)]):
         phi = schur.sample_schur(700 + seed, 5, 512)
-        g = ps.monomial_lift(phi, m - 1, p)
+        g = monomial_lift(phi, m - 1, p)
         s = md.slice_from_direction("GeneralZG", one_dir, g.order + 1, m=m, p=p, g=g)
         prof = fn.LacunaryProfile(m, p, np.abs(phi.coeffs))
         for tid in ("Thm34", "Thm41", "Cor43"):

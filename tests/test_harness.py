@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrcert import harness as hn
+from bohrcert import multidim as md
 from bohrcert.cli import _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
 from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
@@ -378,7 +379,8 @@ class TestCli:
         (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [NaN]}'),
         (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [-1]}'),
         (None, '{"theorems": ["Thm31"], "s_values": [1, 0]}'),
-        # sizes of 2^50 elements, which numpy refuses before allocating anything
+        # sizes of 2^50 elements, refused by their caps before anything is
+        # allocated
         (["--theorems", "ThmB", "--samples", "2", "--depth", str(2 ** 50)], None),
         (None, '{"theorems": ["Lem21"], "shapes": [[1, 1]], "samples": 2, "dims": %d}'
          % 2 ** 50),
@@ -388,6 +390,12 @@ class TestCli:
         (["--theorems", "Lem21", "--shapes", "0:1"], None),
         # ids without a fixed shape, and no shape requested
         (None, '{"theorems": ["ThmC", "Lem21"], "shapes": [], "output": "-"}'),
+        # sizes just over their caps
+        (["--theorems", "ThmB", "--samples", "2", "--depth", str(hn.MAX_DEPTH + 1)], None),
+        (None, '{"theorems": ["Lem21"], "shapes": [[1, 1]], "samples": 2, "dims": %d}'
+         % (hn.MAX_DIMS + 1)),
+        (None, '{"theorems": ["ThmB"], "samples": 2, "scan_steps": %d}'
+         % (md.MAX_SCAN_STEPS + 1)),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
@@ -400,6 +408,14 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, cap", [
+        ("depth", hn.MAX_DEPTH), ("dims", hn.MAX_DIMS), ("scan_steps", md.MAX_SCAN_STEPS),
+    ])
+    def test_size_caps_name_the_key(self, key, cap):
+        hn.CampaignConfig(theorems=(), **{key: cap})
+        with pytest.raises(ParameterOutOfRange, match=f"^{key} is capped at {cap}, got {cap + 1}$"):
+            hn.CampaignConfig(theorems=(), **{key: cap + 1})
+
     def test_sharpness_negative_steps_exits_two(self, capsys):
         code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "3", "--m", "1",
                          "--r", "0.7", "--a-steps", "-1"])
@@ -411,8 +427,11 @@ class TestCli:
         ["--theorem", "Thm34", "--p", "0", "--m", "0", "--r", "0.5"],
         ["--theorem", "Thm32", "--p", "0", "--r", "0.5"],
         ["--theorem", "Thm32", "--p", "1", "--m", "2", "--r", "0.5"],
-        # a 2^50-point grid, which numpy refuses before allocating anything
+        # a 2^50-point grid, and one just over the cap; both are refused
+        # by the cap before anything is allocated
         ["--theorem", "Thm34", "--p", "3", "--m", "1", "--r", "0.7", "--a-steps", str(2 ** 50)],
+        ["--theorem", "Thm34", "--p", "3", "--m", "1", "--r", "0.7",
+         "--a-steps", str(md.MAX_SCAN_STEPS + 1)],
     ])
     def test_sharpness_bad_shape_exits_two(self, flags, capsys):
         code = cli_main(["sharpness", *flags])

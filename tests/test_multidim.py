@@ -9,7 +9,7 @@ from bohrcert import functionals as fn
 from bohrcert import multidim as md
 from bohrcert import radius as rad
 from bohrcert import schur
-from bohrcert import series as ps
+from bohrcert.series import TruncatedSeries
 from bohrcert.errors import (
     DegenerateDirection,
     ParameterOutOfRange,
@@ -19,7 +19,13 @@ from bohrcert.errors import (
     UnknownTheorem,
 )
 
-from support import fft_coefficients, full_psum, named_mapping, per_seed_directions
+from support import (
+    fft_coefficients,
+    full_psum,
+    monomial_lift,
+    named_mapping,
+    per_seed_directions,
+)
 
 E1 = md.Direction(np.array([1.0, 0.0, 0.0]), 2.0)
 
@@ -175,7 +181,7 @@ class TestSliceFromDirection:
         c = 0.3 + 0.4j
         z0 = md.Direction.normalized([1.0, 1j], 2.0)
         s = md.slice_from_direction("GeneralZG", z0, 6, m=1, p=1,
-                                    g=ps.constant(c, 4, abs(c)))
+                                    g=TruncatedSeries([c, 0, 0, 0, 0], abs(c)))
         for j, h in enumerate(s.components):
             assert h.coeffs[1] == pytest.approx(c * z0.z0[j])
 
@@ -208,7 +214,7 @@ class TestSliceFromDirection:
 
     def test_zg_shape_validation(self):
         z0 = md.Direction.normalized([1.0, 1.0], 2.0)
-        bad_g = ps.from_coeffs([0.5, 0.5, 0.0, 0.0], 1.0)  # not (1,2)-compatible
+        bad_g = TruncatedSeries([0.5, 0.5, 0.0, 0.0], 1.0)  # not (1,2)-compatible
         with pytest.raises(ShapeMismatch):
             md.slice_from_direction("GeneralZG", z0, 4, m=2, p=2, g=bad_g)
 
@@ -221,13 +227,13 @@ class TestFrechetNorms:
         assert np.abs(np.delete(nu, 1)).max() == 0.0
 
     def test_zero_mapping(self):
-        z = ps.zero(6)
+        z = TruncatedSeries(np.zeros(7), 0.0)
         s = md.SliceMapping((z, z), 1, 2, 2.0)
         assert np.abs(md.frechet_norms(s, 0.7)).max() == 0.0
 
     def test_single_component_equals_moduli(self):
         phi = schur.sample_schur(3, 4, 32)
-        g = ps.monomial_lift(phi, 0, 2)  # lambda^(m-1) phi(lambda^p), m=1, p=2
+        g = monomial_lift(phi, 0, 2)  # lambda^(m-1) phi(lambda^p), m=1, p=2
         one_dir = md.Direction(np.array([1.0]), 2.0)
         s = md.slice_from_direction("GeneralZG", one_dir, g.order + 1, m=1, p=2, g=g)
         nu = md.frechet_norms(s, 1.0)
@@ -258,7 +264,7 @@ class TestVectorCheck:
     def test_zg_ids_reject_m0(self):
         phi = schur.sample_schur(5, 4, 64)
         one_dir = md.Direction(np.array([1.0]), 2.0)
-        s = md.SliceMapping((ps.monomial_lift(phi, 0, 1),), 0, 1, 2.0)
+        s = md.SliceMapping((monomial_lift(phi, 0, 1),), 0, 1, 2.0)
         for tid in ("Thm34", "Thm41", "Cor43", "Lem21"):
             with pytest.raises(ShapeMismatch):
                 md.vector_check(tid, s, 0.4)
@@ -273,7 +279,7 @@ class TestVectorCheck:
         one_dir = md.Direction(np.array([1.0]), 2.0)
         for seed, (m, p) in enumerate([(1, 1), (1, 3), (2, 3)]):
             phi = schur.sample_schur(seed + 60, 5, 512)
-            g = ps.monomial_lift(phi, m - 1, p)
+            g = monomial_lift(phi, m - 1, p)
             s = md.slice_from_direction("GeneralZG", one_dir, g.order + 1,
                                         m=m, p=p, g=g)
             prof = fn.LacunaryProfile(m, p, np.abs(phi.coeffs))
@@ -293,7 +299,7 @@ class TestVectorCheck:
                 m, p = [(1, 1), (1, 3), (2, 3)][seed % 3]
                 phi = schur.sample_schur(seed + 100, 5, 512)
                 z0 = md.random_direction(seed, 4, t)
-                g = ps.monomial_lift(phi, m - 1, p)
+                g = monomial_lift(phi, m - 1, p)
                 s = md.slice_from_direction("GeneralZG", z0, g.order + 1,
                                             m=m, p=p, g=g)
                 nu = md.frechet_norms(s, 1.0)
@@ -353,7 +359,27 @@ class TestSharpnessScan:
     def test_family_table_rows(self):
         a = np.array([0.0, 1.0 / 3.0, 0.9, 0.999])
         want = [[x] + [(1.0 - x * x) * x ** (k - 1) for k in range(1, 40)] for x in a]
-        np.testing.assert_allclose(md._lacunary_family_mods(a, 40), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(schur.family_moduli(a, 40), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scan_id, p, m", [("Thm34", 1, 0), ("Thm41", 3, 2), ("Cor43", 5, 0)])
+    def test_scan_rows_are_the_family(self, scan_id, p, m, monkeypatch):
+        # the table a scan evaluates is, row by row, the lattice moduli of
+        # extremal_family("LacunaryD", a, m, p), bit for bit
+        tables = []
+
+        def record(theorem_id, mods, *args, **kwargs):
+            tables.append(mods)
+            return fn.theorem_margins(theorem_id, mods, *args, **kwargs)
+
+        monkeypatch.setattr(md, "theorem_margins", record)
+        grid = md.default_scan_grid(64)
+        md.sharpness_scan(scan_id, p, m, 0.6, grid)
+        (mods,) = tables
+        assert mods.shape[0] == grid.size
+        order = m + (mods.shape[1] - 1) * p
+        for a, row in zip(grid, mods):
+            family = schur.extremal_family("LacunaryD", a, m, p, order).coeffs
+            assert np.array_equal(row, np.abs(family[m::p]))
 
     def test_scan_grid_step_count(self):
         assert md.default_scan_grid(0).size == 6  # the fixed extra points only

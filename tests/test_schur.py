@@ -7,6 +7,7 @@ from bohrcert import schur
 from bohrcert.errors import ParameterOutOfRange
 
 from support import (
+    division_family,
     fourier_coefficients,
     one_function_route_taylor,
     per_seed_gammas,
@@ -274,12 +275,23 @@ class TestExtremalFamily:
         assert np.allclose(f.coeffs.real, [0.5, -0.75, -0.375, -0.1875, -0.09375])
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterOutOfRange):
-            schur.extremal_family("LacunaryD", 1.0, 0, 1, 8)
-        with pytest.raises(ParameterOutOfRange):
-            schur.extremal_family("L2", 0.5, 3, 2, 8)  # m > p
-        with pytest.raises(ParameterOutOfRange):
-            schur.extremal_family("Blaschke5", 0.5, 0, 1, 8)
+        bad = [
+            ("LacunaryD", 1.0, 0, 1, 8),
+            ("L1", -0.1, 0, 1, 8),
+            ("L2", 0.5, 3, 2, 8),  # m > p
+            ("Blaschke5", 0.5, 0, 1, 8),
+            # every kind checks the shape, or a negative m would index
+            # from the end of the coefficient vector
+            ("Monomial", 0.0, -2, 1, 5),
+            ("Monomial", 0.0, -9, 1, 5),
+            ("Monomial", 0.0, 2, 1, 5),  # m > p
+            ("Monomial", 0.0, 0, 0, 5),  # p = 0
+            ("L1", 0.5, 2, 1, 8),
+            ("L1", 0.5, 0, 0, 8),
+        ]
+        for args in bad:
+            with pytest.raises(ParameterOutOfRange):
+                schur.extremal_family(*args)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=0.99),
@@ -292,3 +304,19 @@ class TestExtremalFamily:
             mods = np.abs(f.coeffs)
             assert mods.max() <= 1 + 1e-12
             assert mods[1:].max() <= 1 - mods[0] ** 2 + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(("L1", "LacunaryD", "L2")),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           st.integers(1, 5), st.integers(0, 5), st.integers(1, 512))
+    def test_matches_division_route(self, kind, a, p, m, order):
+        m = min(m, p)
+        got = schur.extremal_family(kind, a, m, p, order).coeffs
+        want = division_family(kind, a, m, p, order)
+        assert got.shape == want.shape == (order + 1,)
+        # The same zero pattern once subnormals are flushed to zero: powers
+        # and repeated products underflow to 0 at neighbouring indices.
+        tiny = np.finfo(float).tiny
+        assert np.array_equal(np.abs(got) < tiny, np.abs(want) < tiny)
+        assert np.abs(got - want).max() <= 1e-15
+

@@ -2,6 +2,7 @@
 attributes the benchmark tracer patches by name, and the tables that name
 each other's entries."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bohrcert
-from bohrcert import functionals, harness, multidim, schur
+from bohrcert import functionals, multidim, schur, series
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -51,12 +52,18 @@ def test_exported_names_resolve(name):
     assert missing == []
 
 
-def test_benchmark_probes_resolve(monkeypatch):
-    """Every attribute perfbench's tracer wraps exists, so a traced run can start."""
+def _tracing(monkeypatch):
+    """perfbench's tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    """Every attribute perfbench's tracer wraps exists, so a traced run can start."""
+    tracing = _tracing(monkeypatch)
     probes = tracing.LAYER_PROBES + tracing.SCAN_PROBES + tracing.MARGIN_BATCH_PROBES
     missing = [f"{p.module.__name__}.{p.attr}" for p in probes if not hasattr(p.module, p.attr)]
     assert probes
@@ -64,7 +71,7 @@ def test_benchmark_probes_resolve(monkeypatch):
 
 
 def test_row_cores_are_catalog_entries():
-    cores = {core for row in harness._ROWS.values() for core in row.cores}
+    cores = {core for row in functionals._ROWS.values() for core in row.cores}
     assert cores <= set(functionals._THEOREMS), cores - set(functionals._THEOREMS)
 
 
@@ -72,3 +79,22 @@ def test_named_slices_are_extremal_families():
     named = multidim._NAMED_SLICES
     assert set(named) == set(multidim.SLICE_KINDS) - {"GeneralZG"}
     assert {family for family, _ in named.values()} <= set(schur.EXTREMAL_KINDS)
+
+
+def test_series_exports_are_used(monkeypatch):
+    """Each ``series`` export is used by another library module (a re-export
+    in ``__init__`` does not count) or wrapped by a benchmark probe, so
+    helpers that only tests use live in tests/support.py."""
+    used = set()
+    for path in (ROOT / "src" / "bohrcert").glob("*.py"):
+        if path.name in ("series.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "series":
+                used |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("ps", "series")):
+                used.add(node.attr)
+    probed = {p.attr for p in _tracing(monkeypatch).LAYER_PROBES if p.module is series}
+    assert [name for name in series.__all__ if name not in used | probed] == []
+
