@@ -50,11 +50,12 @@ summed together: per-sample weights are folded into the stacked columns
 w_k (already powered or signed), per-radius weights into the table of
 powers r^e, and radii are grouped into buckets by the power-of-two
 ceiling of their largest column count, so the whole left side is one
-matrix product per bucket written into one (samples, radii) array.  One
-radius takes the terms one product at a time instead, each weight applied
-after its sum.  Either way each term keeps its own column count per
-radius, read from its unweighted bound coeff_bound^power, so the 2^-64
-skip and its certificate are the same on both routes.
+matrix product per bucket written into one (samples, radii) array, the
+caller's ``out`` when it passes one.  One radius takes the terms one
+product at a time instead, each weight applied after its sum.  Either way
+each term keeps its own column count per radius, read from its
+unweighted bound coeff_bound^power, so the 2^-64 skip and its certificate
+are the same on both routes.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _as_r_grid(r) -> np.ndarray:
     return grid
 
 
-def _products(heads, columns, r: np.ndarray) -> np.ndarray:
+def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over parts of weight * sum_k w_k r^exps_k, on the radius grid r.
 
     ``heads`` holds one (exps, bound, weight) per part: exponents that
@@ -247,7 +248,8 @@ def _products(heads, columns, r: np.ndarray) -> np.ndarray:
     columns with a table of their weighted powers.  The parts' columns are
     stacked once, part after part, as far as any bucket reads them; a
     bucket that reads a prefix of the stack (one part always does) reads
-    it as a view, and any other bucket gathers its columns.
+    it as a view, and any other bucket gathers its columns.  The sums are
+    written into ``out`` when one is given.
     """
     needs = []
     for exps, bound, _ in heads:
@@ -273,7 +275,8 @@ def _products(heads, columns, r: np.ndarray) -> np.ndarray:
             stack[..., starts[j]:starts[j + 1]] = w[..., :width[j]]
         del w  # the stack is the only copy of the columns held from here on
         exps = np.concatenate([h[0][:n] for h, n in zip(heads, width)])
-    out = np.empty(stack.shape[:-1] + (r.size,))
+    if out is None:
+        out = np.empty(stack.shape[:-1] + (r.size,))
     for lo, hi, take in zip(edges[:-1], edges[1:], counts):
         if take[:-1] == width[:-1]:  # a prefix of the stack
             cols = slice(0, sum(take))
@@ -560,20 +563,21 @@ def _columns(term: _Term, mods, k, m, p, s) -> np.ndarray:
     return w
 
 
-def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound) -> Tuple[np.ndarray, np.ndarray]:
+def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
     k = np.arange(length)
     mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
     v = _Vars(r, mods[:, :1], mu1, m, p)
     lattice = [_lattice(term, k, m, p, s, coeff_bound) for term in th.terms]
     # The route follows the radius count.  A grid folds every weight into
-    # the operands and sums all terms in one product per bucket, so lhs is
-    # the one (S, R) array built here.  One radius (every sharpness scan
-    # and scalar entry point) sums the terms one product at a time, holding
-    # one term's (S, K) columns at once: stacking there would only copy the
-    # columns of a scan's ~2000 family rows.  perfbench has a workload on
-    # each side: fine_grid's grids hold ~1100-1900 radii, scan_table's
-    # calls one.
+    # the operands and sums all terms in one product per bucket, written
+    # straight into ``out`` (else into one new (S, R) array).  One radius
+    # (every sharpness scan and scalar entry point) sums the terms one
+    # product at a time, holding one term's (S, K) columns at once:
+    # stacking there would only copy the columns of a scan's ~2000 family
+    # rows; its sum is copied into ``out`` if one is given.  perfbench has
+    # a workload on each side: fine_grid's grids hold ~1100-1900 radii,
+    # scan_table's calls one.
     if r.size > 1:
         def columns():
             for term in th.terms:
@@ -582,7 +586,7 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound) -> Tuple[np.ndarray, 
 
         heads = [(exps, bound, None if term.weight is None else term.weight(v))
                  for term, (exps, bound) in zip(th.terms, lattice)]
-        lhs = _products(heads, columns(), r)
+        lhs = _products(heads, columns(), r, out)
     else:
         lhs = None
         for term, (exps, bound) in zip(th.terms, lattice):
@@ -594,6 +598,9 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound) -> Tuple[np.ndarray, 
                 lhs = part
             else:
                 lhs += part
+        if out is not None:
+            out[...] = lhs
+            lhs = out
     if th.absolute:
         np.abs(lhs, out=lhs)
     if th.rhs is None:
@@ -611,12 +618,20 @@ def theorem_margins(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     coeff_bound: Optional[float] = None,
     exact: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched (lhs, rhs) arrays of shape (samples, radii).
 
     ``mods`` is a (S, K) matrix of lattice moduli sharing one shape (m, p)
     and one truncation length; ``r`` is a radius grid.  This is the engine
     behind all scalar entry points and the sweep harness.
+
+    ``out``, a writable float64 array of shape (S, R) (a view into a
+    larger buffer will do), receives the left side and is returned as it,
+    so repeated calls can reuse one workspace; anything else raises
+    ParameterOutOfRange.  The right side is a read-only broadcast: a bound
+    of r alone, or the bound 1, has stride 0 along the samples, and one
+    that depends on the sample too is a full (S, R) array.
     """
     th = _THEOREMS.get(theorem_id)
     if th is None:
@@ -629,9 +644,13 @@ def theorem_margins(
         coeff_bound = float(max(1.0, mods.max(initial=0.0)))
     if not exact:
         _check_truncation(mods.shape[1], m, p, grid, coeff_bound, trunc_tol)
+    shape = (mods.shape[0], grid.size)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == shape and out.flags.writeable):
+        raise ParameterOutOfRange(f"out must be a writable float64 array of shape {shape}")
     s = None if extras is None else extras.get("s")
     _check_applicable(theorem_id, th, mods, m, p, grid, s)
-    return _evaluate(th, mods, m, p, grid, s, coeff_bound)
+    return _evaluate(th, mods, m, p, grid, s, coeff_bound, out)
 
 
 # ----------------------------------------------------------------------

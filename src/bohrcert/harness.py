@@ -18,6 +18,19 @@ window are read from there; the radius equations from
 :mod:`bohrcert.radius`.  A requested id whose every shape its rules drop
 is an error, raised before any row runs.
 
+What a campaign allocates: one bank per shape, and one (samples x grid
+points) margin workspace, allocated once and sized for the longest grid a
+row can have.  Every core call writes its left side into a view of that
+workspace, and the row reduces it to its least margin in place: where the
+right side does not vary by sample (the bound 1, or a function of r
+alone), that is min_r (rhs_r - max_i lhs_ir), with no margin array
+written.  Rows that compute the same margin (the same ``_THEOREMS``
+entries, radius equation, shapes, shift, s and grid, as ThmC and Thm41
+do) are evaluated once and reported under each id; vector rows, which
+draw their own directions, are not shared.  ``CampaignConfig`` refuses,
+before anything is allocated, a config whose samples x bank length or
+samples x grid points exceeds ``MAX_CELLS``.
+
 Determinism contract: per-sample seeds are derived as row_seed XOR
 sample index, with row_seed a CRC of the row label mixed with the config
 seed, so identical configs produce byte-identical reports regardless of
@@ -39,7 +52,7 @@ import numpy as np
 from . import functionals as fn
 from . import multidim as md
 from . import radius as rad
-from .errors import BohrcertError, CampaignError, ParameterOutOfRange
+from .errors import BohrcertError, CampaignError, ParameterOutOfRange, TruncationInsufficient
 from .functionals import _ROWS
 from .schur import sample_bank
 from .schur import sample_schur  # noqa: F401  perfbench probes it by name (ROADMAP item 1)
@@ -61,6 +74,7 @@ MAX_GRID_POINTS = 1 << 20  # radii in one campaign grid
 MAX_SAMPLES = 1 << 16  # seeded functions per bank
 MAX_DEPTH = 64  # sampler parameters per function; the bank build is O(depth^2)
 MAX_DIMS = 64  # coordinates of a vector row's directions
+MAX_CELLS = 1 << 25  # samples x bank length, and samples x grid points
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
 
@@ -165,6 +179,23 @@ class CampaignConfig:
                           ("scan_steps", md.MAX_SCAN_STEPS)):
             if getattr(self, name) > cap:
                 raise ParameterOutOfRange(f"{name} is capped at {cap}, got {getattr(self, name)}")
+        # the two (samples x length) arrays a campaign allocates: its longest
+        # bank, over every shape a row may draw one at, and its margin workspace
+        bank = 0
+        for th in self.theorems:
+            fixed = _fixed_shape(_ROWS[th])
+            for m, p in self.shapes if fixed is None else (fixed,):
+                try:
+                    bank = max(bank, _bank_length(self, m, p))
+                except TruncationInsufficient:
+                    pass  # the row that draws this bank refuses it
+        for what, length, fix in (
+                ("bank length", bank, "or r_stop"),
+                ("grid points", _grid_points(self, self.r_stop), "or raise r_step")):
+            if self.samples * length > MAX_CELLS:
+                raise ParameterOutOfRange(
+                    f"samples x {what} is capped at {MAX_CELLS}, got "
+                    f"{self.samples} x {length}; lower samples {fix}")
 
 
 @dataclass(frozen=True)
@@ -200,26 +231,35 @@ def _row_seed(config_seed: int, label: str) -> int:
     return zlib.crc32(label.encode("utf-8")) ^ (config_seed & 0xFFFFFFFF)
 
 
-def _grid(config: CampaignConfig, cap: float) -> np.ndarray:
+def _grid_points(config: CampaignConfig, cap: float) -> int:
     hi = min(config.r_stop, cap)
     if hi < config.r_start:
-        return np.zeros(0)
-    count = int(math.floor((hi - config.r_start) / config.r_step + 1e-9)) + 1
-    return config.r_start + config.r_step * np.arange(count)
+        return 0
+    return int(math.floor((hi - config.r_start) / config.r_step + 1e-9)) + 1
+
+
+def _grid(config: CampaignConfig, cap: float) -> np.ndarray:
+    return config.r_start + config.r_step * np.arange(_grid_points(config, cap))
+
+
+def _bank_length(config: CampaignConfig, m: int, p: int) -> int:
+    """Moduli per bank row: the tail certificate passes at r_stop, with one
+    spare for the vanishing-start rows, which shift by one."""
+    return fn.lacunary_length_for(m, p, config.r_stop, config.trunc_tol) + 1
+
 
 def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
     """Matrix of lattice moduli |phi_k| for `samples` seeded draws.
 
-    One bank per shape, sized so the tail certificate passes at r_stop
-    (one spare modulus for the vanishing-start rows, which shift by one);
-    per-sample seeds are bank_seed XOR sample index, and the whole bank
-    is drawn and expanded in one batch.
+    One bank per shape, :func:`_bank_length` moduli long; per-sample
+    seeds are bank_seed XOR sample index, and the whole bank is drawn and
+    expanded in one batch.
     """
     key = (m, p)
     have = cache.get(key)
     if have is not None:
         return have
-    length = fn.lacunary_length_for(m, p, config.r_stop, config.trunc_tol) + 1
+    length = _bank_length(config, m, p)
     bank_seed = _row_seed(config.seed, f"bank:{m}:{p}")
     seeds = [bank_seed ^ i for i in range(config.samples)]
     mat = np.abs(sample_bank(seeds, config.depth, length - 1))
@@ -227,11 +267,16 @@ def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
     return mat
 
 
+def _fixed_shape(row) -> Optional[Tuple[int, int]]:
+    """The one shape a row runs at whatever shapes are requested, if any."""
+    return row.shape or row.at or row.rules.shape
+
+
 def _row_shapes(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
     """The shapes an id runs at: its fixed one, or the requested ones its rules keep."""
     row = _ROWS[theorem]
     rules = row.rules
-    fixed = row.shape or row.at or rules.shape
+    fixed = _fixed_shape(row)
     if fixed is not None:
         return [fixed]
     shapes, needs = list(config.shapes), []
@@ -250,11 +295,35 @@ def _row_shapes(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
     return shapes
 
 
-def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
+@dataclass
+class _Shared:
+    """What the rows of one campaign share."""
+
+    work: np.ndarray  # (samples, grid points) left sides, reused by every core call
+    banks: Dict[Tuple[int, int], np.ndarray]  # lattice moduli by shape
+    margins: Dict[tuple, Optional[float]]  # least margins by what determines them
+
+
+def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """min over cells of rhs - lhs; NaN if any cell is NaN.
+
+    A right side that does not vary by sample (the bound 1, or a function
+    of r alone) comes broadcast with stride 0 along the samples.  There the
+    least margin is min_r (rhs_r - max_i lhs_ir), the same number as the
+    least cell, since fl(c - x) is nonincreasing in x, and no margin array
+    is written.  Otherwise the margins overwrite lhs.
+    """
+    if rhs.shape[0] == 1 or rhs.strides[0] == 0:
+        return (rhs[0] - lhs.max(axis=0)).min()
+    return np.subtract(rhs, lhs, out=lhs).min()
+
+
+def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[float]:
     """Least margin over the bank, the grid and the row's cores.
 
     (m, p) is the shape the cores run at; None when a per-function radius
-    leaves no (sample, radius) cell to check.
+    leaves no (sample, radius) cell to check.  Each core's left side is
+    written into ``work``.
     """
     if row.vector:
         dir_seed = _row_seed(config.seed, "dirs:" + label)
@@ -267,21 +336,22 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label) -> Optional[float]:
     least = None
     for core in row.cores:
         lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
-                                      trunc_tol=config.trunc_tol)
-        margins = np.subtract(rhs, lhs, out=lhs)
+                                      trunc_tol=config.trunc_tol, out=work)
         if row.per_function:
             # each sample is checked below its own radius
             radii = rad.thm31_radius(bank[:, 0], s)
             valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
             if not valid.any():
                 return None
-            margins = margins[valid]
-        low = margins.min()
-        least = low if least is None else min(least, low)
+            low = np.subtract(rhs, lhs, out=lhs)[valid].min()
+        else:
+            low = _least(lhs, rhs)
+        # np.minimum keeps a NaN from any core; min() would drop a later one
+        least = low if least is None else np.minimum(least, low)
     return float(least)
 
 
-def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
+def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     row = _ROWS[theorem]
     label = f"{theorem}:{m}:{p}:{t}:{s}"
     scan_grid = md.default_scan_grid(config.scan_steps)
@@ -306,8 +376,20 @@ def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
         grid = _grid(config, radius - _RADIUS_MARGIN)
 
     if grid.size:
-        bank = _bank(bank_cache, config, m, p)
-        min_margin = _row_margin(row, bank, cm, cp, grid, s, t, config, label)
+        bank = _bank(shared.banks, config, m, p)
+        # Rows with the same cores, equation, shapes, shift, s and grid compute
+        # the same margin (ThmC and Thm41 share their entry); a vector row
+        # draws its own directions.
+        key = None if row.vector else (
+            tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
+            (m, p), (cm, cp), row.shift, s, grid.tobytes())
+        if key in shared.margins:
+            min_margin = shared.margins[key]
+        else:
+            work = shared.work[:, :grid.size]
+            min_margin = _row_margin(row, bank, cm, cp, grid, s, t, config, label, work)
+            if key is not None:
+                shared.margins[key] = min_margin
         nsamp = bank.shape[0]
     else:
         min_margin, nsamp = None, 0
@@ -344,7 +426,9 @@ def _run_row(theorem, m, p, t, s, config, bank_cache) -> ReportRow:
 def run_campaign(config: CampaignConfig) -> Report:
     """Run every row of the campaign; deterministic for a given config."""
     rows: List[ReportRow] = []
-    bank_cache: Dict = {}
+    # np.empty maps the workspace without touching it; rows fault its
+    # pages in once, not once per core call
+    shared = _Shared(np.empty((config.samples, _grid_points(config, config.r_stop))), {}, {})
     plan = [(theorem, _row_shapes(theorem, config)) for theorem in config.theorems]
     for theorem, shapes in plan:
         row = _ROWS[theorem]
@@ -354,7 +438,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             for t in t_list:
                 for s in s_list:
                     try:
-                        rows.append(_run_row(theorem, m, p, t, s, config, bank_cache))
+                        rows.append(_run_row(theorem, m, p, t, s, config, shared))
                     except BohrcertError as exc:
                         raise CampaignError(
                             f"{theorem} (p={p}, m={m}, seed={config.seed}): {exc}",

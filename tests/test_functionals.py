@@ -594,19 +594,77 @@ BUDGET_CALLS = {  # core: (call, (S, R) arrays it returns)
 }
 
 
+# core: (bank, exact); each writes its left side into a given ``out``
+BUDGET_OUT_CALLS = {
+    "LemDOdd": (BUDGET_BANK, False),
+    "LemDEven": (BUDGET_BANK, False),
+    "ThmC": (BUDGET_BANK, False),
+    "Thm34": (BUDGET_BANK, False),
+    "Thm32": (BUDGET_SHIFTED, False),
+    "Cor43": (BUDGET_BANK, False),
+    "Lem21": (BUDGET_BANK, True),
+}
+
+
+def traced_peak(call):
+    """Bytes a call holds at its peak beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestAllocationBudget:
+    CELLS = BUDGET_BANK.shape[0] * BUDGET_GRID.size
+
     @pytest.mark.parametrize("core", sorted(BUDGET_CALLS))
     def test_peak_within_returned_arrays(self, core):
         # numpy reports its buffers to tracemalloc, so this counts bytes, not
         # time: a core may hold its returned (S, R) arrays plus 0.6 of one
         call, returned = BUDGET_CALLS[core]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = call()
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        cells = BUDGET_BANK.shape[0] * BUDGET_GRID.size
+        out, peak = traced_peak(call)
         assert out[0].shape == (500, 1899)
-        assert peak <= (returned + 0.6) * cells * 8, peak / (cells * 8)
+        assert peak <= (returned + 0.6) * self.CELLS * 8, peak / (self.CELLS * 8)
+
+    @pytest.mark.parametrize("core", sorted(BUDGET_OUT_CALLS))
+    def test_peak_beyond_out(self, core):
+        # the left side goes into the caller's buffer, a column slice of a
+        # wider workspace as a campaign passes it; only a right side that
+        # depends on the sample (LemDEven, Lem21) is a second (S, R) array
+        bank, exact = BUDGET_OUT_CALLS[core]
+        work = np.full((500, BUDGET_GRID.size + 37), -1.0)
+        out = work[:, :BUDGET_GRID.size]
+        (lhs, rhs), peak = traced_peak(lambda: fn.theorem_margins(
+            core, bank, 1, 3, BUDGET_GRID, out=out, exact=exact))
+        assert lhs is out and np.all(work[:, BUDGET_GRID.size:] == -1.0)
+        sample_rhs = core in ("LemDEven", "Lem21")
+        assert (rhs.strides[0] != 0) == sample_rhs
+        assert peak <= (sample_rhs + 0.6) * self.CELLS * 8, peak / (self.CELLS * 8)
+        want, _ = fn.theorem_margins(core, bank, 1, 3, BUDGET_GRID, exact=exact)
+        assert np.array_equal(lhs, want)
+
+
+class TestOut:
+    BANK = BUDGET_BANK[:4]
+    GRID = np.array([0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 2)), np.empty((3, 3)), np.empty((4, 3, 1)), np.empty((4, 3), np.float32),
+        np.empty((4, 3), complex), np.zeros((4, 3)).tolist(),
+        np.broadcast_to(np.empty(3), (4, 3)),  # read-only
+    ])
+    def test_bad_out_raises(self, out):
+        with pytest.raises(ParameterOutOfRange, match="^out must be a writable float64"):
+            fn.theorem_margins("ThmC", self.BANK, 1, 3, self.GRID, out=out)
+
+    @pytest.mark.parametrize("r", [[0.3], [0.1, 0.2, 0.3]])
+    def test_both_routes_fill_out(self, r):
+        # one radius sums term by term, a grid in one product; both fill out
+        out = np.empty((4, len(r)))
+        lhs, _ = fn.theorem_margins("Cor43", self.BANK, 1, 3, r, out=out)
+        want, _ = fn.theorem_margins("Cor43", self.BANK, 1, 3, r)
+        assert lhs is out and np.array_equal(out, want)

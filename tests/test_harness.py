@@ -216,17 +216,63 @@ class TestRunCampaign:
 
     def test_nan_margin_fails_row(self, monkeypatch):
         real = hn.fn.theorem_margins
+        nan_in = []
 
         def nan_core(*args, **kwargs):
             lhs, rhs = real(*args, **kwargs)
-            lhs = lhs.copy()
-            lhs[0, 0] = np.nan
+            if args[0] in nan_in:
+                lhs = lhs.copy()
+                lhs[0, 0] = np.nan
             return lhs, rhs
 
         monkeypatch.setattr(hn.fn, "theorem_margins", nan_core)
-        row = hn.run_campaign(small_config()).rows[0]
-        assert math.isnan(row.min_margin)
-        assert row.passed is False
+        for theorem, shape, core in [
+            ("ThmC", (1, 1), "ThmC"),
+            # LemD's second core: a NaN there must not give way to LemDOdd's margin
+            ("LemD", (1, 3), "LemDEven"),
+            ("LemD", (1, 3), "LemDOdd"),
+        ]:
+            nan_in[:] = [core]
+            row = hn.run_campaign(small_config(theorems=(theorem,), shapes=(shape,))).rows[0]
+            assert math.isnan(row.min_margin), core
+            assert row.passed is False
+
+    def test_core_calls_share_one_workspace(self, monkeypatch):
+        real = hn.fn.theorem_margins
+        seen = []
+
+        def spy(*args, **kwargs):
+            lhs, rhs = real(*args, **kwargs)
+            seen.append((kwargs["out"], lhs))
+            return lhs, rhs
+
+        monkeypatch.setattr(hn.fn, "theorem_margins", spy)
+        cfg = small_config(theorems=("LemD", "ThmC", "Thm32", "Cor43", "Lem21"),
+                           shapes=((1, 1), (1, 3)), t_values=(1.0, math.inf))
+        hn.run_campaign(cfg)
+        # rows on different grids get views of one (samples x grid points) buffer
+        assert len({lhs.shape for _, lhs in seen}) > 1
+        assert len({out.__array_interface__["data"][0] for out, _ in seen}) == 1
+        assert all(lhs is out for out, lhs in seen)
+
+    def test_identical_rows_run_their_core_once(self, monkeypatch):
+        real = hn.fn.theorem_margins
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn.fn, "theorem_margins", spy)
+        cfg = small_config(theorems=("ThmC", "Thm41"), shapes=((0, 1), (1, 3)))
+        rows = hn.run_campaign(cfg).rows
+        assert calls == ["ThmC", "ThmC"]  # once per shape
+        assert [(r.theorem, r.m, r.p) for r in rows] == [
+            ("ThmC", 0, 1), ("ThmC", 1, 3), ("Thm41", 0, 1), ("Thm41", 1, 3)]
+        # each Thm41 row reads what a campaign of Thm41 alone computes
+        alone = hn.run_campaign(small_config(theorems=("Thm41",), shapes=((0, 1), (1, 3))))
+        assert [r.min_margin for r in rows[2:]] == [r.min_margin for r in alone.rows]
+        assert [r.min_margin for r in rows[:2]] == [r.min_margin for r in alone.rows]
 
     def test_determinism_byte_identical(self):
         cfg = small_config(samples=25)
@@ -241,6 +287,22 @@ class TestRunCampaign:
             hn.run_campaign(cfg)
         assert err.value.theorem == "ThmC"
         assert err.value.seed == 99
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rhs_kind=st.sampled_from(["one", "r", "sample"]))
+def test_least_equals_least_cell(seed, rhs_kind):
+    # the column-max reduction is exact, ties and huge spreads included
+    rng = np.random.default_rng(seed)
+    lhs = rng.choice([0.0, 1e-300, 0.3, 1 / 3, 1.0, 1e16], size=(7, 9)) * rng.random((7, 9))
+    rhs = {"one": np.broadcast_to(1.0, lhs.shape),
+           "r": np.broadcast_to(rng.random(9) * 2.0, lhs.shape),
+           "sample": rng.random((7, 1)) * rng.random(9)}[rhs_kind]
+    want = (rhs - lhs).min()
+    got = hn._least(lhs.copy(), rhs)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    lhs[3, 4] = np.nan
+    assert math.isnan(hn._least(lhs, rhs))
 
 
 class TestReports:
@@ -396,6 +458,10 @@ class TestCli:
          % (hn.MAX_DIMS + 1)),
         (None, '{"theorems": ["ThmB"], "samples": 2, "scan_steps": %d}'
          % (md.MAX_SCAN_STEPS + 1)),
+        # caps on samples x bank length (a 2.9 GB bank) and samples x grid
+        # points (the margin workspace), each factor within its own cap
+        (None, '{"theorems": ["ThmB"], "samples": 65536, "r_stop": 0.99}'),
+        (None, '{"theorems": ["ThmB"], "samples": 65536, "r_step": 1e-6}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
@@ -415,6 +481,19 @@ class TestCli:
         hn.CampaignConfig(theorems=(), **{key: cap})
         with pytest.raises(ParameterOutOfRange, match=f"^{key} is capped at {cap}, got {cap + 1}$"):
             hn.CampaignConfig(theorems=(), **{key: cap + 1})
+
+    def test_cell_cap_bounds_bank_and_grid(self):
+        # 2^15 samples x 1024 grid points is the cap exactly
+        grid = dict(theorems=("ThmB",), r_start=0.0, r_stop=0.5, r_step=0.5 / 1023)
+        hn.CampaignConfig(samples=hn.MAX_CELLS // 1024, **grid)
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^samples x grid points is capped at {hn.MAX_CELLS}, "):
+            hn.CampaignConfig(samples=hn.MAX_CELLS // 1024 + 1, **grid)
+        # a bank at a fixed shape counts as well as a requested one
+        with pytest.raises(ParameterOutOfRange, match="^samples x bank length is capped"):
+            hn.CampaignConfig(theorems=("Cor33",), shapes=((3, 3),), samples=32768,
+                              r_stop=0.99)
+        hn.CampaignConfig(theorems=("ThmC",), shapes=((3, 3),), samples=32768, r_stop=0.99)
 
     def test_sharpness_negative_steps_exits_two(self, capsys):
         code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "3", "--m", "1",

@@ -10,10 +10,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bohrcert
-from bohrcert import functionals, multidim, schur, series
+from bohrcert import functionals, harness, multidim, schur, series
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -68,6 +69,30 @@ def test_benchmark_probes_resolve(monkeypatch):
     missing = [f"{p.module.__name__}.{p.attr}" for p in probes if not hasattr(p.module, p.attr)]
     assert probes
     assert missing == []
+
+
+def test_margin_core_keeps_the_tracer_contract(monkeypatch):
+    """perfbench binds ``theorem_margins``' arguments by name and reads the
+    (samples, radii) shape of its first result, and its campaign op
+    latencies are the calls a campaign makes through
+    ``functionals.theorem_margins``: with none, ``op_p50_ms`` has no data."""
+    tracing = _tracing(monkeypatch)
+    kwargs = dict(theorem_id="ThmC", mods=np.full((3, 40), 0.1), m=1, p=3, r=[0.1, 0.2])
+    result = functionals.theorem_margins(**kwargs)
+    assert len(result) == 2 and result[0].shape == (3, 2)
+    assert tracing._count_terms((), kwargs, result)["cells"] == 6
+
+    real, counted = functionals.theorem_margins, []
+
+    def traced(*args, **kw):
+        out = real(*args, **kw)
+        counted.append(tracing._count_terms(args, kw, out))
+        return out
+
+    monkeypatch.setattr(functionals, "theorem_margins", traced)
+    harness.run_campaign(harness.CampaignConfig(
+        theorems=("LemD", "ThmC"), shapes=((1, 3),), samples=2, r_stop=0.3))
+    assert len(counted) == 3 and all(c["cells"] > 0 for c in counted)
 
 
 def test_row_cores_are_catalog_entries():
