@@ -119,18 +119,21 @@ def _config_from_args(args) -> harness.CampaignConfig:
     return harness.CampaignConfig(**kwargs)
 
 
+def _print_row(row: harness.ReportRow) -> None:
+    status = "ok " if row.passed else "FAIL"
+    rad_txt = "-" if row.radius is None else f"{row.radius:.8f}"
+    marg_txt = "-" if row.min_margin is None else f"{row.min_margin:.3e}"
+    t_txt = "" if row.t is None else f", t={row.t:g}"
+    print(
+        f"[{status}] {row.theorem:<14} (m={row.m}, p={row.p}{t_txt})"
+        f" radius={rad_txt} min_margin={marg_txt}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
-    report = harness.run_campaign(config)
-    for row in report.rows:
-        status = "ok " if row.passed else "FAIL"
-        rad_txt = "-" if row.radius is None else f"{row.radius:.8f}"
-        marg_txt = "-" if row.min_margin is None else f"{row.min_margin:.3e}"
-        print(
-            f"[{status}] {row.theorem:<14} (m={row.m}, p={row.p})"
-            f" radius={rad_txt} min_margin={marg_txt}",
-            file=sys.stderr,
-        )
+    report = harness.run_campaign(config, on_row=_print_row)
     if config.output == "-":
         out = (
             harness.report_to_json(report)

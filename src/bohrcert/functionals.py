@@ -51,8 +51,11 @@ w_k (already powered or signed), per-radius weights into the table of
 powers r^e, and radii are grouped into buckets by the power-of-two
 ceiling of their largest column count, so the whole left side is one
 matrix product per bucket written into one (samples, radii) array, the
-caller's ``out`` when it passes one.  One radius takes the terms one
-product at a time instead, each weight applied after its sum.  Either way
+caller's ``out`` when it passes one.  One radius sums each term on its
+own instead, as one fused sum read in place from its lattice slice of the
+moduli (its signs and per-radius weight folded into the vector of powers,
+its per-sample weight applied after the sum), added into the left side's
+one column; nothing the size of the moduli is allocated.  Either way
 each term keeps its own column count per radius, read from its
 unweighted bound coeff_bound^power, so the 2^-64 skip and its certificate
 are the same on both routes.
@@ -230,6 +233,16 @@ def _as_r_grid(r) -> np.ndarray:
     return grid
 
 
+def _need(exps: np.ndarray, bound: float, r: np.ndarray) -> np.ndarray:
+    """Columns of a lattice sum taken at each radius: the :func:`_cut_length`
+    count, capped at the columns stored; a count that is not a number takes
+    every column."""
+    need = np.full(r.size, exps.size)
+    if exps.size > 1:
+        need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
+    return need
+
+
 def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over parts of weight * sum_k w_k r^exps_k, on the radius grid r.
 
@@ -251,12 +264,7 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
     it as a view, and any other bucket gathers its columns.  The sums are
     written into ``out`` when one is given.
     """
-    needs = []
-    for exps, bound, _ in heads:
-        need = np.full(r.size, exps.size)
-        if exps.size > 1:
-            need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
-        needs.append(need)
+    needs = [_need(exps, bound, r) for exps, bound, _ in heads]
     most = needs[0] if len(needs) == 1 else np.max(needs, axis=0)
     edges = [0, r.size]
     if r.size > 1 and np.all(most[1:] >= most[:-1]):
@@ -572,12 +580,12 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     # The route follows the radius count.  A grid folds every weight into
     # the operands and sums all terms in one product per bucket, written
     # straight into ``out`` (else into one new (S, R) array).  One radius
-    # (every sharpness scan and scalar entry point) sums the terms one
-    # product at a time, holding one term's (S, K) columns at once:
-    # stacking there would only copy the columns of a scan's ~2000 family
-    # rows; its sum is copied into ``out`` if one is given.  perfbench has
-    # a workload on each side: fine_grid's grids hold ~1100-1900 radii,
-    # scan_table's calls one.
+    # (every sharpness scan and scalar entry point) reads each term's
+    # lattice slice of ``mods`` in place, in one fused sum whose power
+    # vector carries the term's signs and per-radius weight, and adds it
+    # into the left side's one column; a scan's ~2000 family rows are
+    # neither powered nor copied.  perfbench has a workload on each side:
+    # fine_grid's grids hold ~1100-1900 radii, scan_table's calls one.
     if r.size > 1:
         def columns():
             for term in th.terms:
@@ -588,19 +596,26 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
                  for term, (exps, bound) in zip(th.terms, lattice)]
         lhs = _products(heads, columns(), r, out)
     else:
-        lhs = None
-        for term, (exps, bound) in zip(th.terms, lattice):
-            part = _psum(_columns(term, mods, k, m, p, s), exps, r, bound)
-            for weight in (term.sample_weight, term.weight):
-                if weight is not None:
-                    part *= weight(v)
-            if lhs is None:
-                lhs = part
+        lhs = np.empty((samples, 1)) if out is None else out
+        total = lhs[:, 0]
+        for j, (term, (exps, bound)) in enumerate(zip(th.terms, lattice)):
+            n = int(_need(exps, bound, r)[0])
+            w = mods[:, term.cols][:, :n]
+            powers = r[0] ** exps[:n]
+            if term.power == "signed":
+                powers *= _signs(k[term.cols][:n], m, p)
+            if term.weight is not None:
+                powers *= term.weight(v)
+            if term.power == 2:
+                part = np.einsum("ik,ik,k->i", w, w, powers, out=total if j == 0 else None)
             else:
-                lhs += part
-        if out is not None:
-            out[...] = lhs
-            lhs = out
+                if term.power == "s":
+                    w = w ** float(s)
+                part = np.einsum("ik,k->i", w, powers, out=total if j == 0 else None)
+            if term.sample_weight is not None:
+                part *= term.sample_weight(v)[:, 0]
+            if j:
+                total += part
     if th.absolute:
         np.abs(lhs, out=lhs)
     if th.rhs is None:

@@ -45,7 +45,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -300,6 +300,7 @@ class _Shared:
     """What the rows of one campaign share."""
 
     work: np.ndarray  # (samples, grid points) left sides, reused by every core call
+    scan_grid: np.ndarray  # family parameters of the sharpness scans
     banks: Dict[Tuple[int, int], np.ndarray]  # lattice moduli by shape
     margins: Dict[tuple, Optional[float]]  # least margins by what determines them
 
@@ -354,13 +355,12 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[fl
 def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     row = _ROWS[theorem]
     label = f"{theorem}:{m}:{p}:{t}:{s}"
-    scan_grid = md.default_scan_grid(config.scan_steps)
     cm, cp = row.at or (m, p)
 
     radius = closed = None
     if row.per_function:
         # The family scan crosses 1 at the smallest per-parameter radius.
-        radius = float(rad.thm31_radius(scan_grid, s).min())
+        radius = float(rad.thm31_radius(shared.scan_grid, s).min())
     elif row.equation is not None:
         spec = rad.RadiusSpec(row.equation, cp, cm)
         closed = rad.closed_form_radius(spec)
@@ -401,7 +401,8 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
             # The scan's default order 512 where it certifies ``at``, so those
             # scans read the same columns; more where the row's shape needs them.
             order = max(512, cm + cp * fn.lacunary_length_for(cm, cp, at))
-            sharp = md.sharpness_scan(row.scan, cp, cm, at, scan_grid, s=s, order=order)
+            sharp = md.sharpness_scan(row.scan, cp, cm, at, shared.scan_grid, s=s,
+                                       order=order)
 
     ok = True
     if min_margin is not None and not min_margin >= -config.tol:
@@ -423,12 +424,18 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     )
 
 
-def run_campaign(config: CampaignConfig) -> Report:
-    """Run every row of the campaign; deterministic for a given config."""
+def run_campaign(config: CampaignConfig,
+                 on_row: Optional[Callable[[ReportRow], None]] = None) -> Report:
+    """Run every row of the campaign; deterministic for a given config.
+
+    ``on_row``, if given, is called with each row as it completes, in
+    report order.
+    """
     rows: List[ReportRow] = []
     # np.empty maps the workspace without touching it; rows fault its
     # pages in once, not once per core call
-    shared = _Shared(np.empty((config.samples, _grid_points(config, config.r_stop))), {}, {})
+    shared = _Shared(np.empty((config.samples, _grid_points(config, config.r_stop))),
+                     md.default_scan_grid(config.scan_steps), {}, {})
     plan = [(theorem, _row_shapes(theorem, config)) for theorem in config.theorems]
     for theorem, shapes in plan:
         row = _ROWS[theorem]
@@ -438,7 +445,7 @@ def run_campaign(config: CampaignConfig) -> Report:
             for t in t_list:
                 for s in s_list:
                     try:
-                        rows.append(_run_row(theorem, m, p, t, s, config, shared))
+                        report_row = _run_row(theorem, m, p, t, s, config, shared)
                     except BohrcertError as exc:
                         raise CampaignError(
                             f"{theorem} (p={p}, m={m}, seed={config.seed}): {exc}",
@@ -447,6 +454,9 @@ def run_campaign(config: CampaignConfig) -> Report:
                             m=m,
                             seed=config.seed,
                         ) from exc
+                    rows.append(report_row)
+                    if on_row is not None:
+                        on_row(report_row)
     return Report(rows=tuple(rows))
 
 

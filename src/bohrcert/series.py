@@ -20,6 +20,8 @@ product :func:`mul` and long-division :func:`reciprocal`.  No library
 code calls those two any more: the sampler divides its rational form in
 ``schur.taylor_rows`` and the extremal families are written in closed
 form in ``schur``.  The benchmark's tracer still wraps both by name.
+:func:`reciprocal` imports scipy when it is called, so importing the
+package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterOutOfRange, ZeroConstantTerm
 
@@ -110,6 +111,8 @@ def reciprocal(a: TruncatedSeries, zero_tol: float = 1e-12) -> TruncatedSeries:
     g_k = -(1/c_0) sum_{j=1..k} c_j g_{k-j}, which is exactly an IIR
     filter applied to a unit impulse.
     """
+    from scipy.signal import lfilter  # slow and large to import, and only this uses it
+
     if abs(a.coeffs[0]) <= zero_tol:
         raise ZeroConstantTerm(
             f"constant term has modulus {abs(a.coeffs[0]):.3e} <= {zero_tol:.0e}"

@@ -648,6 +648,35 @@ class TestAllocationBudget:
         assert np.array_equal(lhs, want)
 
 
+# A sharpness scan's margin-core call: the extremal family's moduli on the
+# 2048-step scan grid, at one radius; Thm32 takes them with a vanishing start.
+SCAN_TABLE = schur.family_moduli(md.default_scan_grid(2048), 170)
+SCAN_TABLES = {"ThmC": SCAN_TABLE, "Thm34": SCAN_TABLE, "Cor43": SCAN_TABLE,
+               "Thm32": np.hstack([np.zeros((SCAN_TABLE.shape[0], 1)), SCAN_TABLE])}
+
+
+class TestOneRadius:
+    """One radius reads each term's lattice slice of the table in place."""
+
+    @pytest.mark.parametrize("core", sorted(SCAN_TABLES))
+    def test_allocates_no_table(self, core):
+        # at r = 0.9 and shape (1, 3) the terms keep 70-144 of the 170 columns
+        table = SCAN_TABLES[core]
+        (lhs, _), peak = traced_peak(lambda: fn.theorem_margins(core, table, 1, 3, [0.9]))
+        assert lhs.shape == (table.shape[0], 1)
+        assert peak <= 0.05 * SCAN_TABLE.nbytes, peak / SCAN_TABLE.nbytes
+
+    @pytest.mark.parametrize("core", sorted(SCAN_TABLES))
+    def test_matches_written_terms(self, core):
+        table = SCAN_TABLES[core]
+        work = np.full((table.shape[0], 3), -1.0)
+        for r in (0.3, 0.7, 0.9):
+            lhs, _ = fn.theorem_margins(core, table, 1, 3, [r], out=work[:, 1:2])
+            want, reorder = written_lhs(core, table, 1, 3, [r])
+            assert lhs.base is work and np.all(work[:, ::2] == -1.0)
+            assert np.all(np.abs(lhs - want) <= 1e-15 + reorder), r
+
+
 class TestOut:
     BANK = BUDGET_BANK[:4]
     GRID = np.array([0.1, 0.2, 0.3])

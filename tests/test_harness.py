@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bohrcert import harness as hn
@@ -160,6 +165,31 @@ class TestRunCampaign:
         with pytest.raises(ParameterOutOfRange, match=f"^{theorem} needs {rule}, "):
             hn.run_campaign(cfg)
         assert ran == []
+
+    def test_on_row_sees_each_row_as_it_completes(self, monkeypatch):
+        cfg = hn.CampaignConfig(theorems=("LemD", "ThmC", "Thm41", "Lem21"),
+                                shapes=((1, 1), (1, 3)), t_values=(1.0, math.inf),
+                                samples=4, seed=3, r_stop=0.6)
+        real, seen, started = hn._run_row, [], []
+
+        def run_row(*args):
+            started.append(len(seen))  # rows reported before this one started
+            return real(*args)
+
+        monkeypatch.setattr(hn, "_run_row", run_row)
+        rep = hn.run_campaign(cfg, on_row=seen.append)
+        assert seen == list(rep.rows) and len(seen) == 10
+        assert started == list(range(len(seen)))
+        assert hn.report_to_json(rep) == hn.report_to_json(hn.run_campaign(cfg))
+
+    def test_scan_grid_built_once(self, monkeypatch):
+        real, calls = md.default_scan_grid, []
+        monkeypatch.setattr(md, "default_scan_grid", lambda *a: calls.append(a) or real(*a))
+        rep = hn.run_campaign(hn.CampaignConfig(
+            theorems=("Thm31", "Thm32", "Thm34"), shapes=((0, 1), (1, 3)), samples=2,
+            r_stop=0.5, s_values=(1.0, 2.0), scan_steps=64))
+        assert len(rep.rows) == 6 and sum(r.sharpness_max is not None for r in rep.rows) == 6
+        assert calls == [(64,)]
 
     def test_odd_gap_shapes_filtered(self):
         cfg = hn.CampaignConfig(
@@ -410,6 +440,28 @@ class TestCli:
         )
         assert code == 1
 
+    def test_verify_streams_progress(self, tmp_path, monkeypatch, capsys):
+        # each row's progress line is on stderr before the next row starts
+        real, printed = hn._run_row, []
+
+        def run_row(*args):
+            printed.append(capsys.readouterr().err)
+            return real(*args)
+
+        monkeypatch.setattr(hn, "_run_row", run_row)
+        out = tmp_path / "r.json"
+        code = cli_main(["verify", "--theorems", "ThmB,LemD,Lem21", "--shapes", "1:1,1:3",
+                         "--t", "1,inf", "--samples", "3", "--r-stop", "0.6",
+                         "--output", str(out)])
+        printed.append(capsys.readouterr().err)
+        assert code == 0
+        assert [text.count("\n") for text in printed] == [0] + [1] * 6 + [2]
+        rows = hn.report_from_json(out.read_text()).rows
+        lines = "".join(printed).splitlines()[:-1]
+        assert [line.split(")")[0] for line in lines] == [
+            f"[ok ] {r.theorem:<14} (m={r.m}, p={r.p}" + ("" if r.t is None else f", t={r.t:g}")
+            for r in rows]
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["radius", "--theorem", "Nope"])
@@ -577,3 +629,93 @@ class TestInputFuzz:
         except BohrcertError:
             return
         assert isinstance(cfg, hn.CampaignConfig)
+
+
+@st.composite
+def _tiny_campaigns(draw):
+    """A flat config for a campaign of a few rows, 1-3 samples and a coarse grid."""
+    return {
+        "theorems": draw(st.lists(st.sampled_from(hn.CAMPAIGN_THEOREMS),
+                                  min_size=1, max_size=3, unique=True)),
+        "shapes": draw(st.lists(st.integers(1, 3).flatmap(
+            lambda p: st.tuples(st.integers(0, p), st.just(p))), min_size=1, max_size=2)),
+        "t_values": draw(st.lists(st.sampled_from([1, 2, "inf"]), min_size=1, max_size=2)),
+        "s_values": draw(st.lists(st.sampled_from([0.5, 1, 2]), min_size=1, max_size=2)),
+        "samples": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+        "depth": draw(st.integers(1, 4)),
+        "r_stop": draw(st.floats(0.05, 0.6)),
+        "r_step": draw(st.sampled_from([0.05, 0.1, 0.25])),
+        "tol": draw(st.sampled_from([1e-9, 0.0, -1.0])),  # -1 fails every margin row
+        "scan_steps": draw(st.integers(0, 8)),
+        "format": draw(st.sampled_from(["json", "csv"])),
+    }
+
+
+_FLAGS = ("theorems", "shapes", "t", "samples", "seed", "depth", "r_stop", "r_step", "tol",
+          "format")
+
+
+def _as_flags(cfg):
+    values = dict(cfg, t=",".join(str(t) for t in cfg["t_values"]),
+                  theorems=",".join(cfg["theorems"]),
+                  shapes=",".join(f"{m}:{p}" for m, p in cfg["shapes"]))
+    return {name: str(values[name]) for name in _FLAGS}
+
+
+def _report_rows(text, fmt):
+    """(rows, passes) of a report text; csv rows end in their pass cell."""
+    if fmt == "json":
+        rows = hn.report_from_json(text).rows
+        return len(rows), all(row.passed for row in rows)
+    lines = text.splitlines()
+    assert text.endswith("\n") and lines[0] == ",".join(hn._CSV_COLUMNS)
+    assert all(line.rsplit(",", 1)[1] in ("true", "false") for line in lines[1:])
+    return len(lines) - 1, all(line.endswith(",true") for line in lines[1:])
+
+
+class TestCliFuzz:
+    """Whole ``verify`` runs on tiny campaigns, some with a malformed flag or
+    config: the exit code is 0, 1 or 2, and 0 or 1 only with a complete
+    report written, one row per progress line, failing exactly when 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_tiny_campaigns(), use_config=st.booleans(), to_stdout=st.booleans(),
+           bad=st.none() | st.tuples(st.sampled_from(_FLAGS + ("s_values", "scan_steps", "nope")),
+                                     _JSON_VALUES),
+           cut=st.none() | st.floats(0.0, 1.0))
+    def test_exit_codes(self, cfg, use_config, to_stdout, bad, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = "-" if to_stdout else str(Path(tmp) / "report")
+            if use_config:
+                obj = dict(cfg, output=path)
+                if bad is not None:
+                    obj[bad[0]] = bad[1]
+                text = json.dumps(obj)
+                if cut is not None:  # a truncated file
+                    text = text[:int(cut * len(text))]
+                (Path(tmp) / "cfg.json").write_text(text)
+                argv = ["verify", "--config", str(Path(tmp) / "cfg.json")]
+            else:
+                flags = _as_flags(cfg)
+                if bad is not None:
+                    flags[bad[0]] = str(bad[1])
+                argv = ["verify", "--output", path] + [
+                    f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:  # argparse refuses the flag
+                    code = exc.code
+            assert code in (0, 1, 2), err.getvalue()
+            event(f"exit {code}")
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                # ours, or argparse's "bohrcert verify: error: ..."
+                assert re.match(r"bohrcert( verify)?: (io )?error: ", err.getvalue().splitlines()[-1])
+                return
+            report = out.getvalue() if to_stdout else Path(path).read_text(encoding="utf-8")
+            rows, passed = _report_rows(report, "csv" if "theorem,p,m" in report[:20] else "json")
+            assert rows == len(re.findall(r"^\[(ok |FAIL)\] ", err.getvalue(), re.M))
+            assert passed == (code == 0)

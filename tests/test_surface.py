@@ -6,7 +6,9 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,3 +125,39 @@ def test_series_exports_are_used(monkeypatch):
     probed = {p.attr for p in _tracing(monkeypatch).LAYER_PROBES if p.module is series}
     assert [name for name in series.__all__ if name not in used | probed] == []
 
+
+
+def _modules_after(code):
+    """Top-level modules a fresh interpreter holds after running ``code``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = code + "\nprint(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize("code", [
+    "import sys\nimport bohrcert, bohrcert.cli, bohrcert.harness",
+    # python -m bohrcert --help, in the process that reports its modules
+    "import runpy, sys\nsys.argv = ['bohrcert', '--help']\n"
+    "try:\n    runpy.run_module('bohrcert', run_name='__main__')\n"
+    "except SystemExit:\n    pass",
+], ids=["import", "help"])
+def test_import_loads_no_scipy(code):
+    """scipy costs about a second and 75 MB to import, and only
+    ``series.reciprocal`` uses it, so it is imported there, when called."""
+    modules = _modules_after(code)
+    assert "bohrcert" in modules and "numpy" in modules
+    assert "scipy" not in modules
+
+
+def test_reciprocal_still_divides_by_lfilter():
+    from scipy.signal import lfilter
+
+    coeffs = np.array([2.0, -1.0 + 0.5j, 0.25, 0.0, 0.1j, -0.3])
+    impulse = np.zeros(coeffs.size, dtype=complex)
+    impulse[0] = 1.0
+    got = series.reciprocal(series.TruncatedSeries(coeffs)).coeffs
+    assert np.array_equal(got, lfilter([1.0 + 0.0j], coeffs, impulse))
+    assert np.allclose(np.convolve(coeffs, got)[:coeffs.size], np.eye(1, coeffs.size)[0])
