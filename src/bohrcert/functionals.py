@@ -367,6 +367,13 @@ class _Theorem:
     is stated under: the one shape (m, p), an odd gap p, a lattice that
     starts at m >= 1 (the slices of f = z*g), a vanishing lattice start
     mu_0 = 0, and a radius window [lo, hi].
+
+    In an entry with the bound 1, every term's exponents are nonnegative
+    and its per-radius weight has one sign and a nondecreasing modulus on
+    [0, 1) for every shape.  Each term's positive and negative parts
+    (:func:`_parity_parts`) are then nondecreasing in r, so a campaign may
+    bound a sample's left side on [0, r] by its parts at r alone
+    (``harness._unsettled``); a test holds every such entry to this.
     """
 
     terms: Tuple[_Term, ...]
@@ -621,6 +628,42 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     if th.rhs is None:
         return lhs, np.broadcast_to(1.0, lhs.shape)
     return lhs, np.broadcast_to(th.rhs(v), lhs.shape)
+
+
+def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonnegative parts (P, N), of shape (samples, radii), of a left side.
+
+    The sum of the terms is P - N.  A term is weight * sum_k w_k r^e_k
+    with w_k >= 0 (mu_k, mu_k^2, mu_k^s, or the modulus of a signed
+    mu_k); its weight times the sum over the columns whose sign is +1 goes
+    to P where the weight is positive and to N where it is negative, and
+    the columns whose sign is -1 the other way.  Each term is one product
+    of its (samples, K) columns with a (K, 2 radii) table of its powers
+    split by sign, every stored column taken.
+    """
+    samples, length = mods.shape
+    k = np.arange(length)
+    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
+    v = _Vars(r, mods[:, :1], mu1, m, p)
+    pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
+    for term in th.terms:
+        up = r ** _lattice(term, k, m, p, s, 1.0)[0][:, None]
+        down = np.zeros_like(up)
+        if term.power == "signed":
+            w = mods[:, term.cols]
+            even = (_signs(k[term.cols], m, p) > 0.0)[:, None]
+            up, down = np.where(even, up, 0.0), np.where(even, 0.0, up)
+        else:
+            w = _columns(term, mods, k, m, p, s)
+        plus, minus = np.hsplit(w @ np.hstack((up, down)), 2)
+        weight = 1.0 if term.weight is None else term.weight(v)
+        if term.sample_weight is not None:
+            weight = weight * term.sample_weight(v)
+        # a NaN weight keeps its NaN in both parts
+        above, below = np.maximum(weight, 0.0), np.maximum(-weight, 0.0)
+        pos += above * plus + below * minus
+        neg += above * minus + below * plus
+    return pos, neg
 
 
 def theorem_margins(

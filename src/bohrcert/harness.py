@@ -31,6 +31,21 @@ draw their own directions, are not shared.  ``CampaignConfig`` refuses,
 before anything is allocated, a config whose samples x bank length or
 samples x grid points exceeds ``MAX_CELLS``.
 
+Which cells a row evaluates: a core with the bound 1 (ThmC/Thm41, Thm32,
+Thm34 and Cor43, so also the Cor33 and Cor42 rows) on a row whose radius
+does not depend on the function evaluates only the cells that can hold
+its least margin.  A sample's left side on [0, r] is at most the larger
+of its two nonnegative parity parts P and N at r, since both are
+nondecreasing in r, and the largest left side at the top radius, M, is
+a cell the core call always evaluates.  Cells whose bound is below M, by
+a rounding allowance of 1e-12 relative, are settled: their margins
+exceed the least one.  The call evaluates the rest, the unsettled
+samples over the suffix of the grid where some bound still reaches M,
+so the reported least margin is still a computed cell's and every cell
+left out is certified above it.  Where N is 0 (Thm32, Thm34) that is
+the top radius alone.  Thm31's per-function rows, LemD, Lem21 and the
+envelopes evaluate every cell.
+
 Determinism contract: per-sample seeds are derived as row_seed XOR
 sample index, with row_seed a CRC of the row label mixed with the config
 seed, so identical configs produce byte-identical reports regardless of
@@ -77,6 +92,9 @@ MAX_DIMS = 64  # coordinates of a vector row's directions
 MAX_CELLS = 1 << 25  # samples x bank length, and samples x grid points
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
+# rounding a settled cell is allowed, relative to its parts' sum; the
+# margin core's is at most 7.1e-15 on sums up to 4.3
+_SETTLE_SLACK = 1e-12
 
 
 def _as_list(name: str, value) -> tuple:
@@ -151,8 +169,8 @@ class CampaignConfig:
             raise ParameterOutOfRange("norm indices t must be >= 1 or inf")
         if not all(s > 0.0 for s in self.s_values):  # NaN fails too
             raise ParameterOutOfRange("s_values must hold exponents s > 0")
-        if math.isnan(self.tol) or not 0.0 < self.trunc_tol < math.inf:
-            raise ParameterOutOfRange("tol must be a number and trunc_tol in (0, inf)")
+        if not math.isfinite(self.tol) or not 0.0 < self.trunc_tol < math.inf:
+            raise ParameterOutOfRange("tol must be a finite number and trunc_tol in (0, inf)")
         if not self.samples >= 1:
             raise ParameterOutOfRange("sample count must be >= 1")
         if not (0.0 < self.r_step and 0.0 <= self.r_start < 1.0):
@@ -319,12 +337,59 @@ def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return np.subtract(rhs, lhs, out=lhs).min()
 
 
+def _unsettled(core, bank, m, p, grid, s, trunc_tol) -> Tuple[np.ndarray, int, float]:
+    """The rows of ``bank`` and the first grid column whose cells a bound-1
+    core must evaluate, and the whole bank's coefficient bound.
+
+    lhs_i <= max(P_i, N_i) on [0, r] with both parts taken at r, since
+    they are nondecreasing (``functionals._Theorem``).  M, the largest left
+    side at the top radius less its rounding, is at most some real cell's
+    value there; a sample's cells up to r are settled where its bound at r,
+    plus its rounding, is below M, for none of them can then hold the least
+    margin.  Rounding is taken as _SETTLE_SLACK times P + N.  A NaN part
+    or a NaN M settles nothing.  The checks a whole-bank call would make
+    run first, on the whole bank.
+    """
+    th = fn._THEOREMS[core]
+    bound = float(max(1.0, bank.max(initial=0.0)))
+    fn._check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
+    fn._check_applicable(core, th, bank, m, p, grid, s)
+
+    def parts(mods, cols):
+        pos, neg = fn._parity_parts(th, mods, m, p, grid[cols], s)
+        slack = _SETTLE_SLACK * (pos + neg)
+        lhs = np.abs(pos - neg) if th.absolute else pos - neg
+        return np.maximum(pos, neg) + slack, lhs - slack
+
+    top = grid.size - 1
+    high, low = parts(bank, [top])
+    floor = low.max()
+    rows = np.flatnonzero(~(high[:, 0] < floor))
+    mods = bank if rows.size == bank.shape[0] else bank[rows]
+
+    def settled(cols):
+        return parts(mods, cols)[0].max(axis=0) < floor
+
+    # Columns up to a settled one are settled.  Try top - 1, top - 2,
+    # top - 4, ... and 0, then every column between the highest settled one
+    # and the next one tried above it.
+    tried = np.unique(np.append(top - (1 << np.arange(top.bit_length())), 0))
+    ok = settled(tried)
+    good = tried[ok].max(initial=-1)
+    between = np.arange(good + 1, tried[~ok & (tried > good)].min(initial=top))
+    if between.size:
+        good = between[settled(between)].max(initial=good)
+    return mods, good + 1, bound
+
+
 def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[float]:
     """Least margin over the bank, the grid and the row's cores.
 
     (m, p) is the shape the cores run at; None when a per-function radius
     leaves no (sample, radius) cell to check.  Each core's left side is
-    written into ``work``.
+    written into ``work``.  A core with the bound 1 on a row whose radius
+    does not depend on the function evaluates only the cells
+    :func:`_unsettled` leaves; every other core evaluates every cell.
     """
     if row.vector:
         dir_seed = _row_seed(config.seed, "dirs:" + label)
@@ -336,8 +401,14 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[fl
     extras = None if s is None else {"s": s}
     least = None
     for core in row.cores:
-        lhs, rhs = fn.theorem_margins(core, bank, m, p, grid, extras=extras,
-                                      trunc_tol=config.trunc_tol, out=work)
+        mods, cols, out, bound = bank, grid, work, None
+        if fn._THEOREMS[core].rhs is None and not row.per_function:
+            mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
+            cols = grid[start:]
+            out = work[:mods.shape[0], :cols.size]
+        lhs, rhs = fn.theorem_margins(core, mods, m, p, cols, extras=extras,
+                                      trunc_tol=config.trunc_tol, coeff_bound=bound,
+                                      out=out)
         if row.per_function:
             # each sample is checked below its own radius
             radii = rad.thm31_radius(bank[:, 0], s)

@@ -125,6 +125,13 @@ def closed_form_radius(spec: RadiusSpec) -> Optional[float]:
     return None
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ToleranceTooSmall(f"tolerance must be positive, got {tol}")
+    if tol == math.inf:
+        raise ParameterOutOfRange(f"tolerance must be finite, got {tol}")
+
+
 def bisect_root(
     fn: Callable[[float], float],
     lo: float,
@@ -135,12 +142,12 @@ def bisect_root(
     """Bisection on a bracketing interval: fn(lo) < 0 <= fn(hi).
 
     Converges unconditionally from a verified sign change; raises
-    NoSignChange if the endpoints do not straddle zero and
+    NoSignChange if the endpoints do not straddle zero,
     ToleranceTooSmall if ``tol`` is nonpositive or below what float
-    spacing can deliver on this interval.
+    spacing can deliver on this interval, and ParameterOutOfRange if it
+    is infinite, which would accept the first midpoint.
     """
-    if not tol > 0.0:
-        raise ToleranceTooSmall(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -176,8 +183,10 @@ def solve_radius(spec: RadiusSpec, tol: float = 1e-12, use_closed_form: bool = T
 
     Verifies the sign change near 0 and at 1 before bisecting; closed
     forms short-circuit unless ``use_closed_form`` is False (the tests
-    compare both paths).
+    compare both paths).  ``tol`` is checked as :func:`bisect_root` checks
+    it on either path.
     """
+    _check_tol(tol)
     if use_closed_form:
         cf = closed_form_radius(spec)
         if cf is not None:

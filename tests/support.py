@@ -10,10 +10,11 @@ the samplers' batched seeding, one function's P/Q and lfilter instead of the
 division over a whole bank, one product over every lattice column
 instead of the margin core's radius-blocked power sums, each
 inequality's left side term by term as written instead of the margin
-core's stacked products, hand-derived geometric closed forms for the
-extremal families, a grid refinement over the automorphism family's
-equality radii for the classical radius 1/3, and the paper's second
-algebraic forms of bounds that the library evaluates once.
+core's stacked products, every cell of a campaign row instead of the
+cells its parity bounds leave unsettled, hand-derived geometric closed
+forms for the extremal families, a grid refinement over the automorphism
+family's equality radii for the classical radius 1/3, and the paper's
+second algebraic forms of bounds that the library evaluates once.
 """
 
 import math
@@ -21,6 +22,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
+from bohrcert import functionals, harness
 from bohrcert import series as ps
 from bohrcert.radius import bisect_root
 from bohrcert.series import TruncatedSeries
@@ -158,6 +160,17 @@ def full_psum(w, exps, r):
     only the columns each radius needs.
     """
     return w @ (r[None, :] ** np.asarray(exps, dtype=float)[:, None])
+
+
+def every_cell_least(theorem_id, mods, m, p, grid, trunc_tol=functionals.DEFAULT_TRUNC_TOL):
+    """A core's least margin over every (sample, radius) cell.
+
+    One ``theorem_margins`` call over the whole bank and grid, reduced by
+    ``harness._least``; a campaign row evaluates only the cells its parity
+    bounds leave unsettled.
+    """
+    lhs, rhs = functionals.theorem_margins(theorem_id, mods, m, p, grid, trunc_tol=trunc_tol)
+    return harness._least(lhs, rhs)
 
 
 # Each catalog left side as written: (lattice slice, power, (a, b, c),

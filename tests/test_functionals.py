@@ -302,6 +302,46 @@ class TestMonotonicity:
         assert np.all(np.diff(even) >= -1e-14)
 
 
+BOUND_ONE_IDS = sorted(tid for tid, th in fn._THEOREMS.items() if th.rhs is None)
+
+
+class TestParityParts:
+    """What a campaign's parity bound (``harness._unsettled``) rests on."""
+
+    @pytest.mark.parametrize("tid", BOUND_ONE_IDS)
+    def test_weights_keep_sign_and_grow(self, tid):
+        # every term is w_k >= 0 times r^e with e >= 0, a per-sample weight
+        # and a per-radius weight of one sign and nondecreasing modulus
+        r = np.linspace(0.0, 0.99, 4001)
+        k = np.arange(64)
+        zero = np.zeros((1, 1))
+        for p in range(1, 9):
+            for m in range(p + 1):
+                v = fn._Vars(r, zero, zero, m, p)
+                for term in fn._THEOREMS[tid].terms:
+                    assert fn._lattice(term, k, m, p, 1.0, 1.0)[0].min() >= 0, (m, p, term)
+                    if term.sample_weight is not None:
+                        assert np.shape(term.sample_weight(v)) == (1, 1)
+                    if term.weight is None:
+                        continue
+                    w = np.broadcast_to(term.weight(v), r.shape)
+                    assert np.all(w >= 0.0) or np.all(w <= 0.0), (m, p, term)
+                    assert np.all(np.diff(np.abs(w)) >= 0.0), (m, p, term)
+
+    @pytest.mark.parametrize("tid", BOUND_ONE_IDS)
+    def test_parts_give_the_left_side(self, tid):
+        th = fn._THEOREMS[tid]
+        grid = np.linspace(0.0, 0.95, 60)
+        for bank, m, p in route_cases(tid):
+            pos, neg = fn._parity_parts(th, bank, m, p, grid, s=1.5)
+            assert np.all(pos >= 0.0) and np.all(neg >= 0.0)
+            assert np.all(np.diff(pos, axis=1) >= -1e-15 * pos[:, 1:])
+            assert np.all(np.diff(neg, axis=1) >= -1e-15 * neg[:, 1:])
+            lhs, reorder = written_lhs(tid, bank, m, p, grid, s=1.5)
+            signed = pos - neg
+            assert np.all(np.abs((np.abs(signed) if th.absolute else signed) - lhs) <= reorder)
+
+
 class TestCertification:
     def test_samples_below_radius(self):
         # light version of the acceptance sweep: 50 seeds, three ids

@@ -11,11 +11,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from bohrcert import functionals as fn
 from bohrcert import harness as hn
 from bohrcert import multidim as md
+from bohrcert import radius as rad
+from bohrcert import schur
 from bohrcert.cli import _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
 from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
+
+from support import every_cell_least, written_lhs
 
 
 def small_config(**overrides):
@@ -335,6 +340,79 @@ def test_least_equals_least_cell(seed, rhs_kind):
     assert math.isnan(hn._least(lhs, rhs))
 
 
+BOUND_ONE_ROWS = ("ThmC", "Thm32", "Thm34", "Cor43")  # one row per bound-1 core
+
+
+def settled_and_every_cell(theorem, bank, m, p, grid):
+    """A row's least margin from ``harness._row_margin``, which evaluates
+    only the cells its parity bounds leave unsettled, the every-cell
+    oracle's, and the reorder bound between the two."""
+    row = hn._ROWS[theorem]
+    got = hn._row_margin(row, bank, m, p, grid, None, None, hn.CampaignConfig(theorems=()),
+                         theorem, np.empty((bank.shape[0], grid.size)))
+    if row.shift:
+        bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+    want = every_cell_least(row.cores[0], bank, m, p, grid)
+    return got, want, written_lhs(row.cores[0], bank, m, p, grid)[1].max()
+
+
+def sharp_radius(theorem, m, p):
+    return rad.solve_radius(rad.RadiusSpec(hn._ROWS[theorem].equation, p, m))
+
+
+class TestSettledCells:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_least_margin_equals_every_cell(self, data):
+        theorem = data.draw(st.sampled_from(BOUND_ONE_ROWS), label="theorem")
+        odd = hn._ROWS[theorem].rules.odd_gap
+        p = data.draw(st.sampled_from((1, 3, 5, 7) if odd else range(1, 9)), label="p")
+        m = data.draw(st.integers(0, p), label="m")
+        radius = sharp_radius(theorem, m, p)
+        # below the radius, as a campaign row runs, and past it, where the
+        # family rows' margins are negative
+        top = data.draw(st.sampled_from((radius - hn._RADIUS_MARGIN, min(1.02 * radius, 0.99))),
+                        label="top")
+        points = data.draw(st.integers(1, 120), label="points")
+        grid = np.linspace(top / points, top, points)
+        length = fn.lacunary_length_for(m, p, top) + 1
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        drawn = data.draw(st.integers(1, 24), label="drawn")
+        family = data.draw(st.lists(st.floats(0.0, 0.98), min_size=1, max_size=8),
+                           label="family")
+        bank = np.vstack([np.abs(schur.sample_bank([seed ^ i for i in range(drawn)], 5,
+                                                   length - 1)),
+                          schur.family_moduli(family, length)])
+        got, want, reorder = settled_and_every_cell(theorem, bank, m, p, grid)
+        event("negative" if want < 0 else "nonnegative")
+        assert abs(got - want) <= reorder, (got, want)
+
+    @pytest.mark.parametrize("theorem, m, p, mods", [
+        ("ThmC", 1, 3, [0.3, 0.04, 0.37]),
+        ("Cor43", 0, 1, [0.26, 0.9, 0.24, 0.02]),
+    ])
+    def test_interior_maximum_is_kept(self, theorem, m, p, mods):
+        # an absolute core's left side need not grow with r: this sample's
+        # largest cell lies well inside the grid, far above its top one
+        grid = np.linspace(0.01, sharp_radius(theorem, m, p) - hn._RADIUS_MARGIN, 60)
+        bank = np.zeros((2, fn.lacunary_length_for(m, p, grid[-1]) + 1))
+        bank[0, :len(mods)] = mods
+        lhs = fn.theorem_margins(theorem, bank, m, p, grid)[0]
+        assert lhs.max() > 100 * lhs[:, -1].max()
+        got, want, reorder = settled_and_every_cell(theorem, bank, m, p, grid)
+        assert want == 1.0 - lhs.max()
+        assert abs(got - want) <= reorder
+
+    @pytest.mark.parametrize("theorem", BOUND_ONE_ROWS)
+    def test_nan_sample_is_never_settled(self, theorem):
+        grid = np.linspace(0.01, sharp_radius(theorem, 1, 3) - hn._RADIUS_MARGIN, 40)
+        length = fn.lacunary_length_for(1, 3, grid[-1]) + 1
+        bank = np.abs(schur.sample_bank(list(range(12)), 5, length - 1))
+        bank[5, 3] = np.nan
+        got, want, _ = settled_and_every_cell(theorem, bank, 1, 3, grid)
+        assert math.isnan(got) and math.isnan(want)
+
+
 class TestReports:
     def test_json_empty(self):
         assert hn.report_to_json(hn.Report(rows=())) == "[]\n"
@@ -391,6 +469,17 @@ class TestCli:
 
     def test_radius_thm31_missing_args(self, capsys):
         assert cli_main(["radius", "--theorem", "Thm31"]) == 2
+
+    # (3, 1) is bisected, which would accept its first midpoint, 0.5000005
+    # (the radius is 0.8688); (3, 3) has a closed form
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1"])
+    def test_radius_bad_tol_exits_two(self, m, tol, capsys):
+        code = cli_main(["radius", "--theorem", "ThmC34", "--p", "3", "--m", str(m),
+                         "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
 
     def test_sharpness_command(self, capsys):
         code = cli_main(
@@ -485,6 +574,10 @@ class TestCli:
         (None, '{"theorems": "ThmC"}'),
         (None, '{"samples": 5}'),
         (None, '{"theorems": ["ThmC"], "tol": NaN}'),
+        # an infinite tol would pass every margin check
+        (None, '{"theorems": ["ThmC"], "tol": Infinity}'),
+        (None, '{"theorems": ["ThmC"], "tol": -Infinity}'),
+        (["--theorems", "ThmC", "--tol", "inf"], None),
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),

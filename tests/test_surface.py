@@ -97,6 +97,28 @@ def test_margin_core_keeps_the_tracer_contract(monkeypatch):
     assert len(counted) == 3 and all(c["cells"] > 0 for c in counted)
 
 
+def test_bound_one_rows_make_one_core_call_each(monkeypatch):
+    """Rows of bound-1 cores evaluate only their unsettled cells, still in
+    one ``functionals.theorem_margins`` call per core per row, so each such
+    row is still one of the campaign ops behind ``op_p50_ms``."""
+    tracing = _tracing(monkeypatch)
+    real, calls = functionals.theorem_margins, []
+
+    def traced(*args, **kw):
+        out = real(*args, **kw)
+        calls.append((args[0], tracing._count_terms(args, kw, out)["cells"]))
+        return out
+
+    monkeypatch.setattr(functionals, "theorem_margins", traced)
+    rows = harness.run_campaign(harness.CampaignConfig(
+        theorems=("ThmC", "Thm32", "Thm34", "Cor43", "Cor42"), shapes=((1, 3),),
+        t_values=(1.0, float("inf")), samples=40, r_stop=0.9, r_step=0.002)).rows
+    assert [core for core, _ in calls] == ["ThmC", "Thm32", "Thm34", "Cor43", "Thm32", "Thm32"]
+    assert len(rows) == len(calls) and all(cells > 0 for _, cells in calls)
+    # and fewer cells than the rows hold
+    assert sum(cells for _, cells in calls) < sum(r.samples * r.grid_points for r in rows)
+
+
 def test_row_cores_are_catalog_entries():
     cores = {core for row in functionals._ROWS.values() for core in row.cores}
     assert cores <= set(functionals._THEOREMS), cores - set(functionals._THEOREMS)
