@@ -574,10 +574,6 @@ class TestCli:
         (None, '{"theorems": "ThmC"}'),
         (None, '{"samples": 5}'),
         (None, '{"theorems": ["ThmC"], "tol": NaN}'),
-        # an infinite tol would pass every margin check
-        (None, '{"theorems": ["ThmC"], "tol": Infinity}'),
-        (None, '{"theorems": ["ThmC"], "tol": -Infinity}'),
-        (["--theorems", "ThmC", "--tol", "inf"], None),
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),
@@ -607,6 +603,10 @@ class TestCli:
         # points (the margin workspace), each factor within its own cap
         (None, '{"theorems": ["ThmB"], "samples": 65536, "r_stop": 0.99}'),
         (None, '{"theorems": ["ThmB"], "samples": 65536, "r_step": 1e-6}'),
+        # an infinite tol would pass every margin check
+        (None, '{"theorems": ["ThmC"], "tol": Infinity}'),
+        (None, '{"theorems": ["ThmC"], "tol": -Infinity}'),
+        (["--theorems", "ThmC", "--tol", "inf"], None),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
