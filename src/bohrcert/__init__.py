@@ -63,6 +63,6 @@ from .schur import (
     sample_schur,
     schur_to_taylor,
 )
-from .series import TruncatedSeries, mul, reciprocal
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"

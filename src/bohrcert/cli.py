@@ -24,6 +24,7 @@ from .errors import BohrcertError, ParameterOutOfRange
 from .functionals import _ROWS
 
 _PROG = "bohrcert"
+MAX_TABLE_P = 64  # the table solves O(p_max^2) radii
 # the radius equations that vary over (p, m): those of the rows whose
 # radius does not depend on the function
 _TABLE_IDS = tuple(dict.fromkeys(
@@ -71,23 +72,20 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
+    if not 1 <= args.p_max <= MAX_TABLE_P:
+        raise ParameterOutOfRange(f"--p-max must lie in [1, {MAX_TABLE_P}], got {args.p_max}")
+    if args.format == "csv":
+        lines, row = ["p,m,radius,radius_closed_form"], "{},{},{:.15g},{}"
+    else:
+        lines = [f"{'p':>3} {'m':>3} {'radius':>20} {'closed form':>20}"]
+        row = "{:>3} {:>3} {:>20.15g} {:>20}"
     for p in range(1, args.p_max + 1):
         for m in range(0, p + 1):
             spec = radius.RadiusSpec(args.theorem, p, m)
-            solved = radius.solve_radius(spec)
             closed = radius.closed_form_radius(spec)
-            rows.append((p, m, solved, closed))
-    if args.format == "csv":
-        print("p,m,radius,radius_closed_form")
-        for p, m, solved, closed in rows:
-            closed_txt = "" if closed is None else f"{closed:.15g}"
-            print(f"{p},{m},{solved:.15g},{closed_txt}")
-    else:
-        print(f"{'p':>3} {'m':>3} {'radius':>20} {'closed form':>20}")
-        for p, m, solved, closed in rows:
-            closed_txt = "" if closed is None else f"{closed:.15g}"
-            print(f"{p:>3} {m:>3} {solved:>20.15g} {closed_txt:>20}")
+            lines.append(row.format(p, m, radius.solve_radius(spec),
+                                    "" if closed is None else f"{closed:.15g}"))
+    print("\n".join(lines))
     return 0
 
 
@@ -134,15 +132,8 @@ def _print_row(row: harness.ReportRow) -> None:
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
     report = harness.run_campaign(config, on_row=_print_row)
-    if config.output == "-":
-        out = (
-            harness.report_to_json(report)
-            if config.format == "json"
-            else harness.report_to_csv(report)
-        )
-        sys.stdout.write(out)
-    else:
-        harness.emit_report(report, config.format, config.output)
+    harness.emit_report(report, config.format, config.output)
+    if config.output != "-":
         print(f"report written to {config.output}", file=sys.stderr)
     return 0 if report.all_pass else 1
 

@@ -9,6 +9,7 @@ class ParameterOutOfRange(BohrcertError, ValueError):
     """A numeric argument violates its documented domain."""
 
 
+# Raised only by series.reciprocal, which stays because perfbench's tracer wraps it.
 class ZeroConstantTerm(BohrcertError, ArithmeticError):
     """Series reciprocal requested for a series vanishing at the origin."""
 

@@ -26,10 +26,11 @@ Lem21          even-tail bound of the slices of f = z*g, shapes with m >= 1
 Where a theorem's facts live: its left side (weighted lattice power sums
 of mu, mu^2 or signed mu), its right side and the conditions it is stated
 under (shape, odd gap, m >= 1, vanishing start, radius window) are one entry of
-``_THEOREMS``, evaluated by one engine.  Its radius equation is in
-:mod:`bohrcert.radius`; how a campaign row runs it (its cores, radius
-equation, scan, fixed shape and reindexing) is one :class:`RowSpec` of
-``_ROWS``, next to ``_THEOREMS``.
+``_THEOREMS``, evaluated by one engine.  Its radius equation is one
+``radius._EQUATIONS`` entry, and its sharpness family a catalog core or
+one ``multidim._ENVELOPES`` entry.  How a campaign row runs it (its
+cores, radius equation, scan, fixed shape, reindexing and vector flags)
+is one :class:`RowSpec` of ``_ROWS``, next to ``_THEOREMS``.
 
 All evaluators certify their truncation: with coefficient moduli bounded
 by ``coeff_bound`` (1 for anything drawn from the unit-ball classes), the
@@ -99,6 +100,8 @@ __all__ = [
 DEFAULT_MARGIN_TOL = 1e-9
 DEFAULT_TRUNC_TOL = 1e-10
 
+_SHAPE_TOL = 1e-11  # off-lattice modulus a profile's series may carry
+
 BOMBIERI_LO = 1.0 / 3.0
 BOMBIERI_HI = 1.0 / math.sqrt(2.0)
 
@@ -154,12 +157,10 @@ class InequalityCheck:
     tol: float = DEFAULT_MARGIN_TOL
 
 
-def profile_from_series(
-    s: TruncatedSeries, m: int, p: int, shape_tol: float = 1e-11
-) -> LacunaryProfile:
+def profile_from_series(s: TruncatedSeries, m: int, p: int) -> LacunaryProfile:
     """Extract the lattice moduli of a series, checking it is truly lacunary.
 
-    Off-lattice coefficients above ``shape_tol`` raise ShapeMismatch: a
+    Off-lattice coefficients above ``_SHAPE_TOL`` raise ShapeMismatch: a
     profile must describe the whole function, or the certificates lie.
     """
     if not (p >= 1 and 0 <= m <= p):
@@ -168,7 +169,7 @@ def profile_from_series(
     mask = np.zeros(s.order + 1, dtype=bool)
     mask[m :: p] = True
     worst = float(moduli[~mask].max(initial=0.0))
-    if worst > shape_tol:
+    if worst > _SHAPE_TOL:
         raise ShapeMismatch(
             f"series is not ({m},{p})-lacunary: off-lattice modulus {worst:.3e}"
         )
@@ -300,15 +301,6 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
     return out
 
 
-def _psum(w: np.ndarray, exps: np.ndarray, r: np.ndarray, bound: float) -> np.ndarray:
-    """sum_k w_k r^exps_k, vectorized over rows of w and entries of r.
-
-    The one-part, unweighted case of :func:`_products`: ``exps`` ascend in
-    a constant step and |w_k| <= ``bound``.
-    """
-    return _products([(np.asarray(exps, dtype=float), bound, None)], [w], r)
-
-
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
     if r.size == 0:
         return
@@ -408,7 +400,9 @@ _REFINED = (
     _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r / (1.0 - v.r)),
 )
 _ALTERNATING = _Term(_TAIL, "signed", (1, 0, 1))
+# B = sum_k mu_k r^(kp+m) and A = sum_k (-1)^(kp+m) mu_k r^(kp+m), k >= 0
 _MAJORANT = (_Term(_ALL, 1, (1, 0, 1)),)
+_SIGNED_MAJORANT = (_Term(_ALL, "signed", (1, 0, 1)),)
 
 _THEOREMS = {
     # sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
@@ -496,6 +490,7 @@ class RowSpec:
     scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
     vector: bool = False  # one row per t; bank scaled by each direction's sup norm
     shift: bool = False  # the moduli get a vanishing lattice start prepended
+    slice_check: bool = False  # ``multidim.vector_check`` runs it on slices of f = z*g
 
     @property
     def per_function(self) -> bool:
@@ -516,16 +511,17 @@ _ROWS = {
     "ThmC": RowSpec(("ThmC",), "ThmC34"),
     "Thm31": RowSpec(("Thm31",), "Thm31", scan="Thm31"),
     "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32", shift=True),
-    "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34"),
-    "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41"),
+    "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34", slice_check=True),
+    "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41", slice_check=True),
     "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32", shift=True),
     # the (1, 1) norms of f = z*g, reindexed to start at 0, are a
     # vanishing-start (0, 1) profile
     "Cor42": RowSpec(("Thm32",), "Thm32", at=(0, 1), shape=(1, 1), vector=True,
-                     shift=True),
+                     shift=True, slice_check=True),
     # No constructive witness of the Cor43 radius is known for m >= 1.
-    "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True),
-    "Lem21": RowSpec(("Lem21",), vector=True),
+    "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True,
+                     slice_check=True),
+    "Lem21": RowSpec(("Lem21",), vector=True, slice_check=True),
     "BombieriUpper": RowSpec(("BombieriUpper",), at=(0, 1)),
     "BBUpper": RowSpec(("BBUpper",), at=(0, 1)),
 }
@@ -734,17 +730,17 @@ def bohr_sums_grid(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Majorant sum B(r) and alternating sum A(r) on a radius grid.
 
-    B = sum_k mu_k r^(kp+m), A = sum_k (-1)^(kp+m) mu_k r^(kp+m).
+    B = sum_k mu_k r^(kp+m), A = sum_k (-1)^(kp+m) mu_k r^(kp+m): the
+    paper's two lattice sums, each one term of the margin engine.
     """
     grid = _as_r_grid(r)
-    mods = profile.mods[None, :]
     if not profile.exact:
         _check_truncation(profile.mods.size, profile.m, profile.p, grid,
                           profile.coeff_bound, trunc_tol)
-    k = np.arange(profile.mods.size)
-    exps = k * profile.p + profile.m
-    b = _psum(mods, exps, grid, profile.coeff_bound)[0]
-    a = _psum(_signs(k, profile.m, profile.p) * mods, exps, grid, profile.coeff_bound)[0]
+    mods = profile.mods[None, :]  # one sample
+    b, a = (_evaluate(_Theorem(terms), mods, profile.m, profile.p, grid, None,
+                      profile.coeff_bound, None)[0][0]  # its left side's one row
+            for terms in (_MAJORANT, _SIGNED_MAJORANT))
     return b, a
 
 

@@ -15,7 +15,7 @@ a ``RowSpec`` (its margin cores, radius equation, sharpness family, bank
 transform and vector flag).  Every core is a ``functionals._THEOREMS``
 entry, and its formula, its shape, odd-gap and m >= 1 rules and its radius
 window are read from there; the radius equations from
-:mod:`bohrcert.radius`.  A requested id whose every shape its rules drop
+``radius._EQUATIONS``.  A requested id whose every shape its rules drop
 is an error, raised before any row runs.
 
 What a campaign allocates: one bank per shape, and one (samples x grid
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -70,7 +71,8 @@ from . import radius as rad
 from .errors import BohrcertError, CampaignError, ParameterOutOfRange, TruncationInsufficient
 from .functionals import _ROWS
 from .schur import sample_bank
-from .schur import sample_schur  # noqa: F401  perfbench probes it by name (ROADMAP item 1)
+# No campaign calls this; it stays because perfbench's tracer wraps it by name.
+from .schur import sample_schur  # noqa: F401
 
 __all__ = [
     "CAMPAIGN_THEOREMS",
@@ -177,6 +179,9 @@ class CampaignConfig:
             raise ParameterOutOfRange("need r_step > 0 and 0 <= r_start < 1")
         if not self.r_stop < 1.0:
             raise ParameterOutOfRange("r_stop must be < 1")
+        if self.r_start > self.r_stop:
+            raise ParameterOutOfRange(
+                f"need r_start <= r_stop, got r_start={self.r_start}, r_stop={self.r_stop}")
         if self.r_stop > 0.99:
             raise ParameterOutOfRange("r_stop is capped at 0.99")
         # _grid's point count at r_stop, kept a float so a tiny r_step cannot overflow
@@ -621,13 +626,17 @@ def report_to_csv(report: Report) -> str:
 
 
 def emit_report(report: Report, format: str, path: str) -> None:
-    """Write the report as JSON or CSV (UTF-8, LF endings, '.' decimals)."""
+    """Write the report as JSON or CSV (UTF-8, LF endings, '.' decimals) to
+    ``path``, or to stdout when ``path`` is ``-``."""
     if format == "json":
         text = report_to_json(report)
     elif format == "csv":
         text = report_to_csv(report)
     else:
         raise ParameterOutOfRange(f"unknown report format {format!r}")
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

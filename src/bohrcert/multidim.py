@@ -60,10 +60,10 @@ __all__ = [
 ]
 
 SLICE_KINDS = ("SharpThm34", "SharpThm41", "SharpCor42", "GeneralZG")
-SCAN_IDS = ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
+# the families of the rows' scans, in row order
+SCAN_IDS = tuple(dict.fromkeys(row.scan for row in _ROWS.values() if row.scan))
 MAX_SCAN_STEPS = 1 << 16  # family parameters of a default scan grid
 
-VECTOR_IDS = ("Thm34", "Thm41", "Cor42", "Cor43", "Lem21")
 # named slice kind -> (its extremal_family E, the fixed (m, p) if any)
 _NAMED_SLICES = {
     "SharpThm34": ("LacunaryD", None),
@@ -153,6 +153,7 @@ def random_directions(seeds: Sequence[int], n: int, t: float) -> np.ndarray:
     return rows
 
 
+# No campaign calls this; it stays because perfbench's tracer wraps it by name.
 def random_direction(seed: int, n: int, t: float) -> Direction:
     """Deterministic unit direction; the one-row case of :func:`random_directions`."""
     return Direction(random_directions([seed], n, t)[0], t)
@@ -285,6 +286,7 @@ def frechet_norms(slice_map: SliceMapping, r: float) -> np.ndarray:
     return nu
 
 
+# No campaign calls this; it stays because perfbench's tracer wraps it by name.
 def lemma21_margins(nu: np.ndarray, m: int, p: int, r) -> Tuple[np.ndarray, np.ndarray]:
     """Batched even-tail bound of f = z*g slices: the catalog's ``Lem21``.
 
@@ -298,24 +300,23 @@ def vector_check(
     theorem_id: str,
     slice_map: SliceMapping,
     r: float,
-    extras=None,
     tol: float = DEFAULT_MARGIN_TOL,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> InequalityCheck:
     """Evaluate a vector-valued bound on one slice at radius r.
 
-    Runs the id's ``functionals._ROWS`` row on the slice's directional-norm
-    profile: its first core, at the row's fixed shape where it has one.
-    Cor42 takes (1, 1) slices, and the row reindexes their norms to the
-    vanishing-start shape (0, 1) of its Thm32 core.  Every id checks a
-    slice of f = z*g, so needs m >= 1.
+    Runs the id's ``functionals._ROWS`` row, one whose ``slice_check`` flag
+    is set, on the slice's directional-norm profile: its first core, at
+    the row's fixed shape where it has one.  Cor42 takes (1, 1) slices,
+    and the row reindexes their norms to the vanishing-start shape (0, 1)
+    of its Thm32 core.  Every id checks a slice of f = z*g, so needs m >= 1.
     """
-    if theorem_id not in VECTOR_IDS:
+    row = _ROWS.get(theorem_id)
+    if row is None or not row.slice_check:
         raise UnknownTheorem(f"no vector check with id {theorem_id!r}")
     m, p = slice_map.m, slice_map.p
     if m < 1:
         raise ShapeMismatch(f"{theorem_id} needs shape 1 <= m <= p, got m={m}")
-    row = _ROWS[theorem_id]
     if row.shape is not None and (m, p) != row.shape:
         raise ShapeMismatch(f"{theorem_id} applies to shape {row.shape}, got ({m},{p})")
     nu = frechet_norms(slice_map, 1.0)
@@ -323,8 +324,7 @@ def vector_check(
         nu = np.concatenate([[0.0], nu])
     cm, cp = row.at or (m, p)
     profile = LacunaryProfile(cm, cp, nu, exact=slice_map.exact)
-    check = evaluate_theorem(row.cores[0], profile, r, extras=extras,
-                             tol=tol, trunc_tol=trunc_tol)
+    check = evaluate_theorem(row.cores[0], profile, r, tol=tol, trunc_tol=trunc_tol)
     return replace(check, theorem_id=theorem_id)
 
 
@@ -350,6 +350,22 @@ def default_scan_grid(steps: int = 256) -> np.ndarray:
     return np.unique(np.concatenate([grid, extra]))
 
 
+def _thm31_envelope(a, p, m, r, s):
+    if s is None or not s > 0.0:
+        raise ParameterOutOfRange("Thm31 scan needs the exponent s > 0")
+    return a ** float(s) + (1.0 - a ** 2) * r / (1.0 - r)
+
+
+# scan id -> its family's left side at radius r, summed in closed form:
+# envelope(a_grid, p, m, r, s).  Every other scan id evaluates its catalog
+# core on the lifted automorphism family.
+_ENVELOPES = {
+    "Thm31": _thm31_envelope,  # a^s + (1 - a^2) r/(1 - r); needs s
+    "Thm32": lambda a, p, m, r, s: (
+        a * r ** (p + m) + (1.0 - a ** 2) * r ** (2 * p + m) / (1.0 - r ** p)),
+}
+
+
 def sharpness_scan(
     theorem_id: str,
     p: int,
@@ -361,10 +377,9 @@ def sharpness_scan(
 ) -> float:
     """Max over the family parameter of the extremal left side at radius r.
 
-    Thm31:  a^s + (1 - a^2) r/(1 - r)             (closed envelope; needs s)
-    Thm32:  a r^(p+m) + (1 - a^2) r^(2p+m)/(1 - r^p)   (closed envelope)
-    Thm34, Thm41, Cor43: the lifted automorphism family evaluated through
-    the scalar catalog.
+    Thm31 and Thm32 read their ``_ENVELOPES`` entry; Thm34, Thm41 and
+    Cor43 evaluate their catalog core on the lifted automorphism family,
+    stored to ``order``.
 
     Every family member is a valid class member, so the max stays <= 1
     below the sharp radius and exceeds 1 above it (for Thm31 the
@@ -382,19 +397,14 @@ def sharpness_scan(
     if not 0.0 < r < 1.0:
         raise RadiusOutOfRange(f"scan radius must lie in (0, 1), got {r}")
 
-    if theorem_id == "Thm31":
-        if s is None or not s > 0.0:
-            raise ParameterOutOfRange("Thm31 scan needs the exponent s > 0")
-        vals = a ** float(s) + (1.0 - a ** 2) * r / (1.0 - r)
-        return float(vals.max())
-    if theorem_id == "Thm32":
-        vals = a * r ** (p + m) + (1.0 - a ** 2) * r ** (2 * p + m) / (1.0 - r ** p)
-        return float(vals.max())
-
+    envelope = _ENVELOPES.get(theorem_id)
+    if envelope is not None:
+        return float(envelope(a, p, m, r, s).max())
     # Family moduli are at most 1; columns past the lattice cut at r add
     # nothing, and the order-limited length still fails the certificate
     # wherever the order cannot certify r.
     length = max(2, int(min((order - m) // p + 1, _cut_length(m, p, r, 1.0))))
     mods = family_moduli(a, length)
+    # a lookup in this module: perfbench probes ``multidim.theorem_margins``
     lhs, _ = theorem_margins(theorem_id, mods, m, p, [r])
     return float(lhs.max())

@@ -1,19 +1,12 @@
 """Sharp-radius equations, their bisection roots, and closed forms.
 
 Each catalog inequality holds up to a radius that is the unique root in
-(0, 1) of a one-variable equation:
-
-=============  =====================================================
-ThmC34         r^(2p) + r^(p+m) - 1        (also written r^p (r^p + r^m) - 1)
-Thm32          5 r^(2p+m) - 2 r^(p+m) + r^m + 4 r^p - 4
-Cor43          r^(2p+m) + 2 r^(2p) - 1
-Thm31          r (2 - a0^2 - a0^s) - (1 - a0^s), affine in r
-ClassicBohr    3 r - 1
-Alternating    3 r^2 - 1
-=============  =====================================================
+(0, 1) of a one-variable equation.  Each equation is one ``_EQUATIONS``
+entry, holding its value at r and its closed form where one exists (the
+m = 0 degenerations, the affine Thm31 case and the m = p symmetric
+case); ``RADIUS_IDS`` lists the entries.
 
 ``solve_radius`` brackets by sign change and bisects; closed forms
-(m = 0 degenerations, the affine case, and the m = p symmetric case)
 short-circuit when available and are cross-checked against bisection in
 the test suite.
 """
@@ -22,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     NoSignChange,
@@ -42,13 +35,48 @@ __all__ = [
     "bisect_root",
 ]
 
-RADIUS_IDS = ("ThmC34", "Thm31", "Thm32", "Cor43", "ClassicBohr", "Alternating")
-
 # The m = 0 equation for Thm32 factors as (r^p + 1)(5 r^p - 3); near r = 0
 # the relevant factor is negative, so start the bracket just inside 0 and
 # assert the sign there instead of trusting the endpoint.
 BRACKET_EPS = 1e-6
 MAX_BISECT_ITER = 200
+
+
+def thm31_radius(a0, s):
+    """Sharp radius (1 - a0^s)/(2 - a0^2 - a0^s) of the |f(0)|^s bound.
+
+    ``a0`` = |f(0)| may be a float or an array (one radius per function).
+    """
+    return (1.0 - a0 ** s) / (2.0 - a0 ** 2 - a0 ** s)
+
+
+class _Equation(NamedTuple):
+    """value(r, p, m, extras), and closed(p, m, extras): the root or None."""
+
+    value: Callable[[float, int, int, Mapping[str, float]], float]
+    closed: Callable[[int, int, Mapping[str, float]], Optional[float]]
+
+
+_EQUATIONS = {
+    # also written r^p (r^p + r^m) - 1
+    "ThmC34": _Equation(lambda r, p, m, x: r ** (2 * p) + r ** (p + m) - 1.0,
+                        lambda p, m, x: 2.0 ** (-1.0 / (2 * p)) if m == p else None),
+    # affine in r; a0 = |f(0)|
+    "Thm31": _Equation(
+        lambda r, p, m, x: (r * (2.0 - x["a0"] ** 2 - x["a0"] ** x["s"])
+                            - (1.0 - x["a0"] ** x["s"])),
+        lambda p, m, x: thm31_radius(x["a0"], x["s"])),
+    "Thm32": _Equation(
+        lambda r, p, m, x: (5.0 * r ** (2 * p + m) - 2.0 * r ** (p + m) + r ** m
+                            + 4.0 * r ** p - 4.0),
+        lambda p, m, x: (3.0 / 5.0) ** (1.0 / p) if m == 0 else None),
+    "Cor43": _Equation(lambda r, p, m, x: r ** (2 * p + m) + 2.0 * r ** (2 * p) - 1.0,
+                       lambda p, m, x: 3.0 ** (-1.0 / (2 * p)) if m == 0 else None),
+    "ClassicBohr": _Equation(lambda r, p, m, x: 3.0 * r - 1.0, lambda p, m, x: 1.0 / 3.0),
+    "Alternating": _Equation(lambda r, p, m, x: 3.0 * r ** 2 - 1.0,
+                             lambda p, m, x: 1.0 / math.sqrt(3.0)),
+}
+RADIUS_IDS = tuple(_EQUATIONS)
 
 
 @dataclass(frozen=True)
@@ -81,48 +109,12 @@ def equation_value(spec: RadiusSpec, r: float) -> float:
     """Value of the radius equation at r in [0, 1]."""
     if not 0.0 <= r <= 1.0:
         raise RadiusOutOfRange(f"radius equations are evaluated on [0, 1], got {r}")
-    p, m = spec.p, spec.m
-    if spec.id == "ThmC34":
-        return r ** (2 * p) + r ** (p + m) - 1.0
-    if spec.id == "Thm32":
-        return 5.0 * r ** (2 * p + m) - 2.0 * r ** (p + m) + r ** m + 4.0 * r ** p - 4.0
-    if spec.id == "Cor43":
-        return r ** (2 * p + m) + 2.0 * r ** (2 * p) - 1.0
-    if spec.id == "Thm31":
-        a0 = spec.extras["a0"]
-        s = spec.extras["s"]
-        return r * (2.0 - a0 ** 2 - a0 ** s) - (1.0 - a0 ** s)
-    if spec.id == "ClassicBohr":
-        return 3.0 * r - 1.0
-    if spec.id == "Alternating":
-        return 3.0 * r ** 2 - 1.0
-    raise UnknownTheorem(spec.id)
-
-
-def thm31_radius(a0, s):
-    """Sharp radius (1 - a0^s)/(2 - a0^2 - a0^s) of the |f(0)|^s bound.
-
-    ``a0`` = |f(0)| may be a float or an array (one radius per function).
-    """
-    return (1.0 - a0 ** s) / (2.0 - a0 ** 2 - a0 ** s)
+    return _EQUATIONS[spec.id].value(r, spec.p, spec.m, spec.extras)
 
 
 def closed_form_radius(spec: RadiusSpec) -> Optional[float]:
     """Closed form where one exists, else None."""
-    p, m = spec.p, spec.m
-    if spec.id == "Thm31":
-        return thm31_radius(spec.extras["a0"], spec.extras["s"])
-    if spec.id == "Thm32" and m == 0:
-        return (3.0 / 5.0) ** (1.0 / p)
-    if spec.id == "Cor43" and m == 0:
-        return 3.0 ** (-1.0 / (2 * p))
-    if spec.id == "ThmC34" and m == p:
-        return 2.0 ** (-1.0 / (2 * p))
-    if spec.id == "ClassicBohr":
-        return 1.0 / 3.0
-    if spec.id == "Alternating":
-        return 1.0 / math.sqrt(3.0)
-    return None
+    return _EQUATIONS[spec.id].closed(spec.p, spec.m, spec.extras)
 
 
 def _check_tol(tol: float) -> None:
@@ -137,7 +129,6 @@ def bisect_root(
     lo: float,
     hi: float,
     tol: float,
-    max_iter: int = MAX_BISECT_ITER,
 ) -> float:
     """Bisection on a bracketing interval: fn(lo) < 0 <= fn(hi).
 
@@ -157,14 +148,11 @@ def bisect_root(
         raise NoSignChange(f"no sign change on [{lo}, {hi}]: f={flo:.3e}, {fhi:.3e}")
     if flo > 0.0:
         lo, hi, flo, fhi = hi, lo, fhi, flo
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if abs(hi - lo) * 0.5 < tol:
             return mid
-        if mid == lo or mid == hi:
-            # adjacent floats: cannot tighten further
-            if abs(hi - lo) * 0.5 < tol:
-                return mid
+        if mid == lo or mid == hi:  # adjacent floats: cannot tighten further
             raise ToleranceTooSmall(
                 f"tol={tol:.1e} below float spacing near {mid!r}"
             )

@@ -39,7 +39,6 @@ __all__ = [
     "taylor_rows",
     "schur_to_taylor",
     "sample_gammas",
-    "sample_parameters",
     "sample_bank",
     "sample_schur",
     "family_moduli",
@@ -47,7 +46,7 @@ __all__ = [
     "EXTREMAL_KINDS",
 ]
 
-SAMPLING_RADIUS = 0.95
+SAMPLING_RADIUS = 0.95  # the sampler's parameters lie in the disk of this radius
 
 EXTREMAL_KINDS = ("L1", "LacunaryD", "L2", "Monomial")
 
@@ -253,14 +252,14 @@ def schur_to_taylor(params: ParamsLike, order: int) -> TruncatedSeries:
     return TruncatedSeries(taylor_rows([params.gammas], order)[0], 1.0)
 
 
-def sample_gammas(seeds: Sequence[int], depth: int,
-                  radius: float = SAMPLING_RADIUS) -> np.ndarray:
+def sample_gammas(seeds: Sequence[int], depth: int) -> np.ndarray:
     """Parameters of one seeded draw per seed, as an (S, depth) array.
 
     Row i draws gamma_0..gamma_{depth-1} area-uniformly on the disk of
-    ``radius`` from the stream of ``np.random.default_rng(seeds[i])``,
-    reached without building that generator (see :func:`_streams`):
-    first the depth uniforms of the moduli, then the depth uniform angles.
+    radius ``SAMPLING_RADIUS`` from the stream of
+    ``np.random.default_rng(seeds[i])``, reached without building that
+    generator (see :func:`_streams`): first the depth uniforms of the
+    moduli, then the depth uniform angles.
     Seeds are integers in [0, 2^128).
     """
     if depth < 1:
@@ -271,28 +270,21 @@ def sample_gammas(seeds: Sequence[int], depth: int,
         rng.random(out=row)
     # uniform(0, 2 pi) is 0 + 2 pi * random(), so this is the same angle
     theta = 2.0 * np.pi * u[:, depth:]
-    return radius * np.sqrt(u[:, :depth]) * np.exp(1j * theta)
+    return SAMPLING_RADIUS * np.sqrt(u[:, :depth]) * np.exp(1j * theta)
 
 
-def sample_parameters(seed: int, depth: int, radius: float = SAMPLING_RADIUS) -> SchurParameters:
-    """Draw gamma_0..gamma_{depth-1} area-uniformly on the disk of ``radius``."""
-    return SchurParameters(tuple(sample_gammas([seed], depth, radius)[0]))
-
-
-def sample_bank(seeds: Sequence[int], depth: int, order: int = DEFAULT_ORDER,
-                radius: float = SAMPLING_RADIUS) -> np.ndarray:
+def sample_bank(seeds: Sequence[int], depth: int, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Taylor coefficients of one seeded member of the class per seed, as rows.
 
-    Row i is the series of ``sample_schur(seeds[i], depth, order, radius)``;
-    the whole bank is drawn and expanded in one batch.
+    Row i is the series of ``sample_schur(seeds[i], depth, order)``; the
+    whole bank is drawn and expanded in one batch.
     """
-    return taylor_rows(sample_gammas(seeds, depth, radius), order)
+    return taylor_rows(sample_gammas(seeds, depth), order)
 
 
-def sample_schur(seed: int, depth: int, order: int = DEFAULT_ORDER,
-                 radius: float = SAMPLING_RADIUS) -> TruncatedSeries:
+def sample_schur(seed: int, depth: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Deterministic random member of the class; same seed, same output."""
-    return TruncatedSeries(sample_bank([seed], depth, order, radius)[0], 1.0)
+    return TruncatedSeries(sample_bank([seed], depth, order)[0], 1.0)
 
 
 def family_moduli(a_grid, length: int) -> np.ndarray:

@@ -19,9 +19,8 @@ slices cut their components to one order with it), and the Cauchy
 product :func:`mul` and long-division :func:`reciprocal`.  No library
 code calls those two any more: the sampler divides its rational form in
 ``schur.taylor_rows`` and the extremal families are written in closed
-form in ``schur``.  The benchmark's tracer still wraps both by name.
-:func:`reciprocal` imports scipy when it is called, so importing the
-package loads numpy alone.
+form in ``schur``.  :func:`reciprocal` imports scipy when it is called,
+so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -90,6 +89,7 @@ def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[: order + 1], a.sup_bound)
 
 
+# No library code calls this; it stays because perfbench's tracer wraps it by name.
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the shared reliable order.
 
@@ -104,6 +104,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(coeffs, bound)
 
 
+# No library code calls this; it stays because perfbench's tracer wraps it by name.
 def reciprocal(a: TruncatedSeries, zero_tol: float = 1e-12) -> TruncatedSeries:
     """Series g with mul(a, g) = 1 up to order(a).
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from bohrcert import functionals, harness
+from bohrcert import functionals, harness, schur
 from bohrcert import series as ps
 from bohrcert.radius import bisect_root
 from bohrcert.series import TruncatedSeries
@@ -84,6 +84,12 @@ def one_function_route_taylor(gammas, order):
     head = min(num.size, order + 1)
     impulse[:head] = num[:head]
     return lfilter([1.0 + 0.0j], den, impulse)
+
+
+def sample_parameters(seed, depth):
+    """One seeded draw's Schur parameters: the one-row case of
+    ``schur.sample_gammas``, checked as ``schur.SchurParameters``."""
+    return schur.SchurParameters(tuple(schur.sample_gammas([seed], depth)[0]))
 
 
 def per_seed_gammas(seeds, depth, radius=0.95):

@@ -16,7 +16,7 @@ from bohrcert import harness as hn
 from bohrcert import multidim as md
 from bohrcert import radius as rad
 from bohrcert import schur
-from bohrcert.cli import _config_from_args, build_parser
+from bohrcert.cli import MAX_TABLE_P, _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
 from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
 
@@ -249,6 +249,17 @@ class TestRunCampaign:
         rep = hn.run_campaign(small_config(tol=-1.0))
         assert not rep.all_pass
 
+    def test_scan_below_radius_fails_row(self, monkeypatch, tmp_path):
+        # a scan run below the radius reads <= 1, so the sharpness half of
+        # the verdict fails a row whose margins all pass
+        monkeypatch.setattr(hn, "_SCAN_OFFSET", -1e-2)
+        (row,) = hn.run_campaign(small_config(theorems=("Thm32",), shapes=((1, 3),))).rows
+        assert row.min_margin >= 0.0 and row.sharpness_max <= 1.0
+        assert not row.passed
+        code = cli_main(["verify", "--theorems", "Thm32", "--shapes", "1:3", "--samples", "5",
+                         "--r-stop", "0.7", "--output", str(tmp_path / "r.json")])
+        assert code == 1
+
     def test_nan_margin_fails_row(self, monkeypatch):
         real = hn.fn.theorem_margins
         nan_in = []
@@ -451,6 +462,13 @@ class TestReports:
         assert b"\r" not in raw
         assert raw.decode("utf-8").count("\n") == 2
 
+    @pytest.mark.parametrize("fmt, write", [("json", hn.report_to_json),
+                                            ("csv", hn.report_to_csv)])
+    def test_emit_report_to_stdout(self, fmt, write, capsys):
+        rep = hn.run_campaign(small_config())
+        hn.emit_report(rep, fmt, "-")
+        assert capsys.readouterr().out == write(rep)
+
     def test_emit_unwritable_path(self):
         rep = hn.Report(rows=())
         with pytest.raises(OSError):
@@ -490,12 +508,29 @@ class TestCli:
         assert float(capsys.readouterr().out.strip()) > 1.0
 
     def test_table_command(self, capsys):
-        code = cli_main(["table", "--theorem", "Cor43", "--p-max", "2",
-                         "--format", "csv"])
-        assert code == 0
+        outs = {}
+        for fmt in ("csv", None):  # None: the default text format
+            flags = [] if fmt is None else ["--format", fmt]
+            assert cli_main(["table", "--theorem", "Cor43", "--p-max", "2", *flags]) == 0
+            outs[fmt] = capsys.readouterr().out.splitlines()
+            assert len(outs[fmt]) == 1 + 2 + 3  # header + triangle sizes 2 and 3
+        assert outs["csv"][0] == "p,m,radius,radius_closed_form"
+        assert outs[None][0].split() == ["p", "m", "radius", "closed", "form"]
+        # the same cells in aligned columns; a missing closed form is blank
+        for text, csv in zip(outs[None][1:], outs["csv"][1:]):
+            assert text.split() == [cell for cell in csv.split(",") if cell]
+
+    @pytest.mark.parametrize("p_max", [-3, 0, MAX_TABLE_P + 1, 2 ** 40])
+    def test_table_p_max_checked_and_capped(self, p_max, capsys):
+        code = cli_main(["table", "--theorem", "ThmC34", "--p-max", str(p_max)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"bohrcert: error: --p-max must lie in [1, {MAX_TABLE_P}], got {p_max}\n"
+
+    def test_table_p_max_at_its_cap(self, capsys):
+        assert cli_main(["table", "--theorem", "Thm32", "--p-max", str(MAX_TABLE_P)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "p,m,radius,radius_closed_form"
-        assert len(out) == 1 + 2 + 3  # header + triangle sizes 2 and 3
+        assert len(out) == 1 + sum(p + 1 for p in range(1, MAX_TABLE_P + 1))
 
     def test_verify_inline_pass(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
@@ -607,6 +642,8 @@ class TestCli:
         (None, '{"theorems": ["ThmC"], "tol": Infinity}'),
         (None, '{"theorems": ["ThmC"], "tol": -Infinity}'),
         (["--theorems", "ThmC", "--tol", "inf"], None),
+        # a reversed radius interval would check nothing and pass
+        (None, '{"theorems": ["ThmB"], "r_start": 0.9, "r_stop": 0.1}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:

@@ -21,10 +21,10 @@ from bohrcert.errors import (
 
 from support import (
     fft_coefficients,
-    full_psum,
     monomial_lift,
     named_mapping,
     per_seed_directions,
+    written_lhs,
 )
 
 E1 = md.Direction(np.array([1.0, 0.0, 0.0]), 2.0)
@@ -411,18 +411,17 @@ class TestSharpnessScan:
     @pytest.mark.parametrize("equation, scan_id", [
         ("ThmC34", "Thm34"), ("ThmC34", "Thm41"), ("Cor43", "Cor43"),
     ])
-    def test_matches_full_family_table(self, equation, scan_id, p, monkeypatch):
+    def test_matches_full_family_table(self, equation, scan_id, p):
+        # against the whole order-512 family table, every column of each
+        # term summed as written, within the bound on any reordering
         grid = md.default_scan_grid(256)
-        scans = []
         for m in range(p + 1):
+            table = schur.family_moduli(grid, (512 - m) // p + 1)
             r = rad.solve_radius(rad.RadiusSpec(equation, p, m))
             for at in (r - 0.01, r + 0.01):
-                scans.append((m, at, md.sharpness_scan(scan_id, p, m, at, grid)))
-        # the whole order-512 table, every column in one product
-        monkeypatch.setattr(md, "_cut_length", lambda *args: math.inf)
-        monkeypatch.setattr(fn, "_psum", lambda w, exps, r, bound: full_psum(w, exps, r))
-        for m, at, got in scans:
-            assert abs(got - md.sharpness_scan(scan_id, p, m, at, grid)) <= 1e-15
+                want, reorder = written_lhs(scan_id, table, m, p, [at])
+                got = md.sharpness_scan(scan_id, p, m, at, grid)
+                assert abs(got - want.max()) <= 1e-15 + reorder.max()
 
     def test_order_still_limits_certified_radius(self):
         # order 512 leaves 85 moduli for (m, p) = (6, 6); 86 certify this radius

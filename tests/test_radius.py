@@ -126,6 +126,12 @@ class TestSolveRadius:
         with pytest.raises(ToleranceTooSmall):
             rd.solve_radius(rd.RadiusSpec("ThmC34", 1, 0), tol=0.0)
 
+    def test_tolerance_below_float_spacing(self):
+        # bisection reaches adjacent floats, with no exact zero between
+        # them, before a half-width of 1e-18
+        with pytest.raises(ToleranceTooSmall, match="below float spacing"):
+            rd.solve_radius(rd.RadiusSpec("Cor43", 1, 1), tol=1e-18)
+
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             rd.bisect_root(lambda r: 1.0 + r, 0.0, 1.0, 1e-9)

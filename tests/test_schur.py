@@ -12,6 +12,7 @@ from support import (
     one_function_route_taylor,
     per_seed_gammas,
     pointwise_recursion,
+    sample_parameters,
     series_route_taylor,
 )
 
@@ -61,7 +62,7 @@ class TestSchurToTaylor:
     @pytest.mark.parametrize("order", [0, 1, 16, 161, 512, 2560])
     def test_series_route_oracle(self, order):
         for depth in range(1, 10):
-            gammas = schur.sample_parameters(1000 + depth, depth).gammas
+            gammas = sample_parameters(1000 + depth, depth).gammas
             got = schur.schur_to_taylor(gammas, order).coeffs
             assert got.size == order + 1
             assert np.abs(got - series_route_taylor(gammas, order)).max() < 1e-12
@@ -70,7 +71,7 @@ class TestSchurToTaylor:
         # final parameter on the circle: a finite Blaschke product
         blaschke = (0.6 - 0.3j, -0.4j, 0.7, np.exp(0.9j))
         # orders below the depth of 9
-        deep = schur.sample_parameters(5, 9).gammas
+        deep = sample_parameters(5, 9).gammas
         for gammas, order in [(blaschke, 0), (blaschke, 3), (blaschke, 512),
                               (deep, 0), (deep, 2), (deep, 8)]:
             got = schur.schur_to_taylor(gammas, order).coeffs
@@ -98,7 +99,7 @@ class TestSchurToTaylor:
 class TestSampleSchur:
     def test_depth_one_constant(self):
         f = schur.sample_schur(7, 1, 4)
-        gamma = schur.sample_parameters(7, 1).gammas[0]
+        gamma = sample_parameters(7, 1).gammas[0]
         assert f.coeffs[0] == pytest.approx(gamma)
         assert np.abs(f.coeffs[1:]).max() == 0.0
 
@@ -114,7 +115,7 @@ class TestSampleSchur:
 
     def test_disk_bounded_dense_oracle(self):
         # pointwise recursion values near the boundary stay inside the disk
-        params = schur.sample_parameters(7, 5)
+        params = sample_parameters(7, 5)
         vals = pointwise_recursion(params.gammas, disk_points(4096))
         assert np.abs(vals).max() <= 1 + 1e-9
 
@@ -169,7 +170,7 @@ class TestBatchedBank:
         seeds = [9 ^ i for i in range(6)]
         gammas = schur.sample_gammas(seeds, 4)
         for seed, g in zip(seeds, gammas):
-            assert tuple(g) == schur.sample_parameters(seed, 4).gammas
+            assert tuple(g) == sample_parameters(seed, 4).gammas
 
     @pytest.mark.parametrize("where, value", [
         ((3, 1), np.nan),  # not finite
@@ -232,7 +233,7 @@ class TestStreams:
             lambda: schur.sample_gammas([3, seed], 4),
             lambda: schur.sample_bank([seed], 4, 8),
             lambda: schur.sample_schur(seed, 4, 8),
-            lambda: schur.sample_parameters(seed, 4),
+            lambda: sample_parameters(seed, 4),
         ]
         for call in calls:
             with pytest.raises(ParameterOutOfRange, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import bohrcert
-from bohrcert import functionals, harness, multidim, schur, series
+from bohrcert import functionals, harness, multidim, radius, schur, series
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -122,6 +122,19 @@ def test_bound_one_rows_make_one_core_call_each(monkeypatch):
 def test_row_cores_are_catalog_entries():
     cores = {core for row in functionals._ROWS.values() for core in row.cores}
     assert cores <= set(functionals._THEOREMS), cores - set(functionals._THEOREMS)
+
+
+def test_row_equations_and_scans_are_table_entries():
+    """A row's radius equation is a ``radius._EQUATIONS`` entry, and its scan
+    a closed envelope or a catalog core; the CLI lists them in this order."""
+    rows = functionals._ROWS.values()
+    equations = {row.equation for row in rows if row.equation}
+    assert equations <= set(radius._EQUATIONS), equations - set(radius._EQUATIONS)
+    for scan in {row.scan for row in rows if row.scan}:
+        assert scan in multidim._ENVELOPES or scan in functionals._THEOREMS, scan
+    assert radius.RADIUS_IDS == ("ThmC34", "Thm31", "Thm32", "Cor43", "ClassicBohr",
+                                 "Alternating")
+    assert multidim.SCAN_IDS == ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
 
 
 def test_named_slices_are_extremal_families():
