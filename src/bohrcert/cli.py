@@ -49,11 +49,11 @@ def _parse_shape(text: str):
 
 
 def _radius_spec_from_args(args) -> radius.RadiusSpec:
-    extras = {}
-    if args.theorem == "Thm31":
-        if args.a0 is None or args.s is None:
-            raise BohrcertError("Thm31 needs --a0 and --s")
-        extras = {"a0": args.a0, "s": args.s}
+    extras = {k: v for k, v in (("a0", args.a0), ("s", args.s)) if v is not None}
+    if args.theorem == "Thm31" and len(extras) < 2:
+        raise BohrcertError("Thm31 needs --a0 and --s")
+    if args.theorem != "Thm31" and extras:
+        raise ParameterOutOfRange(f"--a0 and --s apply to Thm31 only, not {args.theorem}")
     return radius.RadiusSpec(args.theorem, args.p, args.m, extras)
 
 
@@ -65,6 +65,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
+    if args.s is not None and args.theorem != "Thm31":
+        raise ParameterOutOfRange(f"--s applies to the Thm31 scan only, not {args.theorem}")
     grid = multidim.default_scan_grid(args.a_steps)
     val = multidim.sharpness_scan(args.theorem, args.p, args.m, args.r, grid, s=args.s)
     print(f"{val:.15g}")

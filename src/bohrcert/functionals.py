@@ -438,6 +438,8 @@ _THEOREMS = {
     # 1/(r^(p+m) + Lambda) with Lambda = mu_1 r^(p+m) folds into the
     # exponents: the two square sums carry exponents (2k-1)p + m and
     # 2kp + m, both nonnegative, so r = 0 is safe.
+    # Under Cor42, on c*mu (c = max_j |z0_j| <= 1), c mu_k, c^2 mu_k^2/(1 + c mu_1) and
+    # c^2 mu_k^2/(1 - r^p) are each nondecreasing in c >= 0, against the bound 1.
     "Thm32": _Theorem(
         (_Term(_TAIL, 1, (1, 0, 1)),
          _Term(_FROM2, 2, (2, -1, 1), sample_weight=lambda v: 1.0 / (1.0 + v.mu1)),
@@ -463,6 +465,8 @@ _THEOREMS = {
     # sum_{k>=1} nu_{2k} r^(2kp+m) <= (r^(2p-m)/(1-r^2p)) (r^2m - (nu_0 r^m)^2)
     # on the raw directional norms nu of f = z*g, whose lattice starts at
     # m >= 1; the right side is built as (1 - nu_0^2) r^(2p+m)/(1-r^2p).
+    # On c*nu, c = max_j |z0_j| <= 1, the margin (1 - c^2 nu_0^2) R - c L, with L the
+    # left sum and R = r^(2p+m)/(1-r^2p), both >= 0, is nonincreasing in c >= 0.
     "Lem21": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 1)),),
         rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p + v.m) / _den(v)),
@@ -488,7 +492,7 @@ class RowSpec:
     shape: Optional[Tuple[int, int]] = None  # the row's own (m, p) where it differs from ``at``
     scan: Optional[str] = None  # sharpness family run just above the radius
     scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
-    vector: bool = False  # one row per t; bank scaled by each direction's sup norm
+    vector: bool = False  # one row per t, each run at the worst direction e_1
     shift: bool = False  # the moduli get a vanishing lattice start prepended
     slice_check: bool = False  # ``multidim.vector_check`` runs it on slices of f = z*g
 

@@ -26,8 +26,8 @@ right side does not vary by sample (the bound 1, or a function of r
 alone), that is min_r (rhs_r - max_i lhs_ir), with no margin array
 written.  Rows that compute the same margin (the same ``_THEOREMS``
 entries, radius equation, shapes, shift, s and grid, as ThmC and Thm41
-do) are evaluated once and reported under each id; vector rows, which
-draw their own directions, are not shared.  ``CampaignConfig`` refuses,
+do) are evaluated once and reported under each id, and so are the t rows
+of a vector id at one shape.  ``CampaignConfig`` refuses,
 before anything is allocated, a config whose samples x bank length or
 samples x grid points exceeds ``MAX_CELLS``.
 
@@ -46,12 +46,15 @@ left out is certified above it.  Where N is 0 (Thm32, Thm34) that is
 the top radius alone.  Thm31's per-function rows, LemD, Lem21 and the
 envelopes evaluate every cell.
 
-Determinism contract: per-sample seeds are derived as row_seed XOR
-sample index, with row_seed a CRC of the row label mixed with the config
-seed, so identical configs produce byte-identical reports regardless of
-how the work would be scheduled.  A bank, and a vector row's directions,
-are drawn in one batch; sample i still draws from its own generator
-seeded row_seed XOR i, exactly as a single draw would.
+Vector rows (Cor42, Lem21) run at the worst unit direction of l_t^n, e_1,
+for every n and t >= 1: a direction z0 enters them only as the factor
+c = max_j |z0_j| <= 1 on the bank, and both cores' margins are
+nonincreasing in c (proofs at their ``functionals._THEOREMS`` entries).
+
+Determinism contract: sample i of a bank draws from its own generator,
+seeded bank_seed XOR i with bank_seed a CRC of the bank's shape mixed with
+the config seed, exactly as a single draw would, though the bank is drawn
+in one batch; so identical configs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ CAMPAIGN_THEOREMS = tuple(_ROWS)
 MAX_GRID_POINTS = 1 << 20  # radii in one campaign grid
 MAX_SAMPLES = 1 << 16  # seeded functions per bank
 MAX_DEPTH = 64  # sampler parameters per function; the bank build is O(depth^2)
-MAX_DIMS = 64  # coordinates of a vector row's directions
 MAX_CELLS = 1 << 25  # samples x bank length, and samples x grid points
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
@@ -130,7 +132,6 @@ class CampaignConfig:
     samples: int = 100
     seed: int = 0
     depth: int = 5
-    dims: int = 4
     r_start: float = 0.005
     r_stop: float = 0.95
     r_step: float = 0.005
@@ -157,7 +158,7 @@ class CampaignConfig:
         put("shapes", tuple(shapes))
         for name in ("t_values", "s_values"):
             put(name, tuple(_as_float(name, x) for x in _as_list(name, getattr(self, name))))
-        for name in ("samples", "seed", "depth", "dims", "scan_steps"):
+        for name in ("samples", "seed", "depth", "scan_steps"):
             put(name, _as_int(name, getattr(self, name)))
         for name in ("r_start", "r_stop", "r_step", "tol", "trunc_tol"):
             put(name, _as_float(name, getattr(self, name)))
@@ -194,12 +195,9 @@ class CampaignConfig:
             raise ParameterOutOfRange(f"unknown report format {self.format!r}")
         if not self.depth >= 1:
             raise ParameterOutOfRange("sampler depth must be >= 1")
-        if not self.dims >= 1:
-            raise ParameterOutOfRange(f"dims must be >= 1, got {self.dims}")
         if not self.scan_steps >= 0:
             raise ParameterOutOfRange(f"scan_steps must be >= 0, got {self.scan_steps}")
-        for name, cap in (("depth", MAX_DEPTH), ("dims", MAX_DIMS),
-                          ("scan_steps", md.MAX_SCAN_STEPS)):
+        for name, cap in (("depth", MAX_DEPTH), ("scan_steps", md.MAX_SCAN_STEPS)):
             if getattr(self, name) > cap:
                 raise ParameterOutOfRange(f"{name} is capped at {cap}, got {getattr(self, name)}")
         # the two (samples x length) arrays a campaign allocates: its longest
@@ -387,7 +385,7 @@ def _unsettled(core, bank, m, p, grid, s, trunc_tol) -> Tuple[np.ndarray, int, f
     return mods, good + 1, bound
 
 
-def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[float]:
+def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     """Least margin over the bank, the grid and the row's cores.
 
     (m, p) is the shape the cores run at; None when a per-function radius
@@ -396,11 +394,6 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[fl
     does not depend on the function evaluates only the cells
     :func:`_unsettled` leaves; every other core evaluates every cell.
     """
-    if row.vector:
-        dir_seed = _row_seed(config.seed, "dirs:" + label)
-        z0 = md.random_directions([dir_seed ^ i for i in range(config.samples)],
-                                  config.dims, t)
-        bank = np.abs(z0).max(axis=1)[:, None] * bank
     if row.shift:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     extras = None if s is None else {"s": s}
@@ -430,7 +423,6 @@ def _row_margin(row, bank, m, p, grid, s, t, config, label, work) -> Optional[fl
 
 def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     row = _ROWS[theorem]
-    label = f"{theorem}:{m}:{p}:{t}:{s}"
     cm, cp = row.at or (m, p)
 
     radius = closed = None
@@ -454,18 +446,16 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     if grid.size:
         bank = _bank(shared.banks, config, m, p)
         # Rows with the same cores, equation, shapes, shift, s and grid compute
-        # the same margin (ThmC and Thm41 share their entry); a vector row
-        # draws its own directions.
-        key = None if row.vector else (
-            tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
-            (m, p), (cm, cp), row.shift, s, grid.tobytes())
+        # the same margin: ThmC and Thm41 share their entry, and a vector
+        # row's t rows their shape.
+        key = (tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
+               (m, p), (cm, cp), row.shift, s, grid.tobytes())
         if key in shared.margins:
             min_margin = shared.margins[key]
         else:
             work = shared.work[:, :grid.size]
-            min_margin = _row_margin(row, bank, cm, cp, grid, s, t, config, label, work)
-            if key is not None:
-                shared.margins[key] = min_margin
+            min_margin = _row_margin(row, bank, cm, cp, grid, s, config, work)
+            shared.margins[key] = min_margin
         nsamp = bank.shape[0]
     else:
         min_margin, nsamp = None, 0

@@ -136,9 +136,11 @@ def bisect_root(
     NoSignChange if the endpoints do not straddle zero,
     ToleranceTooSmall if ``tol`` is nonpositive or below what float
     spacing can deliver on this interval, and ParameterOutOfRange if it
-    is infinite, which would accept the first midpoint.
+    is infinite (it would accept the first midpoint) or lo or hi is not finite.
     """
     _check_tol(tol)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterOutOfRange(f"bisection needs a finite bracket, got [{lo}, {hi}]")
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo

@@ -216,6 +216,10 @@ class TestRunCampaign:
         rep = hn.run_campaign(cfg)
         assert [row.t for row in rep.rows] == [1.0, 2.0, math.inf]
         assert rep.all_pass
+        # every t row is the worst direction e_1: the unscaled bank at c = 1
+        lhs, rhs = fn.theorem_margins("Lem21", hn._bank({}, cfg, 1, 1), 1, 1,
+                                      hn._grid(cfg, cfg.r_stop))
+        assert [row.min_margin for row in rep.rows] == [(rhs - lhs).min()] * 3
 
     def test_thm31_rows_per_s(self):
         cfg = hn.CampaignConfig(
@@ -320,6 +324,26 @@ class TestRunCampaign:
         assert [r.min_margin for r in rows[2:]] == [r.min_margin for r in alone.rows]
         assert [r.min_margin for r in rows[:2]] == [r.min_margin for r in alone.rows]
 
+    def test_vector_rows_run_their_core_once_per_shape(self, monkeypatch):
+        real = hn.fn.theorem_margins
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[:4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn.fn, "theorem_margins", spy)
+        cfg = small_config(theorems=("Lem21", "Cor42"), shapes=((1, 1), (1, 3)),
+                           t_values=(1.0, 2.0, math.inf))
+        rows = hn.run_campaign(cfg).rows
+        assert [(core, m, p) for core, _, m, p in calls] == [
+            ("Lem21", 1, 1), ("Lem21", 1, 3), ("Thm32", 0, 1)]
+        assert [(r.theorem, r.m, r.p) for r in rows[::3]] == [
+            ("Lem21", 1, 1), ("Lem21", 1, 3), ("Cor42", 1, 1)]
+        for i in range(0, 9, 3):
+            assert [r.t for r in rows[i:i + 3]] == [1.0, 2.0, math.inf]
+            assert len({r.min_margin for r in rows[i:i + 3]}) == 1
+
     def test_determinism_byte_identical(self):
         cfg = small_config(samples=25)
         a = hn.report_to_json(hn.run_campaign(cfg))
@@ -359,8 +383,8 @@ def settled_and_every_cell(theorem, bank, m, p, grid):
     only the cells its parity bounds leave unsettled, the every-cell
     oracle's, and the reorder bound between the two."""
     row = hn._ROWS[theorem]
-    got = hn._row_margin(row, bank, m, p, grid, None, None, hn.CampaignConfig(theorems=()),
-                         theorem, np.empty((bank.shape[0], grid.size)))
+    got = hn._row_margin(row, bank, m, p, grid, None, hn.CampaignConfig(theorems=()),
+                         np.empty((bank.shape[0], grid.size)))
     if row.shift:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     want = every_cell_least(row.cores[0], bank, m, p, grid)
@@ -369,6 +393,37 @@ def settled_and_every_cell(theorem, bank, m, p, grid):
 
 def sharp_radius(theorem, m, p):
     return rad.solve_radius(rad.RadiusSpec(hn._ROWS[theorem].equation, p, m))
+
+
+class TestWorstDirection:
+    """A direction z0 enters a vector row only as c = max_j |z0_j| <= 1 on
+    the bank, and its cores' least margins are nonincreasing in c, so the
+    campaign runs each at c = 1, the direction e_1."""
+
+    @pytest.mark.parametrize("theorem, m, p", [
+        ("Lem21", 1, 1), ("Lem21", 1, 3), ("Lem21", 2, 3),
+        ("Cor42", 1, 1),  # Thm32 on the shifted (0, 1) bank
+    ])
+    def test_least_margin_nonincreasing_in_c(self, theorem, m, p):
+        row = hn._ROWS[theorem]
+        core, (cm, cp) = row.cores[0], row.at or (m, p)
+        top = 0.95 if row.equation is None else sharp_radius(theorem, cm, cp) - hn._RADIUS_MARGIN
+        grid = np.linspace(0.005, top, 150)
+        length = fn.lacunary_length_for(m, p, top) + 1
+        bank = np.abs(schur.sample_bank([0xC0DE ^ i for i in range(64)], 5, length - 1))
+        if row.shift:
+            bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+        margins, reorder = [], []
+        for c in np.linspace(0.0, 1.0, 21):
+            lhs, rhs = fn.theorem_margins(core, c * bank, cm, cp, grid)
+            margins.append(rhs - lhs)
+            reorder.append(written_lhs(core, c * bank, cm, cp, grid)[1])
+        for j in range(20):
+            # every cell, and so the least one
+            slack = reorder[j] + reorder[j + 1]
+            assert np.all(margins[j + 1] <= margins[j] + slack), j
+            assert margins[j + 1].min() <= margins[j].min() + slack.max(), j
+        assert margins[-1].min() < margins[0].min()
 
 
 class TestSettledCells:
@@ -499,6 +554,22 @@ class TestCli:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
 
+    # --a0 and --s are read only by the Thm31 radius, and --s only by the
+    # Thm31 scan; another id must refuse them, not print its own result
+    @pytest.mark.parametrize("argv", [
+        ["radius", "--theorem", "ThmC34", "--p", "1", "--m", "1", "--a0", "0.5", "--s", "2"],
+        ["radius", "--theorem", "Thm32", "--p", "2", "--a0", "0.5"],
+        ["radius", "--theorem", "Cor43", "--p", "1", "--s", "2"],
+        ["sharpness", "--theorem", "Thm34", "--p", "1", "--m", "1", "--r", "0.5", "--s", "-3"],
+        ["sharpness", "--theorem", "Thm32", "--p", "1", "--r", "0.61", "--s", "2"],
+    ])
+    def test_flags_of_another_id_exit_two(self, argv, capsys):
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
+        assert "Thm31" in err
+
     def test_sharpness_command(self, capsys):
         code = cli_main(
             ["sharpness", "--theorem", "Thm32", "--p", "1", "--m", "0",
@@ -613,6 +684,7 @@ class TestCli:
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),
         (None, '{"theorems": ["Thm34"], "shapes": [[1, 3]], "scan_steps": -3}'),
+        # dims, a retired key, is refused as unknown at any value (here and below)
         (None, '{"theorems": ["LemD", "Lem21"], "shapes": [[1, 3]], "dims": 0}'),
         (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [NaN]}'),
         (None, '{"theorems": ["ThmB", "Thm31"], "s_values": [-1]}'),
@@ -631,7 +703,7 @@ class TestCli:
         # sizes just over their caps
         (["--theorems", "ThmB", "--samples", "2", "--depth", str(hn.MAX_DEPTH + 1)], None),
         (None, '{"theorems": ["Lem21"], "shapes": [[1, 1]], "samples": 2, "dims": %d}'
-         % (hn.MAX_DIMS + 1)),
+         % 65),
         (None, '{"theorems": ["ThmB"], "samples": 2, "scan_steps": %d}'
          % (md.MAX_SCAN_STEPS + 1)),
         # caps on samples x bank length (a 2.9 GB bank) and samples x grid
@@ -657,7 +729,7 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, cap", [
-        ("depth", hn.MAX_DEPTH), ("dims", hn.MAX_DIMS), ("scan_steps", md.MAX_SCAN_STEPS),
+        ("depth", hn.MAX_DEPTH), ("scan_steps", md.MAX_SCAN_STEPS),
     ])
     def test_size_caps_name_the_key(self, key, cap):
         hn.CampaignConfig(theorems=(), **{key: cap})

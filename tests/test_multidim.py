@@ -103,12 +103,14 @@ class _ZeroNormals:
 
 
 class TestRandomDirections:
-    """The batched draw the campaign uses: one (S, n) array per vector row."""
+    """The batched draw of library callers: one (S, n) array of directions.
+
+    A campaign draws none: its vector rows run at the worst direction e_1."""
 
     @pytest.mark.parametrize("t", [1.0, 2.0, math.inf])
     def test_campaign_sup_norms_match_direction(self, t):
         seeds = [0x5EED ^ i for i in range(300)]
-        # the campaign's sup norms, as harness._row_margin forms them
+        # the sup norms c = max_j |z0_j| by which a direction scales a slice's norms
         sup = np.abs(md.random_directions(seeds, 4, t)).max(axis=1)
         for seed, got in zip(seeds, sup):
             rng = np.random.default_rng(seed)

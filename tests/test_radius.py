@@ -136,6 +136,19 @@ class TestSolveRadius:
         with pytest.raises(NoSignChange):
             rd.bisect_root(lambda r: 1.0 + r, 0.0, 1.0, 1e-9)
 
+    @pytest.mark.parametrize("fn, lo, hi", [
+        # the first midpoint would be NaN, and every comparison with it false
+        (lambda r: r, -math.inf, math.inf),
+        # halving toward inf could only stop at float spacing there
+        (lambda r: r - 0.3, 0.0, math.inf),
+        (lambda r: r - 0.3, math.nan, 1.0),
+    ])
+    def test_infinite_bracket_refused_before_any_call(self, fn, lo, hi):
+        calls = []
+        with pytest.raises(ParameterOutOfRange, match="finite bracket"):
+            rd.bisect_root(lambda r: calls.append(r) or fn(r), lo, hi, 1e-9)
+        assert calls == []
+
 
 class TestClassicalBohrRadius:
     def test_grid_infimum(self):

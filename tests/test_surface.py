@@ -100,7 +100,8 @@ def test_margin_core_keeps_the_tracer_contract(monkeypatch):
 def test_bound_one_rows_make_one_core_call_each(monkeypatch):
     """Rows of bound-1 cores evaluate only their unsettled cells, still in
     one ``functionals.theorem_margins`` call per core per row, so each such
-    row is still one of the campaign ops behind ``op_p50_ms``."""
+    row is still one of the campaign ops behind ``op_p50_ms``.  Cor42's t
+    rows share their shape's call."""
     tracing = _tracing(monkeypatch)
     real, calls = functionals.theorem_margins, []
 
@@ -113,10 +114,11 @@ def test_bound_one_rows_make_one_core_call_each(monkeypatch):
     rows = harness.run_campaign(harness.CampaignConfig(
         theorems=("ThmC", "Thm32", "Thm34", "Cor43", "Cor42"), shapes=((1, 3),),
         t_values=(1.0, float("inf")), samples=40, r_stop=0.9, r_step=0.002)).rows
-    assert [core for core, _ in calls] == ["ThmC", "Thm32", "Thm34", "Cor43", "Thm32", "Thm32"]
-    assert len(rows) == len(calls) and all(cells > 0 for _, cells in calls)
-    # and fewer cells than the rows hold
-    assert sum(cells for _, cells in calls) < sum(r.samples * r.grid_points for r in rows)
+    assert [core for core, _ in calls] == ["ThmC", "Thm32", "Thm34", "Cor43", "Thm32"]
+    assert len(rows) == 6 and all(cells > 0 for _, cells in calls)
+    # and fewer cells than the rows of distinct (id, shape) hold
+    held = {(r.theorem, r.m, r.p): r.samples * r.grid_points for r in rows}
+    assert len(held) == len(calls) and sum(cells for _, cells in calls) < sum(held.values())
 
 
 def test_row_cores_are_catalog_entries():
