@@ -26,7 +26,8 @@ Lem21          even-tail bound of the slices of f = z*g, shapes with m >= 1
 Where a theorem's facts live: its left side (weighted lattice power sums
 of mu, mu^2 or signed mu), its right side and the conditions it is stated
 under (shape, odd gap, m >= 1, vanishing start, radius window) are one entry of
-``_THEOREMS``, evaluated by one engine.  Its radius equation is one
+``_THEOREMS``, evaluated by one engine; so is, for LemD and Lem21, the
+margin's reduced form g(r) * rho(r^2p).  Its radius equation is one
 ``radius._EQUATIONS`` entry, and its sharpness family a catalog core or
 one ``multidim._ENVELOPES`` entry.  How a campaign row runs it (its
 cores, radius equation, scan, fixed shape, reindexing and vector flags)
@@ -244,6 +245,17 @@ def _need(exps: np.ndarray, bound: float, r: np.ndarray) -> np.ndarray:
     return need
 
 
+def _bucket_edges(needs, r: np.ndarray) -> np.ndarray:
+    """Where :func:`_products` splits the radius grid r into buckets, given
+    each part's column counts there: radii whose largest counts share a
+    power-of-two ceiling, where that largest count ascends; else one bucket."""
+    most = needs[0] if len(needs) == 1 else np.max(needs, axis=0)
+    if r.size > 1 and np.all(most[1:] >= most[:-1]):
+        group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
+        return np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
+    return np.array([0, r.size])
+
+
 def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over parts of weight * sum_k w_k r^exps_k, on the radius grid r.
 
@@ -266,11 +278,7 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
     written into ``out`` when one is given.
     """
     needs = [_need(exps, bound, r) for exps, bound, _ in heads]
-    most = needs[0] if len(needs) == 1 else np.max(needs, axis=0)
-    edges = [0, r.size]
-    if r.size > 1 and np.all(most[1:] >= most[:-1]):
-        group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
-        edges = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
+    edges = _bucket_edges(needs, r)
     counts = [[int(need[lo:hi].max(initial=0)) for need in needs]
               for lo, hi in zip(edges[:-1], edges[1:])]
     width = [max(col) for col in zip(*counts)]  # columns of each part any bucket reads
@@ -299,6 +307,16 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
             row += n
         np.matmul(stack[..., cols], table, out=out[..., lo:hi])
     return out
+
+
+def _first_bucket(theorem_id: str, length: int, m: int, p: int, r: np.ndarray,
+                  coeff_bound: float) -> int:
+    """Radii in the first bucket :func:`_products` forms when a grid call of a
+    core with no exponent s covers r, for profiles of ``length`` moduli."""
+    k = np.arange(length)
+    needs = [_need(*_lattice(term, k, m, p, None, coeff_bound), r)
+             for term in _THEOREMS[theorem_id].terms]
+    return int(_bucket_edges(needs, r)[1])
 
 
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
@@ -352,6 +370,35 @@ class _Term:
 
 
 @dataclass(frozen=True)
+class _Part:
+    """(1 - y if ``damped``) * sample_weight * sum_i w_i y^(first + i), with
+    w_i the i-th column of the lattice slice ``cols`` of mu (``power`` 1)
+    or mu^2 (``power`` 2), and ``sample_weight`` as in :class:`_Term`."""
+
+    cols: slice
+    power: int
+    first: int = 0
+    damped: bool = False
+    sample_weight: Optional[Callable[[_Vars], np.ndarray]] = None
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    """A margin rhs - lhs written as g(r) * rho(y), with y = r^(2p).
+
+    g = r^(a p + b m) / (1 - y), for (a, b) = ``scale`` with a p + b m > 0,
+    is positive and ascending on (0, 1); rho = 1 - (the sum of ``parts``)
+    is a polynomial in y with per-sample coefficients.  Every weight of
+    the entry's terms is at most max(1, g) on [0, 1), so the columns the
+    engine skips change its margin by at most 2^-64 max(1, g) per term
+    and unit of coeff_bound^2.
+    """
+
+    scale: Tuple[int, int]
+    parts: Tuple[_Part, ...]
+
+
+@dataclass(frozen=True)
 class _Theorem:
     """lhs = sum of the terms (its modulus if ``absolute``) <= rhs.
 
@@ -366,6 +413,11 @@ class _Theorem:
     (:func:`_parity_parts`) are then nondecreasing in r, so a campaign may
     bound a sample's left side on [0, r] by its parts at r alone
     (``harness._unsettled``); a test holds every such entry to this.
+
+    ``reduced``, where given, is the same margin as g(r) * rho(y)
+    (:class:`_Reduced`), from which a campaign bounds a sample's margin
+    over a whole radius interval (``harness._reduced_least``); a test
+    holds it to the engine's rhs - lhs.
     """
 
     terms: Tuple[_Term, ...]
@@ -376,9 +428,11 @@ class _Theorem:
     positive_m: bool = False
     vanishing_start: bool = False
     window: Optional[Tuple[float, float]] = None
+    reduced: Optional[_Reduced] = None
 
 
 _ALL = slice(None)
+_FIRST = slice(0, 1)
 _TAIL = slice(1, None)
 _ODD = slice(1, None, 2)
 _EVEN = slice(2, None, 2)
@@ -419,15 +473,25 @@ _THEOREMS = {
     #                                             <= (1-mu_0^2) r^2p/(1-r^2p)
     # The odd square sum is r^p/(1-r^2p) * sum mu_k^2 r^(2kp), the
     # nonnegative-exponent form of the weighted sum over r^((2k-1)p).
+    # With y = r^2p, the margins are g * rho:
+    #   odd:  r^p/(1-y) * (1 - sum_k mu_k^2 y^k - (1-y) sum_j mu_{2j+1} y^j)
+    #   even: y/(1-y) * (1 - mu_0^2 - (1-y) sum_{j>=1} mu_{2j} y^(j-1)
+    #                    - ((1-y)/(1+mu_0)) sum_{k>=1} mu_k^2 y^(k-1)
+    #                    - sum_{k>=1} mu_k^2 y^k)
     "LemDOdd": _Theorem(
         (_Term(_ODD, 1, (1, 0, 0)),
          _Term(_ALL, 2, (2, 0, 0), lambda v: v.r ** v.p / _den(v))),
-        rhs=lambda v: v.r ** v.p / _den(v)),
+        rhs=lambda v: v.r ** v.p / _den(v),
+        reduced=_Reduced((1, 0), (_Part(_ALL, 2), _Part(_ODD, 1, damped=True)))),
     "LemDEven": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 0)),
          _Term(_TAIL, 2, (2, 0, 0), sample_weight=_over_one_plus_mu0),
          _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r ** (2 * v.p) / _den(v))),
-        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / _den(v))),
+        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / _den(v)),
+        reduced=_Reduced((2, 0), (
+            _Part(_FIRST, 2), _Part(_EVEN, 1, damped=True),
+            _Part(_TAIL, 2, damped=True, sample_weight=_over_one_plus_mu0),
+            _Part(_TAIL, 2, first=1)))),
     # Thm41 is this bound term by term: r^(p-m) r^(2kp+2m) = r^(p+m) r^(2kp).
     "ThmC": _Theorem(
         (_ALTERNATING,
@@ -467,10 +531,13 @@ _THEOREMS = {
     # m >= 1; the right side is built as (1 - nu_0^2) r^(2p+m)/(1-r^2p).
     # On c*nu, c = max_j |z0_j| <= 1, the margin (1 - c^2 nu_0^2) R - c L, with L the
     # left sum and R = r^(2p+m)/(1-r^2p), both >= 0, is nonincreasing in c >= 0.
+    # With y = r^2p the margin is
+    #   r^(2p+m)/(1-y) * (1 - nu_0^2 - (1-y) sum_{j>=1} nu_{2j} y^(j-1)).
     "Lem21": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 1)),),
         rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p + v.m) / _den(v)),
-        positive_m=True),
+        positive_m=True,
+        reduced=_Reduced((2, 1), (_Part(_FIRST, 2), _Part(_EVEN, 1, damped=True)))),
 }
 _THEOREMS["Thm41"] = _THEOREMS["ThmC"]
 
@@ -664,6 +731,32 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
         pos += above * plus + below * minus
         neg += above * minus + below * plus
     return pos, neg
+
+
+def _reduced_polynomial(form: _Reduced, mods, m, p, y: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Power-basis coefficients in y of rho, (samples, degree + 1), and its size at y.
+
+    rho = 1 - (the sum of the parts); its size is 1 + (the sum of the parts
+    with 1 - y taken as 1), at least |rho| and each piece of it on [0, y].
+    """
+    samples, length = mods.shape
+    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
+    v = _Vars(np.empty(0), mods[:, :1], mu1, m, p)
+    k = np.arange(length)
+    count = max(part.first + k[part.cols].size + part.damped for part in form.parts)
+    powers = y ** np.arange(count)
+    rho, size = np.zeros((samples, count)), np.ones(samples)
+    rho[:, 0] = 1.0
+    for part in form.parts:
+        w = _columns(part, mods, k, m, p, None)
+        if part.sample_weight is not None:
+            w = w * part.sample_weight(v)
+        at = slice(part.first, part.first + w.shape[1])
+        rho[:, at] -= w
+        size += w @ powers[at]
+        if part.damped:
+            rho[:, at.start + 1:at.stop + 1] += w
+    return rho, size
 
 
 def theorem_margins(

@@ -31,20 +31,28 @@ of a vector id at one shape.  ``CampaignConfig`` refuses,
 before anything is allocated, a config whose samples x bank length or
 samples x grid points exceeds ``MAX_CELLS``.
 
-Which cells a row evaluates: a core with the bound 1 (ThmC/Thm41, Thm32,
+Which cells a row evaluates: a row reports the least margin of a cell it
+computed, and every cell it leaves out is certified above that least.
+Two bounds settle cells.  A core with the bound 1 (ThmC/Thm41, Thm32,
 Thm34 and Cor43, so also the Cor33 and Cor42 rows) on a row whose radius
-does not depend on the function evaluates only the cells that can hold
-its least margin.  A sample's left side on [0, r] is at most the larger
-of its two nonnegative parity parts P and N at r, since both are
-nondecreasing in r, and the largest left side at the top radius, M, is
-a cell the core call always evaluates.  Cells whose bound is below M, by
-a rounding allowance of 1e-12 relative, are settled: their margins
-exceed the least one.  The call evaluates the rest, the unsettled
-samples over the suffix of the grid where some bound still reaches M,
-so the reported least margin is still a computed cell's and every cell
-left out is certified above it.  Where N is 0 (Thm32, Thm34) that is
-the top radius alone.  Thm31's per-function rows, LemD, Lem21 and the
-envelopes evaluate every cell.
+does not depend on the function: a sample's left side on [0, r] is at
+most the larger of its two nonnegative parity parts P and N at r, since
+both are nondecreasing in r, and the largest left side at the top
+radius, M, is a cell the core call always evaluates.  Cells whose bound
+is below M, by a rounding allowance of 1e-12 relative, are settled; the
+call evaluates the unsettled samples over the suffix of the grid where
+some bound still reaches M (the top radius alone where N is 0, as for
+Thm32 and Thm34).  A core with a reduced form (LemDOdd, LemDEven,
+Lem21): its margin is g(r) rho(y), y = r^(2p), with g > 0 ascending and
+rho a polynomial per sample.  One call evaluates every sample on the
+head of the grid, the first bucket of a whole-grid call, so those cells
+are bit for bit the ones a whole-grid call computes.  Each sample's
+least Bernstein coefficient of rho on [0, r_top^(2p)] (degree at most
+64, less the tail above it and a 1e-12 relative rounding allowance)
+bounds its margin below by g(r) times it, which settles every radius
+past the first where that exceeds the head's least.  A second call, if
+any, evaluates the samples left over the radii they still need.  ThmB,
+Thm31's per-function rows and the envelopes evaluate every cell.
 
 Vector rows (Cor42, Lem21) run at the worst unit direction of l_t^n, e_1,
 for every n and t >= 1: a direction z0 enters them only as the factor
@@ -59,6 +67,7 @@ in one batch; so identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -99,6 +108,9 @@ _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
 # rounding a settled cell is allowed, relative to its parts' sum; the
 # margin core's is at most 7.1e-15 on sums up to 4.3
 _SETTLE_SLACK = 1e-12
+# degree of the Bernstein bounds of a reduced form; coefficients above it
+# go to the bound's tail, and at this degree every binomial stays finite
+_BERNSTEIN_DEGREE = 64
 
 
 def _as_list(name: str, value) -> tuple:
@@ -176,8 +188,10 @@ class CampaignConfig:
             raise ParameterOutOfRange("tol must be a finite number and trunc_tol in (0, inf)")
         if not self.samples >= 1:
             raise ParameterOutOfRange("sample count must be >= 1")
-        if not (0.0 < self.r_step and 0.0 <= self.r_start < 1.0):
-            raise ParameterOutOfRange("need r_step > 0 and 0 <= r_start < 1")
+        if not 0.0 < self.r_step < math.inf:
+            raise ParameterOutOfRange(f"r_step must be a finite number > 0, got {self.r_step}")
+        if not 0.0 <= self.r_start < 1.0:
+            raise ParameterOutOfRange("need 0 <= r_start < 1")
         if not self.r_stop < 1.0:
             raise ParameterOutOfRange("r_stop must be < 1")
         if self.r_start > self.r_stop:
@@ -385,13 +399,89 @@ def _unsettled(core, bank, m, p, grid, s, trunc_tol) -> Tuple[np.ndarray, int, f
     return mods, good + 1, bound
 
 
+@functools.lru_cache(maxsize=None)
+def _bernstein_matrix(n: int) -> np.ndarray:
+    """M with b = a M: the degree-n Bernstein coefficients on [0, 1] of
+    sum_j a_j t^j are b_k = sum_(j <= k) C(k, j) / C(n, j) a_j (Farouki,
+    CAGD 2012), each ratio rounded once."""
+    matrix = np.array([[math.comb(k, j) / math.comb(n, j) for k in range(n + 1)]
+                       for j in range(n + 1)])
+    matrix.setflags(write=False)  # shared by every caller through the cache
+    return matrix
+
+
+def _reduced_floor(form, bank, m, p, top: float) -> np.ndarray:
+    """A lower bound on each sample's rho over [0, Y], Y = top^(2p).
+
+    The coefficients of rho up to degree n = min(degree, _BERNSTEIN_DEGREE)
+    give their least Bernstein coefficient on [0, Y], at most their
+    polynomial's least value there (Garloff 1986).  Less the tail
+    sum_(j > n) |c_j| Y^j of the coefficients above n, and less
+    _SETTLE_SLACK times rho's size at Y (``functionals._reduced_polynomial``)
+    for the rounding of this bound and of the cells it is held against.
+    """
+    y = top ** (2 * p)
+    rho, size = fn._reduced_polynomial(form, bank, m, p, y)
+    powers = y ** np.arange(rho.shape[1])
+    n = min(rho.shape[1] - 1, _BERNSTEIN_DEGREE)
+    least = (rho[:, :n + 1] @ (powers[:n + 1, None] * _bernstein_matrix(n))).min(axis=1)
+    return least - np.abs(rho[:, n + 1:]) @ powers[n + 1:] - _SETTLE_SLACK * size
+
+
+def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
+    """Least margin of a core with a reduced form (``functionals._Reduced``)
+    over the bank and the grid, from the cells that can hold it.
+
+    The checks a whole-bank call would make run first, on the whole bank.
+    Every sample is evaluated on the head of the grid, the first bucket a
+    whole-grid call would form, so those cells are the ones that call
+    computes, bit for bit.  Past the head, a sample's margin at r is
+    g(r) rho(y) >= g(r) L, with L its :func:`_reduced_floor`, less at most
+    ``skip`` for the columns the engine skips.  g ascends, so from the
+    first radius where g L - skip exceeds the head's least margin on, none
+    of the sample's cells can hold the least: they are settled.  One more
+    call evaluates the rest, the unsettled samples up to the last radius
+    any of them needs.  A NaN, or L <= 0, settles nothing.
+    """
+    th = fn._THEOREMS[core]
+    bound = float(max(1.0, bank.max(initial=0.0)))
+    fn._check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
+    fn._check_applicable(core, th, bank, m, p, grid, None)
+
+    def least(mods, lo, hi):
+        lhs, rhs = fn.theorem_margins(core, mods, m, p, grid[lo:hi], trunc_tol=trunc_tol,
+                                      coeff_bound=bound, out=work[:mods.shape[0], :hi - lo])
+        return _least(lhs, rhs)
+
+    head = fn._first_bucket(core, bank.shape[1], m, p, grid, bound)
+    low = least(bank, 0, head)
+    if head == grid.size:
+        return low
+    floor = _reduced_floor(th.reduced, bank, m, p, grid[-1])
+    a, b = th.reduced.scale
+    g = grid ** (a * p + b * m) / (1.0 - grid ** (2 * p))
+    g = np.minimum.accumulate(g[::-1])[::-1]  # ascending, and at most g at and after each radius
+    skip = fn._CUT_TOL * len(th.terms) * max(1.0, g[-1]) * bound ** 2
+    over = np.full(floor.shape, np.nan)  # searchsorted puts NaN past every radius
+    ok = floor > 0.0
+    over[ok] = (low + skip) / floor[ok]
+    stop = np.searchsorted(g, over, side="right")
+    rows = np.flatnonzero(stop > head)
+    if rows.size == 0:
+        return low
+    mods = bank if rows.size == bank.shape[0] else bank[rows]
+    # np.minimum keeps a NaN from either call
+    return np.minimum(low, least(mods, head, int(stop[rows].max())))
+
+
 def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     """Least margin over the bank, the grid and the row's cores.
 
     (m, p) is the shape the cores run at; None when a per-function radius
     leaves no (sample, radius) cell to check.  Each core's left side is
-    written into ``work``.  A core with the bound 1 on a row whose radius
-    does not depend on the function evaluates only the cells
+    written into ``work``.  A core with a reduced form evaluates only the
+    cells :func:`_reduced_least` leaves, and a core with the bound 1 on a
+    row whose radius does not depend on the function only those
     :func:`_unsettled` leaves; every other core evaluates every cell.
     """
     if row.shift:
@@ -399,23 +489,26 @@ def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     extras = None if s is None else {"s": s}
     least = None
     for core in row.cores:
-        mods, cols, out, bound = bank, grid, work, None
-        if fn._THEOREMS[core].rhs is None and not row.per_function:
-            mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
-            cols = grid[start:]
-            out = work[:mods.shape[0], :cols.size]
-        lhs, rhs = fn.theorem_margins(core, mods, m, p, cols, extras=extras,
-                                      trunc_tol=config.trunc_tol, coeff_bound=bound,
-                                      out=out)
-        if row.per_function:
-            # each sample is checked below its own radius
-            radii = rad.thm31_radius(bank[:, 0], s)
-            valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
-            if not valid.any():
-                return None
-            low = np.subtract(rhs, lhs, out=lhs)[valid].min()
+        if fn._THEOREMS[core].reduced is not None:
+            low = _reduced_least(core, bank, m, p, grid, config.trunc_tol, work)
         else:
-            low = _least(lhs, rhs)
+            mods, cols, out, bound = bank, grid, work, None
+            if fn._THEOREMS[core].rhs is None and not row.per_function:
+                mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
+                cols = grid[start:]
+                out = work[:mods.shape[0], :cols.size]
+            lhs, rhs = fn.theorem_margins(core, mods, m, p, cols, extras=extras,
+                                          trunc_tol=config.trunc_tol, coeff_bound=bound,
+                                          out=out)
+            if row.per_function:
+                # each sample is checked below its own radius
+                radii = rad.thm31_radius(bank[:, 0], s)
+                valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
+                if not valid.any():
+                    return None
+                low = np.subtract(rhs, lhs, out=lhs)[valid].min()
+            else:
+                low = _least(lhs, rhs)
         # np.minimum keeps a NaN from any core; min() would drop a later one
         least = low if least is None else np.minimum(least, low)
     return float(least)

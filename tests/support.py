@@ -11,7 +11,9 @@ division over a whole bank, one product over every lattice column
 instead of the margin core's radius-blocked power sums, each
 inequality's left side term by term as written instead of the margin
 core's stacked products, every cell of a campaign row instead of the
-cells its parity bounds leave unsettled, hand-derived geometric closed
+cells its parity or Bernstein bounds leave unsettled, a polynomial's
+values on a dense grid instead of its least Bernstein coefficient,
+hand-derived geometric closed
 forms for the extremal families, a grid refinement over the automorphism
 family's equality radii for the classical radius 1/3, and the paper's
 second algebraic forms of bounds that the library evaluates once.
@@ -177,6 +179,24 @@ def every_cell_least(theorem_id, mods, m, p, grid, trunc_tol=functionals.DEFAULT
     """
     lhs, rhs = functionals.theorem_margins(theorem_id, mods, m, p, grid, trunc_tol=trunc_tol)
     return harness._least(lhs, rhs)
+
+
+def every_cell_row_least(theorem, bank, m, p, grid):
+    """A LemD or Lem21 campaign row's least margin over every cell: the least
+    of its cores' :func:`every_cell_least`, a NaN kept; the row settles
+    cells from per-sample Bernstein bounds."""
+    cores = harness._ROWS[theorem].cores
+    return float(np.minimum.reduce([every_cell_least(core, bank, m, p, grid) for core in cores]))
+
+
+def polynomial_dense_min(coeffs, top, points=2001):
+    """Each row's least value of sum_j c_j y^j over ``points`` evenly spaced
+    y in [0, top], both ends included, by Horner's rule."""
+    y = np.linspace(0.0, top, points)
+    values = np.zeros((coeffs.shape[0], points))
+    for c in coeffs.T[::-1]:
+        values = values * y + c[:, None]
+    return values.min(axis=1)
 
 
 # Each catalog left side as written: (lattice slice, power, (a, b, c),

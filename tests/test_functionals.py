@@ -342,6 +342,62 @@ class TestParityParts:
             assert np.all(np.abs((np.abs(signed) if th.absolute else signed) - lhs) <= reorder)
 
 
+REDUCED_IDS = sorted(tid for tid, th in fn._THEOREMS.items() if th.reduced is not None)
+
+
+def reduced_shapes(tid):
+    """Every shape with p <= 6 the id is stated for."""
+    th = fn._THEOREMS[tid]
+    return [(m, p) for p in range(1, 7) for m in range(p + 1) if not (th.positive_m and m < 1)]
+
+
+class TestReducedForms:
+    """What a campaign's Bernstein bound (``harness._reduced_least``) rests on."""
+
+    def test_forms_are_the_lacunary_lemmas(self):
+        assert REDUCED_IDS == ["Lem21", "LemDEven", "LemDOdd"]
+
+    @pytest.mark.parametrize("tid", REDUCED_IDS)
+    def test_scale_times_rho_is_the_margin(self, tid):
+        th = fn._THEOREMS[tid]
+        a, b = th.reduced.scale
+        eps = np.finfo(float).eps
+        grid = np.linspace(0.0, 0.95, 40)
+        for m, p in reduced_shapes(tid):
+            y = grid ** (2 * p)
+            length = fn.lacunary_length_for(m, p, grid[-1]) + 1
+            bank = np.vstack([
+                np.abs(schur.sample_bank([(7 * p + m) ^ i for i in range(12)], 7, length - 1)),
+                schur.family_moduli(np.linspace(0.0, 0.98, 8), length)])
+            lhs, rhs = fn.theorem_margins(tid, bank, m, p, grid)
+            _, reorder = written_lhs(tid, bank, m, p, grid)
+            g = grid ** (a * p + b * m) / (1.0 - y)
+            assert g[0] == 0.0 and np.all(np.diff(g) > 0.0), (m, p)
+            # the weights the engine's skipped columns are multiplied by
+            v = fn._Vars(grid, bank[:, :1], bank[:, 1:2], m, p)
+            for term in th.terms:
+                for weight in (term.weight, term.sample_weight):
+                    if weight is not None:
+                        assert np.all(np.abs(weight(v)) <= np.maximum(1.0, g) * (1 + 4 * eps))
+            rho, size = fn._reduced_polynomial(th.reduced, bank, m, p, y[-1])
+            got = g * full_psum(rho, np.arange(rho.shape[1]), y)
+            # rounding of g * rho (rho's size at the top bounds it at every
+            # radius) and of the right side, and the columns the engine skips
+            tol = (reorder + 4 * rho.shape[1] * eps * g * size[:, None] + 4 * eps * np.abs(rhs)
+                   + 2.0 ** -64 * len(th.terms) * np.maximum(1.0, g))
+            assert np.all(np.abs(got - (rhs - lhs)) <= tol), (m, p)
+
+    @pytest.mark.parametrize("tid", REDUCED_IDS)
+    def test_size_bounds_every_piece(self, tid):
+        # 1 and each part, with 1 - y taken as 1, sum to the size at y
+        th = fn._THEOREMS[tid]
+        bank = route_bank(1, 2)
+        rho, size = fn._reduced_polynomial(th.reduced, bank, 1, 2, 0.6)
+        _, whole = fn._reduced_polynomial(th.reduced, bank, 1, 2, 1.0)
+        assert np.all(size >= np.abs(full_psum(rho, np.arange(rho.shape[1]), np.array([0.6]))[:, 0]))
+        assert np.all(size <= whole) and np.all(size >= 1.0)
+
+
 class TestCertification:
     def test_samples_below_radius(self):
         # light version of the acceptance sweep: 50 seeds, three ids

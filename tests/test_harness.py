@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ from bohrcert.cli import MAX_TABLE_P, _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
 from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
 
-from support import every_cell_least, written_lhs
+from support import every_cell_least, every_cell_row_least, polynomial_dense_min, written_lhs
 
 
 def small_config(**overrides):
@@ -87,6 +88,11 @@ class TestCampaignConfig:
             small_config(shapes=((2, 1),))
         with pytest.raises(ParameterOutOfRange):
             small_config(format="yaml")
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.005])
+    def test_r_step_named_when_not_finite_and_positive(self, step):
+        with pytest.raises(ParameterOutOfRange, match="^r_step must be a finite number > 0"):
+            small_config(r_step=step)
 
     @pytest.mark.parametrize("s", [math.nan, -1.0, 0.0])
     def test_rejects_nonpositive_s_before_any_row(self, s):
@@ -479,6 +485,120 @@ class TestSettledCells:
         assert math.isnan(got) and math.isnan(want)
 
 
+REDUCED_CORES = tuple(core for core, th in fn._THEOREMS.items() if th.reduced is not None)
+FINE_GRID = dict(theorems=("LemD", "Lem21"), shapes=((1, 3), (2, 3), (3, 3)), samples=500,
+                 depth=5, r_start=0.001, r_stop=0.95, r_step=0.0005)
+# campaigns whose LemD and Lem21 rows are held to every cell
+REDUCED_CONFIGS = {
+    # config seeds that draw distinct banks
+    "fine_grid_4096": dict(FINE_GRID, seed=20240802 ^ 4096),
+    "fine_grid_8192": dict(FINE_GRID, seed=20240802 ^ 8192),
+    # test_criterion_2_certification_sweep's shapes, grid and seed
+    "criterion_2": dict(theorems=("LemD", "Lem21"),
+                        shapes=((0, 1), (1, 1), (0, 2), (1, 3), (2, 3), (3, 3)),
+                        samples=500, seed=20240801, r_start=0.005, r_stop=0.95, r_step=0.005),
+    "all_ids": dict(theorems=hn.CAMPAIGN_THEOREMS,
+                    shapes=((0, 1), (0, 2), (1, 1), (1, 3), (2, 3), (3, 3), (2, 5)),
+                    t_values=(1.0, 2.0, math.inf), s_values=(0.5, 2.0), samples=200, seed=9,
+                    r_start=0.0),
+    # samples whose tails outweigh their Bernstein bounds need the second call
+    "deep": dict(theorems=("LemD", "Lem21"), shapes=((1, 1),), samples=200, depth=9,
+                 r_start=0.001, r_stop=0.99, r_step=0.0005),
+}
+
+
+def spy_reduced_cells(monkeypatch):
+    """(core, m, p, cells) of every reduced-core call from here on."""
+    real, calls = hn.fn.theorem_margins, []
+
+    def spy(core, mods, m, p, r, **kwargs):
+        if core in REDUCED_CORES:
+            calls.append((core, m, p, np.shape(mods)[0] * np.size(r)))
+        return real(core, mods, m, p, r, **kwargs)
+
+    monkeypatch.setattr(hn.fn, "theorem_margins", spy)
+    return calls
+
+
+class TestReducedRows:
+    """LemD and Lem21 settle cells from per-sample Bernstein bounds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_floor_never_exceeds_rho(self, data):
+        core = data.draw(st.sampled_from(REDUCED_CORES), label="core")
+        th = fn._THEOREMS[core]
+        p = data.draw(st.integers(1, 6), label="p")
+        m = data.draw(st.integers(1 if th.positive_m else 0, p), label="m")
+        top = data.draw(st.floats(0.05, 0.99), label="top")
+        length = fn.lacunary_length_for(m, p, top) + 1
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        drawn = data.draw(st.integers(1, 12), label="drawn")
+        depth = data.draw(st.integers(1, 9), label="depth")
+        family = data.draw(st.lists(st.floats(0.0, 0.98), min_size=1, max_size=4),
+                           label="family")
+        bank = np.vstack([np.abs(schur.sample_bank([seed ^ i for i in range(drawn)], depth,
+                                                   length - 1)),
+                          schur.family_moduli(family, length)])
+        floor = hn._reduced_floor(th.reduced, bank, m, p, top)
+        rho, _ = fn._reduced_polynomial(th.reduced, bank, m, p, top ** (2 * p))
+        dense = polynomial_dense_min(rho, top ** (2 * p))
+        event("tail" if rho.shape[1] > hn._BERNSTEIN_DEGREE + 1 else "no tail")
+        assert np.all(floor <= dense), (floor - dense).max()
+
+    @pytest.mark.parametrize("name", REDUCED_CONFIGS)
+    def test_rows_equal_every_cell(self, name, monkeypatch):
+        cfg = hn.CampaignConfig(**REDUCED_CONFIGS[name])
+        calls = spy_reduced_cells(monkeypatch)
+        rows = [row for row in hn.run_campaign(cfg).rows if row.theorem in ("LemD", "Lem21")]
+        calls = list(calls)
+        grid = hn._grid(cfg, cfg.r_stop)
+        banks = {}
+        assert rows
+        for row in rows:
+            bank = hn._bank(banks, cfg, row.m, row.p)
+            want = every_cell_row_least(row.theorem, bank, row.m, row.p, grid)
+            assert row.min_margin == want, (row, want)
+        # a fallback to every cell would evaluate samples x grid points of each
+        for core, m, p in {call[:3] for call in calls}:
+            cells = sum(n for *key, n in calls if key == [core, m, p])
+            assert cells < cfg.samples * grid.size, (core, m, p)
+        if name == "deep":
+            assert any(n > 1 for n in collections.Counter(c[:3] for c in calls).values())
+
+    def test_family_rows_fall_back(self, monkeypatch):
+        # the automorphism family attains LemD's bound at every radius: rho = 0
+        cfg = hn.CampaignConfig(**REDUCED_CONFIGS["fine_grid_4096"])
+        grid = hn._grid(cfg, cfg.r_stop)
+        length = hn._bank_length(cfg, 1, 3)
+        bank = np.vstack([hn._bank({}, cfg, 1, 3),
+                          schur.family_moduli(np.linspace(0.0, 0.98, 64), length)])
+        calls = spy_reduced_cells(monkeypatch)
+        got = {theorem: hn._row_margin(hn._ROWS[theorem], bank, 1, 3, grid, None, cfg,
+                                       np.empty((bank.shape[0], grid.size)))
+               for theorem in ("LemD", "Lem21")}
+        calls = list(calls)
+        for theorem, least in got.items():
+            assert least == every_cell_row_least(theorem, bank, 1, 3, grid), theorem
+        assert -1e-14 < got["LemD"] < 0.0
+        # each LemD core evaluates every sample on its head and the 64 family
+        # rows alone past it
+        for core in ("LemDOdd", "LemDEven"):
+            head = fn._first_bucket(core, length, 1, 3, grid, 1.0)
+            assert [n for c, *_, n in calls if c == core] == [
+                bank.shape[0] * head, 64 * (grid.size - head)]
+
+    def test_nan_sample_is_never_settled(self):
+        cfg = hn.CampaignConfig(**REDUCED_CONFIGS["fine_grid_4096"])
+        grid = hn._grid(cfg, cfg.r_stop)
+        bank = hn._bank({}, cfg, 2, 3)[:40].copy()
+        bank[7, 30] = np.nan
+        for theorem in ("LemD", "Lem21"):
+            got = hn._row_margin(hn._ROWS[theorem], bank, 2, 3, grid, None, cfg,
+                                 np.empty((bank.shape[0], grid.size)))
+            assert math.isnan(got), theorem
+
+
 class TestReports:
     def test_json_empty(self):
         assert hn.report_to_json(hn.Report(rows=())) == "[]\n"
@@ -716,6 +836,8 @@ class TestCli:
         (["--theorems", "ThmC", "--tol", "inf"], None),
         # a reversed radius interval would check nothing and pass
         (None, '{"theorems": ["ThmB"], "r_start": 0.9, "r_stop": 0.1}'),
+        # an infinite step would build the grid [nan]
+        (["--theorems", "ThmB", "--r-step", "inf"], None),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
         if config_text is not None:
