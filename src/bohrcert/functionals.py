@@ -261,9 +261,11 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
 
     ``heads`` holds one (exps, bound, weight) per part: exponents that
     ascend in a constant step, a bound on |w_k|, and a per-radius weight
-    of shape (R,) or None.  ``columns`` yields each part's w, of shape
-    (..., K), in the same order; it is read once, after the heads, so a
-    caller may build each part's columns only when they are stacked.
+    of shape (R,) or None.  ``columns`` is called once, after the heads,
+    with each part's width, the columns of it that any bucket reads; it
+    returns an iterable of each part's w, in the same order, of shape
+    (..., n) with n at least that width.  So a caller builds only the
+    columns that are read, and each part only when it is stacked.
 
     Each part takes, at each radius, the columns :func:`_cut_length` says
     it needs, read from its own bound; a count that is not a number takes
@@ -284,9 +286,9 @@ def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -
     width = [max(col) for col in zip(*counts)]  # columns of each part any bucket reads
     starts = [0, *itertools.accumulate(width)]
     if len(heads) == 1:
-        stack, exps = next(iter(columns)), heads[0][0]
+        stack, exps = next(iter(columns(width))), heads[0][0]
     else:
-        for j, w in enumerate(columns):
+        for j, w in enumerate(columns(width)):
             if j == 0:
                 stack = np.empty(w.shape[:-1] + (starts[-1],))
             stack[..., starts[j]:starts[j + 1]] = w[..., :width[j]]
@@ -633,15 +635,18 @@ def _lattice(term: _Term, k, m, p, s, coeff_bound):
     return (a * k[term.cols] * p + b * p + c * m).astype(float), bound
 
 
-def _columns(term: _Term, mods, k, m, p, s) -> np.ndarray:
-    """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed mu_k."""
-    w = mods[:, term.cols]
+def _columns(term: _Term, mods, k, m, p, s, n: Optional[int] = None) -> np.ndarray:
+    """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed mu_k.
+
+    Only the slice's first ``n`` columns are built when ``n`` is given.
+    """
+    w = mods[:, term.cols][:, :n]
     if term.power == 2:
         return w ** 2
     if term.power == "s":
         return w ** float(s)
     if term.power == "signed":
-        return _signs(k[term.cols], m, p) * w
+        return _signs(k[term.cols][:n], m, p) * w
     return w
 
 
@@ -661,14 +666,14 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     # neither powered nor copied.  perfbench has a workload on each side:
     # fine_grid's grids hold ~1100-1900 radii, scan_table's calls one.
     if r.size > 1:
-        def columns():
-            for term in th.terms:
-                w = _columns(term, mods, k, m, p, s)
+        def columns(width):
+            for term, n in zip(th.terms, width):
+                w = _columns(term, mods, k, m, p, s, n)
                 yield w if term.sample_weight is None else w * term.sample_weight(v)
 
         heads = [(exps, bound, None if term.weight is None else term.weight(v))
                  for term, (exps, bound) in zip(th.terms, lattice)]
-        lhs = _products(heads, columns(), r, out)
+        lhs = _products(heads, columns, r, out)
     else:
         lhs = np.empty((samples, 1)) if out is None else out
         total = lhs[:, 0]

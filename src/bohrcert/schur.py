@@ -18,9 +18,9 @@ Everything here is deterministic: the sampler is keyed by an integer
 seed, and identical seeds reproduce identical series bit for bit.  A
 bank of samples is drawn in one batch (:func:`sample_bank`): each sample
 draws the stream of ``np.random.default_rng(seed)`` for its own seed,
-with the seeding hash computed for the whole bank at once, and the
-recursion and the long division run over all rows at once; a single
-sample is the one-row case.
+with the seeding hash and the PCG64 steps computed for the whole bank at
+once in uint64 arithmetic, and the recursion and the long division run
+over all rows at once; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -88,22 +88,48 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     for seed in (min(ints, default=0), max(ints, default=0)):
         if not 0 <= seed <= _M128:
             raise ParameterOutOfRange(f"seed must be an integer in [0, 2**128), got {seed}")
-    big = np.array(ints, dtype=object)
-    halves = np.stack((big & _M64, big >> 64), axis=1).astype(np.uint64)
-    return halves.astype("<u8").view("<u4").astype(np.uint32)
+    hi, lo = _halves(ints)
+    return np.stack((lo, hi), axis=1).astype("<u8").view("<u4").astype(np.uint32)
 
 
-def _streams(seeds: Sequence[int]):
-    """Yield, per seed, a generator in the state of ``np.random.default_rng(seed)``.
+def _halves(values) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 halves of integers in [0, 2^128)."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _M64 for v in values], dtype=np.uint64))
 
-    One Generator is reused: its PCG64 state is set for each seed in turn,
-    so a yielded generator is good until the next one.  The states come
-    from numpy's own seeding, run for all seeds at once: SeedSequence
-    hashes the seed's uint32 words into a 4-word pool and expands it to
-    two 128-bit words (state, stream), and PCG64's setseq step turns them
-    into (state, inc).  Seeds are zero-padded to 4 words, which is exact
-    below 2^128, because SeedSequence hashes a 0 for each pool word past
-    the entropy.  Seeds outside [0, 2^128) raise ParameterOutOfRange.
+
+def _mul(x, y):
+    """(hi, lo) uint64 halves of x * y mod 2^128, for x and y given as halves.
+
+    The halves are arrays that broadcast together.  The high word of the
+    64 x 64 bit product of the low words is built from 32-bit limbs, so
+    that no partial product overflows uint64.
+    """
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    a1, a0 = x_lo >> 32, x_lo & 0xFFFFFFFF
+    b1, b0 = y_lo >> 32, y_lo & 0xFFFFFFFF
+    cross_a, cross_b = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross_a & 0xFFFFFFFF) + (cross_b & 0xFFFFFFFF)
+    top = a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+    return top + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+
+
+def _add(x, y):
+    """(hi, lo) uint64 halves of x + y mod 2^128."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+def _pcg_states(seeds: Sequence[int]):
+    """PCG64 (state, inc) of ``np.random.default_rng(seed)`` per seed, as (hi, lo) halves.
+
+    The states come from numpy's own seeding, run for all seeds at once:
+    SeedSequence hashes the seed's uint32 words into a 4-word pool and
+    expands it to two 128-bit words (s, i), and PCG64's setseq step makes
+    inc = 2 i + 1 and state = (inc + s) * M + inc, all mod 2^128.  Seeds
+    are zero-padded to 4 words, which is exact below 2^128, because
+    SeedSequence hashes a 0 for each pool word past the entropy.  Seeds
+    outside [0, 2^128) raise ParameterOutOfRange.
     """
     words = _seed_words(seeds)
     steps = iter(_MIX_STEPS)
@@ -113,14 +139,49 @@ def _streams(seeds: Sequence[int]):
             if src != dst:
                 pool[dst] = _fold(_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(steps)))
     out = np.stack([_hash(pool[i % 4], step) for i, step in enumerate(_OUT_STEPS)], axis=1)
+    s_hi, s_lo, i_hi, i_lo = out.astype("<u4").view("<u8").T
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    return _add(_mul(_add(inc, (s_hi, s_lo)), _halves([_PCG_MULT])), inc), inc
+
+
+def _streams(seeds: Sequence[int]):
+    """Yield, per seed, a generator in the state of ``np.random.default_rng(seed)``.
+
+    One Generator is reused: its PCG64 state is set for each seed in turn
+    from :func:`_pcg_states`, so a yielded generator is good until the
+    next one.  The sampler draws its uniforms without it; it serves
+    draws that numpy makes by rejection, such as normals.
+    """
+    (s_hi, s_lo), (i_hi, i_lo) = _pcg_states(seeds)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
                         "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+def _uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
+    """(S, count) array: the first ``count`` of ``default_rng(seed).random()`` per seed.
+
+    Draw k (k = 1..count) steps PCG64's state k times, state <- M state +
+    inc mod 2^128, which takes it to M^k state + (1 + M + ... + M^(k-1))
+    inc; so all draws of all seeds are two products with per-draw
+    constants, one numpy pass for the whole bank.  Each state becomes a
+    double as numpy makes it: the XSL-RR output rotr64(hi ^ lo, hi >> 58),
+    then its top 53 bits times 2^-53.
+    """
+    (s_hi, s_lo), (i_hi, i_lo) = _pcg_states(seeds)
+    mults, sums = [1], [0]
+    for _ in range(count):
+        mults.append(mults[-1] * _PCG_MULT & _M128)
+        sums.append((sums[-1] * _PCG_MULT + 1) & _M128)
+    hi, lo = _add(_mul((s_hi[:, None], s_lo[:, None]), _halves(mults[1:])),
+                  _mul((i_hi[:, None], i_lo[:, None]), _halves(sums[1:])))
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0 ** -53
 
 
 def _check_gammas(gammas: np.ndarray) -> None:
@@ -207,28 +268,31 @@ def taylor_rows(gammas, order: int) -> np.ndarray:
         num, den = g * den + znum, den + np.conj(g) * znum
 
     # Real and imaginary parts on axis 1 and rows last, so that every step
-    # reads and writes contiguous (2, S) blocks.
-    out = np.zeros((order + 1, 2, rows))
-    head = min(depth, order + 1)
-    out[:head, 0] = num.real.T[:head]
-    out[:head, 1] = num.imag.T[:head]
+    # reads and writes contiguous (2, S) blocks.  Row k of ``buf`` collects
+    # -Q_j q_{k-j} as each q_{k-j} is found, so the highest lag arrives
+    # first, as in lfilter's delay line; step k adds p_k to it and the row
+    # is q_k from then on.  p_k = 0 from k = depth on, and the lagged sums
+    # start at +0.0 and never reach -0.0, so leaving that addition out
+    # changes no bit of q_k = (lagged sum) + p_k.
+    buf = np.zeros((order + depth, 2, rows))
+    p = np.stack((num.real.T, num.imag.T), axis=1)
     lags = den[:, 1:].T  # Q_1..Q_{depth-1}
-    # Q_j q = (Re Q_j Re q - Im Q_j Im q, Im Q_j Re q + Re Q_j Im q)
-    by_re = np.stack((lags.real, lags.imag), axis=1)
-    by_im = np.stack((-lags.imag, lags.real), axis=1)
-    # ahead[t] collects -Q_j q_{t-j} as each q_{t-j} is found, so the
-    # highest lag arrives first, as in lfilter's delay line.
-    ahead = np.zeros((order + depth, 2, rows))
-    prod = np.empty_like(by_re)
-    term = np.empty_like(by_re)
+    # Q_j q = (Re Q_j Re q - Im Q_j Im q, Im Q_j Re q + Re Q_j Im q), as
+    # table[0] * Re q + table[1] * Im q
+    table = np.stack((np.stack((lags.real, lags.imag), axis=1),
+                      np.stack((-lags.imag, lags.real), axis=1)))
+    prod = np.empty_like(table)
+    total, term = prod
+    if depth == 1:  # a constant: nothing to divide, and p_0 keeps its sign of zero
+        buf[0] = p[0]
     for k in range(order + 1 if depth > 1 else 0):
-        q = out[k]
-        q += ahead[k]  # q_k = (lagged sum) + p_k
-        np.multiply(by_re, q[0], out=prod)
-        np.multiply(by_im, q[1], out=term)
-        prod += term
-        ahead[k + 1 : k + depth] -= prod
-    return np.ascontiguousarray(out.transpose(2, 0, 1)).view(complex)[..., 0]
+        q = buf[k]
+        if k < depth:
+            q += p[k]
+        np.multiply(table, q[:, None, None], out=prod)
+        np.add(total, term, out=total)
+        buf[k + 1 : k + depth] -= total
+    return np.ascontiguousarray(buf[:order + 1].transpose(2, 0, 1)).view(complex)[..., 0]
 
 
 def schur_to_taylor(params: ParamsLike, order: int) -> TruncatedSeries:
@@ -257,17 +321,15 @@ def sample_gammas(seeds: Sequence[int], depth: int) -> np.ndarray:
 
     Row i draws gamma_0..gamma_{depth-1} area-uniformly on the disk of
     radius ``SAMPLING_RADIUS`` from the stream of
-    ``np.random.default_rng(seeds[i])``, reached without building that
-    generator (see :func:`_streams`): first the depth uniforms of the
-    moduli, then the depth uniform angles.
+    ``np.random.default_rng(seeds[i])``: first the depth uniforms of the
+    moduli, then the depth uniform angles.  No generator is built: the
+    seeding and every PCG64 step run for the whole bank at once (see
+    :func:`_uniforms`), so the draws cost no Python loop over the seeds.
     Seeds are integers in [0, 2^128).
     """
     if depth < 1:
         raise ParameterOutOfRange("depth must be >= 1")
-    seeds = list(seeds)
-    u = np.empty((len(seeds), 2 * depth))
-    for rng, row in zip(_streams(seeds), u):
-        rng.random(out=row)
+    u = _uniforms(list(seeds), 2 * depth)
     # uniform(0, 2 pi) is 0 + 2 pi * random(), so this is the same angle
     theta = 2.0 * np.pi * u[:, depth:]
     return SAMPLING_RADIUS * np.sqrt(u[:, :depth]) * np.exp(1j * theta)

@@ -20,6 +20,7 @@ second algebraic forms of bounds that the library evaluates once.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.signal import lfilter
@@ -168,6 +169,23 @@ def full_psum(w, exps, r):
     only the columns each radius needs.
     """
     return w @ (r[None, :] ** np.asarray(exps, dtype=float)[:, None])
+
+
+def full_width_margins(theorem_id, mods, m, p, r, **kwargs):
+    """``functionals.theorem_margins`` with every term's columns built over
+    its whole lattice slice.
+
+    The engine asks each term for only the columns its buckets read; here
+    the columns builder is asked for every column, and ``_products``
+    reads its buckets' columns from those.
+    """
+    products = functionals._products
+
+    def every_column(heads, columns, r, out=None):
+        return products(heads, lambda width: columns([exps.size for exps, _, _ in heads]), r, out)
+
+    with mock.patch.object(functionals, "_products", every_column):
+        return functionals.theorem_margins(theorem_id, mods, m, p, r, **kwargs)
 
 
 def every_cell_least(theorem_id, mods, m, p, grid, trunc_tol=functionals.DEFAULT_TRUNC_TOL):

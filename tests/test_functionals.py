@@ -22,6 +22,7 @@ from bohrcert.errors import (
 
 from support import (
     full_psum,
+    full_width_margins,
     mobius_linear_sum,
     mobius_majorant,
     mobius_square_sum,
@@ -580,7 +581,8 @@ class TestLatticeCut:
     def test_psum_matches_full_contraction(self, name):
         w, exps, radii, bound = PSUM_CASES[name]
         # one unweighted part of the engine's power sums
-        got = fn._products([(np.asarray(exps, dtype=float), bound, None)], [w], radii)
+        got = fn._products([(np.asarray(exps, dtype=float), bound, None)],
+                           lambda width: [w[..., :width[0]]], radii)
         want = full_psum(w, exps, radii)
         assert got.shape == want.shape
         # BLAS sums a column in an order that depends on the block it falls
@@ -674,6 +676,47 @@ class TestStackedRoute:
                 _, reorder = written_lhs(tid, bank, m, p, grid[i:i + 1], s=ROUTE_S)
                 assert np.all(np.abs(alone - lhs[:, i:i + 1]) <= 1e-15 + reorder), (m, p, i)
 
+    @pytest.mark.parametrize("tid", fn.THEOREM_IDS)
+    def test_equals_full_width_build(self, tid):
+        # each term's columns are built only as far as a bucket reads them;
+        # the products read the same bits as from every column built
+        grids = dict(ROUTE_GRIDS, head=HEAD_GRID)
+        for bank, m, p in route_cases(tid):
+            for name, grid in grids.items():
+                grid = in_window(tid, grid)
+                if grid.size < 2:  # one radius sums each term in place
+                    continue
+                got = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+                want = full_width_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+                assert np.array_equal(got[0], want[0]), (m, p, name)
+                assert np.array_equal(got[1], want[1]), (m, p, name)
+
+    @pytest.mark.parametrize("tid", [t for t in fn.THEOREM_IDS if fn._THEOREMS[t].window is None])
+    def test_head_call_builds_only_read_columns(self, tid, monkeypatch):
+        # a campaign row's first bucket on a 500 x 163 bank reads 1-3
+        # columns of each term
+        built, columns = [], fn._columns
+
+        def counted(*args, **kwargs):
+            w = columns(*args, **kwargs)
+            built.append(w.size)
+            return w
+
+        monkeypatch.setattr(fn, "_columns", counted)
+        th = fn._THEOREMS[tid]
+        m, p = th.shape or (1, 3)
+        bank = BUDGET_SHIFTED if th.vanishing_start else BUDGET_BANK
+        fn.theorem_margins(tid, bank, m, p, HEAD_GRID, extras={"s": ROUTE_S})
+        k = np.arange(bank.shape[1])
+        read = [fn._need(*fn._lattice(term, k, m, p, ROUTE_S, 1.0), HEAD_GRID).max()
+                for term in th.terms]
+        assert len(built) == len(th.terms)
+        assert sum(built) <= bank.shape[0] * sum(read) < bank.size
+
+
+# The radii of a fine_grid row's first bucket, where each lattice sum
+# needs 1-3 columns.
+HEAD_GRID = 0.001 + 0.0005 * np.arange(49)
 
 # The campaign's margin-core call: 500 depth-5 samples of order 162, the
 # lattice length that certifies r = 0.95 at shape (1, 3), on a 0.0005 step.

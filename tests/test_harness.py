@@ -1037,7 +1037,7 @@ class TestCliFuzz:
             assert "Traceback" not in err.getvalue()
             if code == 2:
                 # ours, or argparse's "bohrcert verify: error: ..."
-                assert re.match(r"bohrcert( verify)?: (io )?error: ", err.getvalue().splitlines()[-1])
+                assert re.match(r"bohrcert( verify)?: (io )?error: ", err.getvalue().rstrip("\n").split("\n")[-1])
                 return
             report = out.getvalue() if to_stdout else Path(path).read_text(encoding="utf-8")
             rows, passed = _report_rows(report, "csv" if "theorem,p,m" in report[:20] else "json")

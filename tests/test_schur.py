@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bohrcert import schur
 from bohrcert.errors import ParameterOutOfRange
+from bohrcert.harness import MAX_DEPTH
 
 from support import (
     division_family,
@@ -204,6 +205,7 @@ class TestBatchedBank:
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1]
 CAMPAIGN_SEEDS = [0x5EED1234 ^ i for i in range(64)]  # bank_seed ^ i
+PCG_EDGE_SEEDS = [0, 2**32 - 1, 2**32 + 1, 2**64 - 1, 2**64 + 1, 2**127, 2**128 - 1]
 
 
 class TestStreams:
@@ -226,6 +228,18 @@ class TestStreams:
         want = per_seed_gammas(seeds, depth)
         assert np.array_equal(schur.sample_gammas(seeds, depth), want)
         assert np.array_equal(schur.sample_bank(seeds, depth, 40), schur.taylor_rows(want, 40))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a uint64 scalar that wraps
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0, 1, 500]).flatmap(lambda size: st.lists(
+               st.integers(0, 2**128 - 1) | st.sampled_from(PCG_EDGE_SEEDS),
+               min_size=size, max_size=size)),
+           st.sampled_from([1, MAX_DEPTH]))
+    def test_batched_draws_equal_per_seed_draws(self, seeds, depth):
+        # every PCG64 step of every seed is taken at once, in uint64 halves
+        got = schur.sample_gammas(seeds, depth)
+        assert got.shape == (len(seeds), depth)
+        assert np.array_equal(got, per_seed_gammas(seeds, depth))
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 2.0, None])
     def test_seed_domain(self, seed):
