@@ -91,8 +91,23 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# verify's campaign flags, by argparse dest: the config key each sets, and
+# how its text is read where argparse's type does not read it
+_VERIFY_KEYS = {
+    "theorems": ("theorems", lambda text: tuple(x for x in text.split(",") if x)),
+    "shapes": ("shapes", lambda text: tuple(_parse_shape(x) for x in text.split(","))),
+    "t": ("t_values", lambda text: tuple(_parse_t(x) for x in text.split(","))),
+    **{key: (key, None) for key in ("samples", "seed", "depth", "r_start", "r_stop",
+                                    "r_step", "tol", "output", "format")},
+}
+
+
 def _config_from_args(args) -> harness.CampaignConfig:
+    given = [dest for dest in _VERIFY_KEYS if getattr(args, dest) is not None]
     if args.config:
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ParameterOutOfRange(f"--config takes no other verify flag, got {flags}")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 text = fh.read()
@@ -100,22 +115,11 @@ def _config_from_args(args) -> harness.CampaignConfig:
                 raise ParameterOutOfRange(f"config file is not UTF-8: {exc}") from None
         return harness.config_from_json(text)
     kwargs = {}
-    if args.theorems:
-        kwargs["theorems"] = tuple(x for x in args.theorems.split(",") if x)
-    else:
+    for dest in given:
+        key, parse = _VERIFY_KEYS[dest]
+        kwargs[key] = getattr(args, dest) if parse is None else parse(getattr(args, dest))
+    if not kwargs.get("theorems"):
         raise BohrcertError("verify needs --config or --theorems")
-    if args.shapes:
-        kwargs["shapes"] = tuple(_parse_shape(x) for x in args.shapes.split(","))
-    if args.t:
-        kwargs["t_values"] = tuple(_parse_t(x) for x in args.t.split(","))
-    for key in ("samples", "seed", "depth", "r_start", "r_stop", "r_step", "tol"):
-        val = getattr(args, key)
-        if val is not None:
-            kwargs[key] = val
-    if args.output is not None:
-        kwargs["output"] = args.output
-    if args.format is not None:
-        kwargs["format"] = args.format
     return harness.CampaignConfig(**kwargs)
 
 

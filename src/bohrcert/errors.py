@@ -14,6 +14,13 @@ class ZeroConstantTerm(BohrcertError, ArithmeticError):
     """Series reciprocal requested for a series vanishing at the origin."""
 
 
+def check_shape(m, p, subject: str) -> None:
+    """The lattice rule of a shape (m, p): 1 <= p and 0 <= m <= p."""
+    if not (p >= 1 and 0 <= m <= p):
+        raise ParameterOutOfRange(
+            f"{subject} needs 1 <= p and 0 <= m <= p, got m={m}, p={p}")
+
+
 class RadiusOutOfRange(ParameterOutOfRange):
     """Evaluation radius outside [0, 1)."""
 

@@ -80,6 +80,7 @@ from .errors import (
     ShapeMismatch,
     TruncationInsufficient,
     UnknownTheorem,
+    check_shape,
 )
 from .series import TruncatedSeries
 
@@ -126,10 +127,7 @@ class LacunaryProfile:
     exact: bool = False
 
     def __post_init__(self):
-        if not (self.p >= 1 and 0 <= self.m <= self.p):
-            raise ParameterOutOfRange(
-                f"profile shape needs 1 <= p and 0 <= m <= p, got m={self.m}, p={self.p}"
-            )
+        check_shape(self.m, self.p, "profile shape")
         arr = np.array(self.mods, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterOutOfRange("mods must be a nonempty 1-d sequence")
@@ -164,8 +162,7 @@ def profile_from_series(s: TruncatedSeries, m: int, p: int) -> LacunaryProfile:
     Off-lattice coefficients above ``_SHAPE_TOL`` raise ShapeMismatch: a
     profile must describe the whole function, or the certificates lie.
     """
-    if not (p >= 1 and 0 <= m <= p):
-        raise ParameterOutOfRange(f"invalid shape m={m}, p={p}")
+    check_shape(m, p, "series profile")
     moduli = np.abs(s.coeffs)
     mask = np.zeros(s.order + 1, dtype=bool)
     mask[m :: p] = True
@@ -351,6 +348,12 @@ class _Vars(NamedTuple):
     mu1: np.ndarray  # (S, 1); zeros for one-modulus profiles
     m: int
     p: int
+
+
+def _vars(mods: np.ndarray, r: np.ndarray, m: int, p: int) -> _Vars:
+    """The :class:`_Vars` of an (S, K) moduli matrix on the radii r."""
+    mu1 = mods[:, 1:2] if mods.shape[1] > 1 else np.zeros((mods.shape[0], 1))
+    return _Vars(r, mods[:, :1], mu1, m, p)
 
 
 @dataclass(frozen=True)
@@ -550,9 +553,10 @@ THEOREM_IDS = tuple(_THEOREMS)
 class RowSpec:
     """How a campaign (and, for a vector id, ``multidim.vector_check``) runs one id.
 
-    A core's formula, its shape, odd-gap and m >= 1 rules and its radius
-    window are read from its ``_THEOREMS`` entry; this holds only what the
-    row adds.
+    A core's formula, its shape, odd-gap and m >= 1 rules, its radius
+    window and its vanishing start (the moduli get a zero lattice start
+    prepended) are read from its ``_THEOREMS`` entry; this holds only what
+    the row adds.
     """
 
     cores: Tuple[str, ...]  # margin cores; the row's margin is the least
@@ -562,7 +566,6 @@ class RowSpec:
     scan: Optional[str] = None  # sharpness family run just above the radius
     scan_m0_only: bool = False  # the family witnesses the radius only at m = 0
     vector: bool = False  # one row per t, each run at the worst direction e_1
-    shift: bool = False  # the moduli get a vanishing lattice start prepended
     slice_check: bool = False  # ``multidim.vector_check`` runs it on slices of f = z*g
 
     @property
@@ -583,14 +586,14 @@ _ROWS = {
     "LemD": RowSpec(("LemDOdd", "LemDEven")),
     "ThmC": RowSpec(("ThmC",), "ThmC34"),
     "Thm31": RowSpec(("Thm31",), "Thm31", scan="Thm31"),
-    "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32", shift=True),
+    "Thm32": RowSpec(("Thm32",), "Thm32", scan="Thm32"),
     "Thm34": RowSpec(("Thm34",), "ThmC34", scan="Thm34", slice_check=True),
     "Thm41": RowSpec(("Thm41",), "ThmC34", scan="Thm41", slice_check=True),
-    "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32", shift=True),
+    "Cor33": RowSpec(("Thm32",), "Thm32", at=(0, 1), scan="Thm32"),
     # the (1, 1) norms of f = z*g, reindexed to start at 0, are a
     # vanishing-start (0, 1) profile
     "Cor42": RowSpec(("Thm32",), "Thm32", at=(0, 1), shape=(1, 1), vector=True,
-                     shift=True, slice_check=True),
+                     slice_check=True),
     # No constructive witness of the Cor43 radius is known for m >= 1.
     "Cor43": RowSpec(("Cor43",), "Cor43", scan="Cor43", scan_m0_only=True,
                      slice_check=True),
@@ -653,8 +656,7 @@ def _columns(term: _Term, mods, k, m, p, s, n: Optional[int] = None) -> np.ndarr
 def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
     k = np.arange(length)
-    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
-    v = _Vars(r, mods[:, :1], mu1, m, p)
+    v = _vars(mods, r, m, p)
     lattice = [_lattice(term, k, m, p, s, coeff_bound) for term in th.terms]
     # The route follows the radius count.  A grid folds every weight into
     # the operands and sums all terms in one product per bucket, written
@@ -715,8 +717,7 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     """
     samples, length = mods.shape
     k = np.arange(length)
-    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
-    v = _Vars(r, mods[:, :1], mu1, m, p)
+    v = _vars(mods, r, m, p)
     pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
     for term in th.terms:
         up = r ** _lattice(term, k, m, p, s, 1.0)[0][:, None]
@@ -745,8 +746,7 @@ def _reduced_polynomial(form: _Reduced, mods, m, p, y: float) -> Tuple[np.ndarra
     with 1 - y taken as 1), at least |rho| and each piece of it on [0, y].
     """
     samples, length = mods.shape
-    mu1 = mods[:, 1:2] if length > 1 else np.zeros((samples, 1))
-    v = _Vars(np.empty(0), mods[:, :1], mu1, m, p)
+    v = _vars(mods, np.empty(0), m, p)
     k = np.arange(length)
     count = max(part.first + k[part.cols].size + part.damped for part in form.parts)
     powers = y ** np.arange(count)
@@ -793,8 +793,7 @@ def theorem_margins(
     if th is None:
         raise UnknownTheorem(f"no inequality with id {theorem_id!r}")
     mods = np.atleast_2d(np.asarray(mods, dtype=float))
-    if not (p >= 1 and 0 <= m <= p):
-        raise ParameterOutOfRange(f"invalid shape m={m}, p={p}")
+    check_shape(m, p, "theorem margins")
     grid = _as_r_grid(r)
     if coeff_bound is None:
         coeff_bound = float(max(1.0, mods.max(initial=0.0)))

@@ -11,10 +11,11 @@ pass/fail verdict:
                1 above it (where a scan is defined).
 
 Where a row's facts live: ``functionals._ROWS`` maps each campaign id to
-a ``RowSpec`` (its margin cores, radius equation, sharpness family, bank
-transform and vector flag).  Every core is a ``functionals._THEOREMS``
-entry, and its formula, its shape, odd-gap and m >= 1 rules and its radius
-window are read from there; the radius equations from
+a ``RowSpec`` (its margin cores, radius equation, sharpness family, fixed
+shape and vector flag).  Every core is a ``functionals._THEOREMS`` entry,
+and its formula, its shape, odd-gap and m >= 1 rules, its radius window
+and its vanishing start (a zero lattice start prepended to the bank, as
+for the Thm32 core) are read from there; the radius equations from
 ``radius._EQUATIONS``.  A requested id whose every shape its rules drop
 is an error, raised before any row runs.
 
@@ -25,7 +26,7 @@ workspace, and the row reduces it to its least margin in place: where the
 right side does not vary by sample (the bound 1, or a function of r
 alone), that is min_r (rhs_r - max_i lhs_ir), with no margin array
 written.  Rows that compute the same margin (the same ``_THEOREMS``
-entries, radius equation, shapes, shift, s and grid, as ThmC and Thm41
+entries, radius equation, shapes, s and grid, as ThmC and Thm41
 do) are evaluated once and reported under each id, and so are the t rows
 of a vector id at one shape.  ``CampaignConfig`` refuses,
 before anything is allocated, a config whose samples x bank length or
@@ -72,7 +73,7 @@ import json
 import math
 import sys
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -80,7 +81,8 @@ import numpy as np
 from . import functionals as fn
 from . import multidim as md
 from . import radius as rad
-from .errors import BohrcertError, CampaignError, ParameterOutOfRange, TruncationInsufficient
+from .errors import (BohrcertError, CampaignError, ParameterOutOfRange, TruncationInsufficient,
+                     check_shape)
 from .functionals import _ROWS
 from .schur import sample_bank
 # No campaign calls this; it stays because perfbench's tracer wraps it by name.
@@ -178,8 +180,7 @@ class CampaignConfig:
             if not isinstance(getattr(self, name), str):
                 raise ParameterOutOfRange(f"{name} must be a string")
         for m, p in self.shapes:
-            if not (p >= 1 and 0 <= m <= p):
-                raise ParameterOutOfRange(f"invalid shape (m={m}, p={p})")
+            check_shape(m, p, "campaign shape")
         if not all(t >= 1.0 for t in self.t_values):
             raise ParameterOutOfRange("norm indices t must be >= 1 or inf")
         if not all(s > 0.0 for s in self.s_values):  # NaN fails too
@@ -218,8 +219,7 @@ class CampaignConfig:
         # bank, over every shape a row may draw one at, and its margin workspace
         bank = 0
         for th in self.theorems:
-            fixed = _fixed_shape(_ROWS[th])
-            for m, p in self.shapes if fixed is None else (fixed,):
+            for m, p in _kept_shapes(th, self.shapes):
                 try:
                     bank = max(bank, _bank_length(self, m, p))
                 except TruncationInsufficient:
@@ -235,6 +235,9 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One row of a report.  Its fields, in order, are the report's columns:
+    the keys of a JSON row and the CSV header, ``passed`` written ``pass``."""
+
     theorem: str
     p: int
     m: int
@@ -302,32 +305,37 @@ def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
     return mat
 
 
-def _fixed_shape(row) -> Optional[Tuple[int, int]]:
-    """The one shape a row runs at whatever shapes are requested, if any."""
-    return row.shape or row.at or row.rules.shape
-
-
-def _row_shapes(theorem: str, config: CampaignConfig) -> List[Tuple[int, int]]:
-    """The shapes an id runs at: its fixed one, or the requested ones its rules keep."""
+def _kept_shapes(theorem: str, shapes) -> List[Tuple[int, int]]:
+    """The shapes an id runs at: the one it is fixed to, whatever shapes are
+    requested, or those of ``shapes`` its odd-gap and m >= 1 rules keep."""
     row = _ROWS[theorem]
-    rules = row.rules
-    fixed = _fixed_shape(row)
+    fixed = row.shape or row.at or row.rules.shape
     if fixed is not None:
         return [fixed]
-    shapes, needs = list(config.shapes), []
-    if rules.odd_gap:
-        shapes = [(m, p) for m, p in shapes if p % 2 == 1]
-        needs.append("an odd gap p")
-    if rules.positive_m:
-        shapes = [(m, p) for m, p in shapes if m >= 1]
-        needs.append("m >= 1")
-    if not config.shapes:
-        raise ParameterOutOfRange(f"{theorem} needs a shape m:p, and none was requested")
+    rules = row.rules
+    return [(m, p) for m, p in shapes
+            if (p % 2 == 1 or not rules.odd_gap) and (m >= 1 or not rules.positive_m)]
+
+
+def _row_plan(theorem: str, config: CampaignConfig) -> Tuple[list, tuple, tuple]:
+    """The shapes (:func:`_kept_shapes` of the requested ones), norm indices t
+    and exponents s an id runs at; an error where any of them is empty."""
+    row = _ROWS[theorem]
+    shapes = _kept_shapes(theorem, config.shapes)
     if not shapes:
+        if not config.shapes:
+            raise ParameterOutOfRange(f"{theorem} needs a shape m:p, and none was requested")
+        needs = [what for what, rule in (("an odd gap p", row.rules.odd_gap),
+                                         ("m >= 1", row.rules.positive_m)) if rule]
         asked = ", ".join(f"{m}:{p}" for m, p in config.shapes)
         raise ParameterOutOfRange(
             f"{theorem} needs {' and '.join(needs)}, which no requested shape has ({asked})")
-    return shapes
+    t_list, s_list = (getattr(config, key) if used else (None,)
+                      for key, used in (("t_values", row.vector), ("s_values", row.per_function)))
+    for key, values in (("t_values", t_list), ("s_values", s_list)):
+        if not values:
+            raise ParameterOutOfRange(f"{theorem} needs a value in {key}, and none was given")
+    return shapes, t_list, s_list
 
 
 @dataclass
@@ -484,7 +492,7 @@ def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     row whose radius does not depend on the function only those
     :func:`_unsettled` leaves; every other core evaluates every cell.
     """
-    if row.shift:
+    if row.rules.vanishing_start:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     extras = None if s is None else {"s": s}
     least = None
@@ -538,11 +546,11 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
 
     if grid.size:
         bank = _bank(shared.banks, config, m, p)
-        # Rows with the same cores, equation, shapes, shift, s and grid compute
-        # the same margin: ThmC and Thm41 share their entry, and a vector
-        # row's t rows their shape.
+        # Rows with the same cores, equation, shapes, s and grid compute the
+        # same margin: ThmC and Thm41 share their entry, and a vector row's
+        # t rows their shape.
         key = (tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
-               (m, p), (cm, cp), row.shift, s, grid.tobytes())
+               (m, p), (cm, cp), s, grid.tobytes())
         if key in shared.margins:
             min_margin = shared.margins[key]
         else:
@@ -590,16 +598,13 @@ def run_campaign(config: CampaignConfig,
     ``on_row``, if given, is called with each row as it completes, in
     report order.
     """
+    plan = [(theorem, *_row_plan(theorem, config)) for theorem in config.theorems]
     rows: List[ReportRow] = []
     # np.empty maps the workspace without touching it; rows fault its
     # pages in once, not once per core call
     shared = _Shared(np.empty((config.samples, _grid_points(config, config.r_stop))),
                      md.default_scan_grid(config.scan_steps), {}, {})
-    plan = [(theorem, _row_shapes(theorem, config)) for theorem in config.theorems]
-    for theorem, shapes in plan:
-        row = _ROWS[theorem]
-        t_list = config.t_values if row.vector else (None,)
-        s_list = config.s_values if row.per_function else (None,)
+    for theorem, shapes, t_list, s_list in plan:
         for (m, p) in shapes:
             for t in t_list:
                 for s in s_list:
@@ -640,20 +645,14 @@ def _t_from_json(v) -> Optional[float]:
     return float(v)
 
 
+_FIELDS = tuple(f.name for f in fields(ReportRow))
+_COLUMNS = tuple({"passed": "pass"}.get(name, name) for name in _FIELDS)  # report keys
+
+
 def _row_to_obj(row: ReportRow) -> dict:
-    return {
-        "theorem": row.theorem,
-        "p": row.p,
-        "m": row.m,
-        "t": _t_to_json(row.t),
-        "radius": row.radius,
-        "radius_closed_form": row.radius_closed_form,
-        "samples": row.samples,
-        "grid_points": row.grid_points,
-        "min_margin": row.min_margin,
-        "sharpness_max": row.sharpness_max,
-        "pass": row.passed,
-    }
+    obj = {key: getattr(row, name) for name, key in zip(_FIELDS, _COLUMNS)}
+    obj["t"] = _t_to_json(row.t)
+    return obj
 
 
 def report_to_json(report: Report) -> str:
@@ -663,28 +662,14 @@ def report_to_json(report: Report) -> str:
 def report_from_json(text: str) -> Report:
     rows = []
     for obj in json.loads(text):
-        rows.append(
-            ReportRow(
-                theorem=obj["theorem"],
-                p=int(obj["p"]),
-                m=int(obj["m"]),
-                t=_t_from_json(obj["t"]),
-                radius=obj["radius"],
-                radius_closed_form=obj["radius_closed_form"],
-                samples=int(obj["samples"]),
-                grid_points=int(obj["grid_points"]),
-                min_margin=obj["min_margin"],
-                sharpness_max=obj["sharpness_max"],
-                passed=bool(obj["pass"]),
-            )
-        )
+        for what, keys in (("missing", set(_COLUMNS) - set(obj)),
+                           ("unknown", set(obj) - set(_COLUMNS))):
+            if keys:
+                raise ParameterOutOfRange(f"report row has {what} keys: {sorted(keys)}")
+        values = {name: obj[key] for name, key in zip(_FIELDS, _COLUMNS)}
+        values["t"] = _t_from_json(values["t"])
+        rows.append(ReportRow(**values))
     return Report(rows=tuple(rows))
-
-
-_CSV_COLUMNS = (
-    "theorem", "p", "m", "t", "radius", "radius_closed_form",
-    "samples", "grid_points", "min_margin", "sharpness_max", "pass",
-)
 
 
 def _csv_cell(v) -> str:
@@ -700,11 +685,9 @@ def _csv_cell(v) -> str:
 
 
 def report_to_csv(report: Report) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(_COLUMNS)]
     for row in report.rows:
-        obj = _row_to_obj(row)
-        obj["t"] = row.t  # keep inf handling in _csv_cell
-        lines.append(",".join(_csv_cell(obj[c]) for c in _CSV_COLUMNS))
+        lines.append(",".join(_csv_cell(getattr(row, name)) for name in _FIELDS))
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatch,
     TruncationInsufficient,
     UnknownTheorem,
+    check_shape,
 )
 from .functionals import (
     _ROWS,
@@ -40,7 +41,7 @@ from .functionals import (
     evaluate_theorem,
     theorem_margins,
 )
-from .schur import _streams, extremal_family, family_moduli
+from .schur import _seed_ints, extremal_family, family_moduli
 from .series import TruncatedSeries
 
 __all__ = [
@@ -134,16 +135,15 @@ class Direction:
 def random_directions(seeds: Sequence[int], n: int, t: float) -> np.ndarray:
     """Unit vectors of l_t^n, one row per seed: complex gaussian entries, normalized.
 
-    Row i draws from the stream of ``np.random.default_rng(seeds[i])``,
-    reached without building that generator (see ``schur._streams``): n
-    normals for the real parts, then n for the imaginary parts.  Seeds
-    are integers in [0, 2^128).  Every row is checked as
+    Row i draws from ``np.random.default_rng(seeds[i])``: n normals for
+    the real parts, then n for the imaginary parts.  Seeds are integers
+    in [0, 2^128), as the sampler's are.  Every row is checked as
     :class:`Direction` checks a vector.
     """
-    seeds = list(seeds)
+    seeds = _seed_ints(seeds)
     z = np.empty((len(seeds), 2 * n))
-    for rng, row in zip(_streams(seeds), z):
-        rng.standard_normal(out=row)
+    for seed, row in zip(seeds, z):
+        np.random.default_rng(seed).standard_normal(out=row)
     rows = z[:, :n] + 1j * z[:, n:]
     nrm = _lt_norms(rows, t)
     if (nrm == 0.0).any():
@@ -177,10 +177,7 @@ class SliceMapping:
     def __post_init__(self):
         if not self.components:
             raise ParameterOutOfRange("a slice needs at least one component")
-        if not (self.p >= 1 and 0 <= self.m <= self.p):
-            raise ParameterOutOfRange(
-                f"slice shape needs 1 <= p and 0 <= m <= p, got m={self.m}, p={self.p}"
-            )
+        check_shape(self.m, self.p, "slice shape")
         order = min(h.order for h in self.components)
         comps = []
         for j, h in enumerate(self.components):
@@ -320,7 +317,7 @@ def vector_check(
     if row.shape is not None and (m, p) != row.shape:
         raise ShapeMismatch(f"{theorem_id} applies to shape {row.shape}, got ({m},{p})")
     nu = frechet_norms(slice_map, 1.0)
-    if row.shift:
+    if row.rules.vanishing_start:
         nu = np.concatenate([[0.0], nu])
     cm, cp = row.at or (m, p)
     profile = LacunaryProfile(cm, cp, nu, exact=slice_map.exact)
@@ -387,8 +384,7 @@ def sharpness_scan(
     """
     if theorem_id not in SCAN_IDS:
         raise UnknownTheorem(f"no sharpness scan for id {theorem_id!r}")
-    if not (p >= 1 and 0 <= m <= p):
-        raise ParameterOutOfRange(f"scans need 1 <= p and 0 <= m <= p, got m={m}, p={p}")
+    check_shape(m, p, "scans")
     a = np.asarray(a_grid, dtype=float)
     if a.size == 0:
         raise ParameterOutOfRange("empty family-parameter grid")

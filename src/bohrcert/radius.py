@@ -23,6 +23,7 @@ from .errors import (
     RadiusOutOfRange,
     ToleranceTooSmall,
     UnknownTheorem,
+    check_shape,
 )
 
 __all__ = [
@@ -91,10 +92,7 @@ class RadiusSpec:
     def __post_init__(self):
         if self.id not in RADIUS_IDS:
             raise UnknownTheorem(f"no radius equation with id {self.id!r}")
-        if not (self.p >= 1 and 0 <= self.m <= self.p):
-            raise ParameterOutOfRange(
-                f"radius spec needs 1 <= p and 0 <= m <= p, got m={self.m}, p={self.p}"
-            )
+        check_shape(self.m, self.p, "radius spec")
         object.__setattr__(self, "extras", dict(self.extras))
         if self.id == "Thm31":
             a0 = self.extras.get("a0")

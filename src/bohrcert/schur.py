@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, check_shape
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 __all__ = [
@@ -76,8 +76,8 @@ def _hash(x: np.ndarray, step) -> np.ndarray:
     return _fold((x ^ xor) * mult)
 
 
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
-    """(S, 4) uint32 words of each seed, least significant first."""
+def _seed_ints(seeds: Sequence[int]) -> List[int]:
+    """The seeds as ints, each checked to be an integer in [0, 2^128)."""
     ints = []
     for seed in seeds:
         try:
@@ -88,7 +88,12 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     for seed in (min(ints, default=0), max(ints, default=0)):
         if not 0 <= seed <= _M128:
             raise ParameterOutOfRange(f"seed must be an integer in [0, 2**128), got {seed}")
-    hi, lo = _halves(ints)
+    return ints
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """(S, 4) uint32 words of each seed, least significant first."""
+    hi, lo = _halves(_seed_ints(seeds))
     return np.stack((lo, hi), axis=1).astype("<u8").view("<u4").astype(np.uint32)
 
 
@@ -142,24 +147,6 @@ def _pcg_states(seeds: Sequence[int]):
     s_hi, s_lo, i_hi, i_lo = out.astype("<u4").view("<u8").T
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     return _add(_mul(_add(inc, (s_hi, s_lo)), _halves([_PCG_MULT])), inc), inc
-
-
-def _streams(seeds: Sequence[int]):
-    """Yield, per seed, a generator in the state of ``np.random.default_rng(seed)``.
-
-    One Generator is reused: its PCG64 state is set for each seed in turn
-    from :func:`_pcg_states`, so a yielded generator is good until the
-    next one.  The sampler draws its uniforms without it; it serves
-    draws that numpy makes by rejection, such as normals.
-    """
-    (s_hi, s_lo), (i_hi, i_lo) = _pcg_states(seeds)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
 
 
 def _uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
@@ -377,10 +364,7 @@ def extremal_family(kind: str, a: float, m: int, p: int,
     """
     if kind not in EXTREMAL_KINDS:
         raise ParameterOutOfRange(f"unknown extremal family {kind!r}")
-    if not (p >= 1 and 0 <= m <= p):
-        raise ParameterOutOfRange(
-            f"extremal families need 1 <= p and 0 <= m <= p, got m={m}, p={p}"
-        )
+    check_shape(m, p, "extremal families")
     a = float(a)
     if kind != "Monomial" and not 0.0 <= a < 1.0:
         raise ParameterOutOfRange(f"family parameter a={a} outside [0, 1)")

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -391,7 +392,7 @@ def settled_and_every_cell(theorem, bank, m, p, grid):
     row = hn._ROWS[theorem]
     got = hn._row_margin(row, bank, m, p, grid, None, hn.CampaignConfig(theorems=()),
                          np.empty((bank.shape[0], grid.size)))
-    if row.shift:
+    if row.rules.vanishing_start:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     want = every_cell_least(row.cores[0], bank, m, p, grid)
     return got, want, written_lhs(row.cores[0], bank, m, p, grid)[1].max()
@@ -417,7 +418,7 @@ class TestWorstDirection:
         grid = np.linspace(0.005, top, 150)
         length = fn.lacunary_length_for(m, p, top) + 1
         bank = np.abs(schur.sample_bank([0xC0DE ^ i for i in range(64)], 5, length - 1))
-        if row.shift:
+        if row.rules.vanishing_start:
             bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
         margins, reorder = [], []
         for c in np.linspace(0.0, 1.0, 21):
@@ -599,7 +600,45 @@ class TestReducedRows:
             assert math.isnan(got), theorem
 
 
+# a row with t = None (ThmB) and rows with t = inf and t = 2 (Lem21)
+SCHEMA_CONFIG = dict(theorems=("ThmB", "Lem21"), shapes=((1, 3),), t_values=(math.inf, 2.0),
+                     samples=3, seed=5, r_stop=0.5)
+# ReportRow's fields in order, as report keys
+SCHEMA_KEYS = [{"passed": "pass"}.get(f.name, f.name) for f in dataclasses.fields(hn.ReportRow)]
+
+
 class TestReports:
+    def test_schema_round_trips(self):
+        rep = hn.run_campaign(hn.CampaignConfig(**SCHEMA_CONFIG))
+        assert [row.t for row in rep.rows] == [None, math.inf, 2.0]
+        text = hn.report_to_json(rep)
+        assert [list(obj) for obj in json.loads(text)] == [SCHEMA_KEYS] * 3
+        assert hn.report_from_json(text) == rep
+        header, *lines = hn.report_to_csv(rep).splitlines()
+        assert header.split(",") == SCHEMA_KEYS
+        for row, line in zip(rep.rows, lines, strict=True):
+            for f, cell in zip(dataclasses.fields(row), line.split(","), strict=True):
+                want = getattr(row, f.name)
+                if isinstance(want, bool):
+                    assert cell == str(want).lower()
+                elif want is None or isinstance(want, (str, int)):
+                    assert cell == ("" if want is None else str(want))
+                else:  # 15 significant digits; inf as "inf"
+                    got = float(cell)
+                    assert got == want or abs(got - want) <= 1e-14 * abs(want), f.name
+
+    @pytest.mark.parametrize("key, edit", [
+        ("min_margin", lambda obj: obj.pop("min_margin")),
+        ("pass", lambda obj: obj.pop("pass")),
+        ("margin", lambda obj: obj.update(margin=0.5)),
+    ])
+    def test_from_json_names_a_missing_or_unknown_key(self, key, edit):
+        rep = hn.run_campaign(hn.CampaignConfig(**SCHEMA_CONFIG))
+        objs = json.loads(hn.report_to_json(rep))
+        edit(objs[1])
+        with pytest.raises(ParameterOutOfRange, match=f"keys: \\['{key}'\\]$"):
+            hn.report_from_json(json.dumps(objs))
+
     def test_json_empty(self):
         assert hn.report_to_json(hn.Report(rows=())) == "[]\n"
 
@@ -838,17 +877,38 @@ class TestCli:
         (None, '{"theorems": ["ThmB"], "r_start": 0.9, "r_stop": 0.1}'),
         # an infinite step would build the grid [nan]
         (["--theorems", "ThmB", "--r-step", "inf"], None),
+        # no norm index, or no exponent s, would certify nothing and pass
+        (None, '{"theorems": ["Lem21"], "shapes": [[1, 3]], "t_values": []}'),
+        (None, '{"theorems": ["Thm31"], "s_values": []}'),
     ])
-    def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys):
+    def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys,
+                                       monkeypatch):
         if config_text is not None:
             path = tmp_path / "cfg.json"
             path.write_text(config_text)
+            # --config takes no --output, so a report would go to the config's
+            # output path, relative to here
+            monkeypatch.chdir(tmp_path)
             flags = ["--config", str(path)]
-        code = cli_main(["verify", *flags, "--output", str(tmp_path / "r.json")])
+        else:
+            flags = [*flags, "--output", str(tmp_path / "r.json")]
+        code = cli_main(["verify", *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
         assert "Traceback" not in err
+
+    def test_config_refuses_other_verify_flags(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"theorems": ["ThmB"], "samples": 2}')
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["verify", "--config", str(path), "--output", "-", "--r-stop", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "bohrcert: error: --config takes no other verify flag, got --r-stop, --output\n"
+        assert not (tmp_path / "report.json").exists()
+        assert cli_main(["verify", "--config", str(path)]) == 0
+        assert (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("key, cap", [
         ("depth", hn.MAX_DEPTH), ("scan_steps", md.MAX_SCAN_STEPS),
@@ -870,6 +930,13 @@ class TestCli:
             hn.CampaignConfig(theorems=("Cor33",), shapes=((3, 3),), samples=32768,
                               r_stop=0.99)
         hn.CampaignConfig(theorems=("ThmC",), shapes=((3, 3),), samples=32768, r_stop=0.99)
+        # a bank no row draws does not count: Lem21's rule drops m = 0, so of
+        # the 2751-long (0, 1) bank and the 881-long (1, 3) one, only the
+        # second is drawn
+        cfg = hn.CampaignConfig(theorems=("Lem21",), shapes=((0, 1), (1, 3)), samples=20000,
+                                r_stop=0.99)
+        assert [hn._bank_length(cfg, m, p) for m, p in cfg.shapes] == [2751, 881]
+        assert hn._kept_shapes("Lem21", cfg.shapes) == [(1, 3)]
 
     def test_sharpness_negative_steps_exits_two(self, capsys):
         code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "3", "--m", "1",
@@ -993,7 +1060,7 @@ def _report_rows(text, fmt):
         rows = hn.report_from_json(text).rows
         return len(rows), all(row.passed for row in rows)
     lines = text.splitlines()
-    assert text.endswith("\n") and lines[0] == ",".join(hn._CSV_COLUMNS)
+    assert text.endswith("\n") and lines[0] == ",".join(hn._COLUMNS)
     assert all(line.rsplit(",", 1)[1] in ("true", "false") for line in lines[1:])
     return len(lines) - 1, all(line.endswith(",true") for line in lines[1:])
 

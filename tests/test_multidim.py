@@ -150,7 +150,7 @@ class TestRandomDirections:
                 call()
 
     def test_zero_vector_is_degenerate(self, monkeypatch):
-        monkeypatch.setattr(md, "_streams", lambda seeds: (_ZeroNormals() for _ in seeds))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroNormals())
         with pytest.raises(DegenerateDirection):
             md.random_directions([1, 2, 3], 4, 2.0)
         with pytest.raises(DegenerateDirection):

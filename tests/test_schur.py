@@ -217,10 +217,12 @@ class TestStreams:
 
     @pytest.mark.parametrize("seeds", [EDGE_SEEDS, CAMPAIGN_SEEDS])
     def test_states_equal_numpy_seeding(self, seeds):
-        got = [rng.bit_generator.state for rng in schur._streams(seeds)]
-        assert len(got) == len(seeds)
-        for seed, state in zip(seeds, got):
-            assert state == np.random.PCG64(seed).state, seed
+        (s_hi, s_lo), (i_hi, i_lo) = schur._pcg_states(seeds)
+        assert s_hi.size == len(seeds)
+        for j, seed in enumerate(seeds):
+            want = np.random.PCG64(seed).state["state"]
+            assert want == {"state": int(s_hi[j]) << 64 | int(s_lo[j]),
+                            "inc": int(i_hi[j]) << 64 | int(i_lo[j])}, seed
 
     @pytest.mark.parametrize("depth", [1, 9])
     @pytest.mark.parametrize("seeds", [EDGE_SEEDS, CAMPAIGN_SEEDS])
