@@ -412,12 +412,15 @@ class _Theorem:
     starts at m >= 1 (the slices of f = z*g), a vanishing lattice start
     mu_0 = 0, and a radius window [lo, hi].
 
-    In an entry with the bound 1, every term's exponents are nonnegative
-    and its per-radius weight has one sign and a nondecreasing modulus on
-    [0, 1) for every shape.  Each term's positive and negative parts
-    (:func:`_parity_parts`) are then nondecreasing in r, so a campaign may
-    bound a sample's left side on [0, r] by its parts at r alone
-    (``harness._unsettled``); a test holds every such entry to this.
+    In an entry with the bound 1, every term's exponents are nonnegative,
+    its per-radius weight has one sign and a nondecreasing modulus on
+    [0, 1) for every shape, and its per-sample weight one sign.  Each
+    term's positive and negative parts (:func:`_parity_parts`) are then
+    nondecreasing in r, so a campaign may bound a sample's left side on
+    [0, r] by its parts at r alone (``harness._unsettled``), and where the
+    negative part is 0 (:func:`_no_negative_part`) take the left side at
+    the top radius as its largest (``harness._row_margin``); a test holds
+    every such entry to this.
 
     ``reduced``, where given, is the same margin as g(r) * rho(y)
     (:class:`_Reduced`), from which a campaign bounds a sample's margin
@@ -711,9 +714,10 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     with w_k >= 0 (mu_k, mu_k^2, mu_k^s, or the modulus of a signed
     mu_k); its weight times the sum over the columns whose sign is +1 goes
     to P where the weight is positive and to N where it is negative, and
-    the columns whose sign is -1 the other way.  Each term is one product
-    of its (samples, K) columns with a (K, 2 radii) table of its powers
-    split by sign, every stored column taken.
+    the columns whose sign is -1 the other way.  A signed term is one
+    product of its (samples, K) columns with a (K, 2 radii) table of its
+    powers split by sign, an unsigned one (all its columns +1) a product
+    with its powers alone; every stored column is taken.
     """
     samples, length = mods.shape
     k = np.arange(length)
@@ -721,46 +725,68 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
     for term in th.terms:
         up = r ** _lattice(term, k, m, p, s, 1.0)[0][:, None]
-        down = np.zeros_like(up)
-        if term.power == "signed":
-            w = mods[:, term.cols]
-            even = (_signs(k[term.cols], m, p) > 0.0)[:, None]
-            up, down = np.where(even, up, 0.0), np.where(even, 0.0, up)
-        else:
-            w = _columns(term, mods, k, m, p, s)
-        plus, minus = np.hsplit(w @ np.hstack((up, down)), 2)
         weight = 1.0 if term.weight is None else term.weight(v)
         if term.sample_weight is not None:
             weight = weight * term.sample_weight(v)
         # a NaN weight keeps its NaN in both parts
         above, below = np.maximum(weight, 0.0), np.maximum(-weight, 0.0)
-        pos += above * plus + below * minus
-        neg += above * minus + below * plus
+        if term.power == "signed":
+            even = (_signs(k[term.cols], m, p) > 0.0)[:, None]
+            table = np.hstack((np.where(even, up, 0.0), np.where(even, 0.0, up)))
+            plus, minus = np.hsplit(mods[:, term.cols] @ table, 2)
+            pos += above * plus + below * minus
+            neg += above * minus + below * plus
+        else:
+            plus = _columns(term, mods, k, m, p, s) @ up
+            pos += above * plus
+            neg += below * plus
     return pos, neg
 
 
-def _reduced_polynomial(form: _Reduced, mods, m, p, y: float) -> Tuple[np.ndarray, np.ndarray]:
+def _no_negative_part(th: _Theorem, m: int, p: int) -> bool:
+    """Whether :func:`_parity_parts` gives N = 0 at the shape (m, p): no
+    signed term, no modulus taken, and every weight nonnegative, read at
+    one point since each weight has one sign (:class:`_Theorem`)."""
+    zero = np.zeros((1, 1))
+    v = _Vars(np.array([0.5]), zero, zero, m, p)
+    return not th.absolute and all(
+        term.power != "signed"
+        and all(weight is None or np.all(weight(v) >= 0.0)
+                for weight in (term.weight, term.sample_weight))
+        for term in th.terms)
+
+
+def _reduced_polynomial(form: _Reduced, mods, m, p, y: float,
+                        degree: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Power-basis coefficients in y of rho, (samples, degree + 1), and its size at y.
 
     rho = 1 - (the sum of the parts); its size is 1 + (the sum of the parts
     with 1 - y taken as 1), at least |rho| and each piece of it on [0, y].
+    With ``degree`` below rho's, the coefficients are those of a polynomial
+    of that degree at most rho on [0, y]: rho's own up to it, with the
+    constant lowered by a bound on sum_(j > degree) |c_j| y^j, each c_j a
+    sum of part columns and so at most the sum of their moduli.
     """
     samples, length = mods.shape
     v = _vars(mods, np.empty(0), m, p)
     k = np.arange(length)
     count = max(part.first + k[part.cols].size + part.damped for part in form.parts)
+    width = count if degree is None else min(degree + 1, count)
     powers = y ** np.arange(count)
-    rho, size = np.zeros((samples, count)), np.ones(samples)
+    rho, size, tail = np.zeros((samples, width)), np.ones(samples), np.zeros(samples)
     rho[:, 0] = 1.0
     for part in form.parts:
         w = _columns(part, mods, k, m, p, None)
         if part.sample_weight is not None:
             w = w * part.sample_weight(v)
-        at = slice(part.first, part.first + w.shape[1])
-        rho[:, at] -= w
-        size += w @ powers[at]
-        if part.damped:
-            rho[:, at.start + 1:at.stop + 1] += w
+        size += w @ powers[part.first:part.first + w.shape[1]]
+        # -w from degree ``first`` on, and +w one degree up where damped
+        for shift, sign in ((0, -1.0), (1, 1.0))[:1 + part.damped]:
+            start = part.first + shift
+            n = min(w.shape[1], max(width - start, 0))  # columns at or below the degree
+            rho[:, start:start + n] += sign * w[:, :n]
+            tail += w[:, n:] @ powers[start + n:start + w.shape[1]]
+    rho[:, 0] -= tail
     return rho, size
 
 

@@ -19,18 +19,18 @@ for the Thm32 core) are read from there; the radius equations from
 ``radius._EQUATIONS``.  A requested id whose every shape its rules drop
 is an error, raised before any row runs.
 
-What a campaign allocates: one bank per shape, and one (samples x grid
-points) margin workspace, allocated once and sized for the longest grid a
-row can have.  Every core call writes its left side into a view of that
-workspace, and the row reduces it to its least margin in place: where the
-right side does not vary by sample (the bound 1, or a function of r
-alone), that is min_r (rhs_r - max_i lhs_ir), with no margin array
-written.  Rows that compute the same margin (the same ``_THEOREMS``
-entries, radius equation, shapes, s and grid, as ThmC and Thm41
-do) are evaluated once and reported under each id, and so are the t rows
-of a vector id at one shape.  ``CampaignConfig`` refuses,
-before anything is allocated, a config whose samples x bank length or
-samples x grid points exceeds ``MAX_CELLS``.
+What a campaign allocates: one bank per shape, and one flat (samples x
+grid points) margin workspace, allocated once and sized for the longest
+grid a row can have.  Every core call writes its left side into a
+contiguous array over the head of that workspace, and the row reduces it
+to its least margin in place: where the right side does not vary by
+sample (the bound 1, or a function of r alone), that is min_r (rhs_r -
+max_i lhs_ir), with no margin array written.  Rows that compute the same
+margin (the same ``_THEOREMS`` entries, radius equation, shapes, s and
+grid, as ThmC and Thm41 do) are evaluated once and reported under each
+id, and so are the t rows of a vector id at one shape.
+``CampaignConfig`` refuses, before anything is allocated, a config whose
+samples x bank length or samples x grid points exceeds ``MAX_CELLS``.
 
 Which cells a row evaluates: a row reports the least margin of a cell it
 computed, and every cell it leaves out is certified above that least.
@@ -38,22 +38,27 @@ Two bounds settle cells.  A core with the bound 1 (ThmC/Thm41, Thm32,
 Thm34 and Cor43, so also the Cor33 and Cor42 rows) on a row whose radius
 does not depend on the function: a sample's left side on [0, r] is at
 most the larger of its two nonnegative parity parts P and N at r, since
-both are nondecreasing in r, and the largest left side at the top
-radius, M, is a cell the core call always evaluates.  Cells whose bound
-is below M, by a rounding allowance of 1e-12 relative, are settled; the
-call evaluates the unsettled samples over the suffix of the grid where
-some bound still reaches M (the top radius alone where N is 0, as for
-Thm32 and Thm34).  A core with a reduced form (LemDOdd, LemDEven,
-Lem21): its margin is g(r) rho(y), y = r^(2p), with g > 0 ascending and
-rho a polynomial per sample.  One call evaluates every sample on the
-head of the grid, the first bucket of a whole-grid call, so those cells
-are bit for bit the ones a whole-grid call computes.  Each sample's
-least Bernstein coefficient of rho on [0, r_top^(2p)] (degree at most
-64, less the tail above it and a 1e-12 relative rounding allowance)
-bounds its margin below by g(r) times it, which settles every radius
-past the first where that exceeds the head's least.  A second call, if
-any, evaluates the samples left over the radii they still need.  ThmB,
-Thm31's per-function rows and the envelopes evaluate every cell.
+both are nondecreasing in r.  Where N is 0 at the row's shape (no signed
+term, no modulus taken and no negative weight: Thm32 and Thm34), every
+left side is P itself, so one call over the whole bank at the top radius
+evaluates the least margin; a lower cell could beat it only by rounding,
+inside the allowance below.  Otherwise (ThmC/Thm41, Cor43) the largest
+left side at the top radius, M, is a cell the core call always
+evaluates, and cells whose bound is below M, by a rounding allowance of
+1e-12 relative, are settled; the call evaluates the unsettled samples
+over the suffix of the grid where some bound still reaches M.  A core
+with a reduced form (LemDOdd, LemDEven, Lem21): its margin is g(r)
+rho(y), y = r^(2p), with g > 0 ascending and rho a polynomial per
+sample.  One call evaluates every sample on the head of the grid, the
+first bucket of a whole-grid call, so those cells are bit for bit the
+ones a whole-grid call computes.  Each sample's least Bernstein
+coefficient on [0, r_top^(2p)] of rho built to degree at most 64, its
+constant lowered by a bound on the coefficients above (less a 1e-12
+relative rounding allowance), bounds its margin below by g(r) times it,
+which settles every radius past the first where that exceeds the head's
+least.  A second call, if any, evaluates the samples left over the radii
+they still need.  ThmB, Thm31's per-function rows and the envelopes
+evaluate every cell.
 
 Vector rows (Cor42, Lem21) run at the worst unit direction of l_t^n, e_1,
 for every n and t >= 1: a direction z0 enters them only as the factor
@@ -342,10 +347,18 @@ def _row_plan(theorem: str, config: CampaignConfig) -> Tuple[list, tuple, tuple]
 class _Shared:
     """What the rows of one campaign share."""
 
-    work: np.ndarray  # (samples, grid points) left sides, reused by every core call
+    work: np.ndarray  # flat samples x grid points left sides, reused by every core call
     scan_grid: np.ndarray  # family parameters of the sharpness scans
     banks: Dict[Tuple[int, int], np.ndarray]  # lattice moduli by shape
     margins: Dict[tuple, Optional[float]]  # least margins by what determines them
+
+
+def _view(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A contiguous (rows, cols) array over the head of a contiguous workspace.
+
+    A strided [:rows, :cols] view would spread a core's output over every
+    row of the workspace, each as long as the campaign's longest grid."""
+    return work.reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
 def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -421,19 +434,19 @@ def _bernstein_matrix(n: int) -> np.ndarray:
 def _reduced_floor(form, bank, m, p, top: float) -> np.ndarray:
     """A lower bound on each sample's rho over [0, Y], Y = top^(2p).
 
-    The coefficients of rho up to degree n = min(degree, _BERNSTEIN_DEGREE)
-    give their least Bernstein coefficient on [0, Y], at most their
-    polynomial's least value there (Garloff 1986).  Less the tail
-    sum_(j > n) |c_j| Y^j of the coefficients above n, and less
-    _SETTLE_SLACK times rho's size at Y (``functionals._reduced_polynomial``)
-    for the rounding of this bound and of the cells it is held against.
+    ``functionals._reduced_polynomial`` builds rho only to degree
+    n = min(degree, _BERNSTEIN_DEGREE), with its constant lowered by a
+    bound on the tail sum_(j > n) |c_j| Y^j, so the polynomial is at most
+    rho on [0, Y].  Its least Bernstein coefficient on [0, Y] is at most its
+    least value there (Garloff 1986).  Less _SETTLE_SLACK times rho's size
+    at Y, for the rounding of this bound and of the cells it is held
+    against.
     """
     y = top ** (2 * p)
-    rho, size = fn._reduced_polynomial(form, bank, m, p, y)
-    powers = y ** np.arange(rho.shape[1])
-    n = min(rho.shape[1] - 1, _BERNSTEIN_DEGREE)
-    least = (rho[:, :n + 1] @ (powers[:n + 1, None] * _bernstein_matrix(n))).min(axis=1)
-    return least - np.abs(rho[:, n + 1:]) @ powers[n + 1:] - _SETTLE_SLACK * size
+    rho, size = fn._reduced_polynomial(form, bank, m, p, y, _BERNSTEIN_DEGREE)
+    n = rho.shape[1] - 1
+    least = (rho @ (y ** np.arange(n + 1)[:, None] * _bernstein_matrix(n))).min(axis=1)
+    return least - _SETTLE_SLACK * size
 
 
 def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
@@ -458,7 +471,7 @@ def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
 
     def least(mods, lo, hi):
         lhs, rhs = fn.theorem_margins(core, mods, m, p, grid[lo:hi], trunc_tol=trunc_tol,
-                                      coeff_bound=bound, out=work[:mods.shape[0], :hi - lo])
+                                      coeff_bound=bound, out=_view(work, mods.shape[0], hi - lo))
         return _least(lhs, rhs)
 
     head = fn._first_bucket(core, bank.shape[1], m, p, grid, bound)
@@ -487,27 +500,36 @@ def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
 
     (m, p) is the shape the cores run at; None when a per-function radius
     leaves no (sample, radius) cell to check.  Each core's left side is
-    written into ``work``.  A core with a reduced form evaluates only the
-    cells :func:`_reduced_least` leaves, and a core with the bound 1 on a
-    row whose radius does not depend on the function only those
-    :func:`_unsettled` leaves; every other core evaluates every cell.
+    written into the flat workspace ``work``.  A core with a reduced form
+    evaluates only the cells :func:`_reduced_least` leaves.  A core with
+    the bound 1 on a row whose radius does not depend on the function
+    evaluates the top radius alone where its parity part N is 0 at (m, p)
+    (``functionals._no_negative_part``): each sample's left side is then
+    P, nondecreasing in r, so the top column holds the least margin, and a
+    lower cell can beat it only by rounding, inside the _SETTLE_SLACK
+    allowance :func:`_unsettled` settles cells with.  Any other such core
+    evaluates the cells :func:`_unsettled` leaves, and every other core
+    every cell.
     """
     if row.rules.vanishing_start:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     extras = None if s is None else {"s": s}
     least = None
     for core in row.cores:
-        if fn._THEOREMS[core].reduced is not None:
+        th = fn._THEOREMS[core]
+        if th.reduced is not None:
             low = _reduced_least(core, bank, m, p, grid, config.trunc_tol, work)
         else:
-            mods, cols, out, bound = bank, grid, work, None
-            if fn._THEOREMS[core].rhs is None and not row.per_function:
-                mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
-                cols = grid[start:]
-                out = work[:mods.shape[0], :cols.size]
+            mods, cols, bound = bank, grid, None
+            if th.rhs is None and not row.per_function:
+                if fn._no_negative_part(th, m, p):
+                    cols = grid[-1:]
+                else:
+                    mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
+                    cols = grid[start:]
             lhs, rhs = fn.theorem_margins(core, mods, m, p, cols, extras=extras,
                                           trunc_tol=config.trunc_tol, coeff_bound=bound,
-                                          out=out)
+                                          out=_view(work, mods.shape[0], cols.size))
             if row.per_function:
                 # each sample is checked below its own radius
                 radii = rad.thm31_radius(bank[:, 0], s)
@@ -554,8 +576,7 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
         if key in shared.margins:
             min_margin = shared.margins[key]
         else:
-            work = shared.work[:, :grid.size]
-            min_margin = _row_margin(row, bank, cm, cp, grid, s, config, work)
+            min_margin = _row_margin(row, bank, cm, cp, grid, s, config, shared.work)
             shared.margins[key] = min_margin
         nsamp = bank.shape[0]
     else:
@@ -598,11 +619,13 @@ def run_campaign(config: CampaignConfig,
     ``on_row``, if given, is called with each row as it completes, in
     report order.
     """
+    if not config.theorems:  # a campaign of no rows would certify nothing and pass
+        raise ParameterOutOfRange("a campaign needs at least one theorem")
     plan = [(theorem, *_row_plan(theorem, config)) for theorem in config.theorems]
     rows: List[ReportRow] = []
     # np.empty maps the workspace without touching it; rows fault its
     # pages in once, not once per core call
-    shared = _Shared(np.empty((config.samples, _grid_points(config, config.r_stop))),
+    shared = _Shared(np.empty(config.samples * _grid_points(config, config.r_stop)),
                      md.default_scan_grid(config.scan_steps), {}, {})
     for theorem, shapes, t_list, s_list in plan:
         for (m, p) in shapes:
@@ -637,16 +660,31 @@ def _t_to_json(t: Optional[float]):
     return int(t) if float(t).is_integer() else float(t)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _t_from_json(v) -> Optional[float]:
     if v is None:
         return None
     if v == "inf":
         return math.inf
+    if not _is_number(v):
+        raise ParameterOutOfRange(f"report key 't' must be a number, \"inf\" or null, got {v!r}")
     return float(v)
 
 
 _FIELDS = tuple(f.name for f in fields(ReportRow))
 _COLUMNS = tuple({"passed": "pass"}.get(name, name) for name in _FIELDS)  # report keys
+# what a report value may be, by its ReportRow field's annotation; t, which
+# may also be "inf", is read by _t_from_json
+_VALUES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "Optional[float]": ("a number or null", lambda v: v is None or _is_number(v)),
+}
+_RULES = tuple((key, _VALUES[f.type]) for f, key in zip(fields(ReportRow), _COLUMNS) if key != "t")
 
 
 def _row_to_obj(row: ReportRow) -> dict:
@@ -660,12 +698,17 @@ def report_to_json(report: Report) -> str:
 
 
 def report_from_json(text: str) -> Report:
+    """Read a JSON report back; a row with a missing or unknown key, or a
+    value of the wrong type, raises ParameterOutOfRange naming the key."""
     rows = []
     for obj in json.loads(text):
         for what, keys in (("missing", set(_COLUMNS) - set(obj)),
                            ("unknown", set(obj) - set(_COLUMNS))):
             if keys:
                 raise ParameterOutOfRange(f"report row has {what} keys: {sorted(keys)}")
+        for key, (what, ok) in _RULES:
+            if not ok(obj[key]):
+                raise ParameterOutOfRange(f"report key {key!r} must be {what}, got {obj[key]!r}")
         values = {name: obj[key] for name, key in zip(_FIELDS, _COLUMNS)}
         values["t"] = _t_from_json(values["t"])
         rows.append(ReportRow(**values))

@@ -160,9 +160,11 @@ class TestRunCampaign:
         assert all(r.passed and r.sharpness_max > 1.0 for r in rows)
 
     def test_empty_theorem_list(self):
-        rep = hn.run_campaign(hn.CampaignConfig(theorems=()))
-        assert rep.rows == ()
-        assert rep.all_pass
+        # the config builds, for its checks alone; a campaign of no rows
+        # would certify nothing and pass, so running it is refused
+        cfg = hn.CampaignConfig(theorems=())
+        with pytest.raises(ParameterOutOfRange, match="^a campaign needs at least one theorem$"):
+            hn.run_campaign(cfg)
 
     @pytest.mark.parametrize("theorem, shape, rule", [
         ("Thm41", (6, 6), "an odd gap p"),
@@ -486,6 +488,70 @@ class TestSettledCells:
         assert math.isnan(got) and math.isnan(want)
 
 
+def bank_with_family(m, p, top, seed, rows):
+    """``rows`` seeded draws and 8 extremal-family rows, as a campaign lifts them
+    to (m, p) below ``top``."""
+    length = fn.lacunary_length_for(m, p, top) + 1
+    return np.vstack([np.abs(schur.sample_bank([seed ^ i for i in range(rows)], 5, length - 1)),
+                      schur.family_moduli(np.linspace(0.0, 0.98, 8), length)])
+
+
+class TestTopColumn:
+    """A bound-1 core with no negative part runs at its row's top radius alone."""
+
+    def test_rule_picks_thm32_and_thm34(self):
+        # every _THEOREMS entry, through each row that runs it, at every
+        # shape with p <= 8; the rule is _row_margin's
+        picked, seen = collections.defaultdict(set), set()
+        for row in hn._ROWS.values():
+            for core in row.cores:
+                th = fn._THEOREMS[core]
+                seen.add(core)
+                if th.rhs is not None or row.per_function:
+                    continue
+                for p in range(1, 9):
+                    for m in range(p + 1):
+                        if fn._no_negative_part(th, m, p):
+                            picked[core].add((m, p))
+        every = {(m, p) for p in range(1, 9) for m in range(p + 1)}
+        assert seen == set(fn._THEOREMS)
+        assert picked == {"Thm32": every, "Thm34": every}
+
+    @pytest.mark.parametrize("core", ["Thm32", "Thm34"])
+    def test_picked_cores_have_no_negative_part(self, core):
+        th = fn._THEOREMS[core]
+        grid = np.linspace(0.0, 0.9, 25)
+        for p in range(1, 9):
+            for m in range(p + 1):
+                bank = bank_with_family(m, p, grid[-1], 31 * p + m, 24)
+                if th.vanishing_start:
+                    bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+                pos, neg = fn._parity_parts(th, bank, m, p, grid)
+                assert np.all(neg == 0.0) and np.all(pos >= 0.0), (m, p)
+
+    @pytest.mark.parametrize("core", sorted(tid for tid, th in fn._THEOREMS.items()
+                                            if th.rhs is None))
+    def test_one_radius_row_bits_do_not_depend_on_the_batch(self, core):
+        # the top-column call's least margin is the least over the rows
+        # _unsettled would leave, bit for bit
+        th = fn._THEOREMS[core]
+        m, p = th.shape or (1, 3)
+        bank = bank_with_family(m, p, 0.9, 5, 492)
+        if th.vanishing_start:
+            bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+        extras = {"s": 1.5} if core == "Thm31" else None
+
+        def lhs(rows):
+            return fn.theorem_margins(core, bank[rows], m, p, [0.9], extras=extras,
+                                      coeff_bound=1.0)[0][:, 0]
+
+        whole = lhs(np.arange(500))
+        subset = [0, 3, 77, 250, 431, 495, 499]  # draws and family rows
+        assert lhs(subset).tobytes() == whole[subset].tobytes()
+        for i in subset:
+            assert lhs([i]).tobytes() == whole[[i]].tobytes()
+
+
 REDUCED_CORES = tuple(core for core, th in fn._THEOREMS.items() if th.reduced is not None)
 FINE_GRID = dict(theorems=("LemD", "Lem21"), shapes=((1, 3), (2, 3), (3, 3)), samples=500,
                  depth=5, r_start=0.001, r_stop=0.95, r_step=0.0005)
@@ -637,6 +703,29 @@ class TestReports:
         objs = json.loads(hn.report_to_json(rep))
         edit(objs[1])
         with pytest.raises(ParameterOutOfRange, match=f"keys: \\['{key}'\\]$"):
+            hn.report_from_json(json.dumps(objs))
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("pass", "false", "true or false"),
+        ("pass", 0, "true or false"),
+        ("p", 3.0, "an integer"),
+        ("m", True, "an integer"),
+        ("samples", "3", "an integer"),
+        ("grid_points", None, "an integer"),
+        ("t", "2", 'a number, "inf" or null'),
+        ("t", True, 'a number, "inf" or null'),
+        ("min_margin", "0.1", "a number or null"),
+        ("radius", False, "a number or null"),
+        ("radius_closed_form", [0.5], "a number or null"),
+        ("sharpness_max", {}, "a number or null"),
+        ("theorem", 3, "a string"),
+    ])
+    def test_from_json_names_a_value_of_the_wrong_type(self, key, value, what):
+        rep = hn.run_campaign(hn.CampaignConfig(**SCHEMA_CONFIG))
+        objs = json.loads(hn.report_to_json(rep))
+        objs[1][key] = value
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^report key '{key}' must be {re.escape(what)}, got "):
             hn.report_from_json(json.dumps(objs))
 
     def test_json_empty(self):
@@ -877,9 +966,11 @@ class TestCli:
         (None, '{"theorems": ["ThmB"], "r_start": 0.9, "r_stop": 0.1}'),
         # an infinite step would build the grid [nan]
         (["--theorems", "ThmB", "--r-step", "inf"], None),
-        # no norm index, or no exponent s, would certify nothing and pass
+        # no norm index, no exponent s, or no theorem would certify nothing
+        # and pass
         (None, '{"theorems": ["Lem21"], "shapes": [[1, 3]], "t_values": []}'),
         (None, '{"theorems": ["Thm31"], "s_values": []}'),
+        (None, '{"theorems": []}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys,
                                        monkeypatch):
@@ -965,12 +1056,14 @@ class TestCli:
     def test_verify_needs_input(self):
         assert cli_main(["verify"]) == 2
 
-    def test_verify_empty_theorem_list_passes(self, tmp_path):
+    def test_verify_empty_theorem_list_exits_two(self, tmp_path, capsys):
         cfg = {"theorems": [], "output": str(tmp_path / "r.json")}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert cli_main(["verify", "--config", str(path)]) == 0
-        assert (tmp_path / "r.json").read_text() == "[]\n"
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "bohrcert: error: a campaign needs at least one theorem\n")
+        assert not (tmp_path / "r.json").exists()
 
 
 _JSON_VALUES = st.recursive(
