@@ -102,7 +102,15 @@ _VERIFY_KEYS = {
 }
 
 
+def _check_values(args) -> None:
+    """Refuse a flag that argparse read as a list: it reads ``--flag=--`` as []."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise ParameterOutOfRange(f"--{dest.replace('_', '-')} needs a value")
+
+
 def _config_from_args(args) -> harness.CampaignConfig:
+    _check_values(args)
     given = [dest for dest in _VERIFY_KEYS if getattr(args, dest) is not None]
     if args.config:
         if given:
@@ -198,6 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_values(args)
         return args.func(args)
     except BohrcertError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)

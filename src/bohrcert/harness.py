@@ -22,10 +22,8 @@ is an error, raised before any row runs.
 What a campaign allocates: one bank per shape, and one flat (samples x
 grid points) margin workspace, allocated once and sized for the longest
 grid a row can have.  Every core call writes its left side into a
-contiguous array over the head of that workspace, and the row reduces it
-to its least margin in place: where the right side does not vary by
-sample (the bound 1, or a function of r alone), that is min_r (rhs_r -
-max_i lhs_ir), with no margin array written.  Rows that compute the same
+contiguous array over the head of that workspace, and the row writes
+its margins over it and takes their least.  Rows that compute the same
 margin (the same ``_THEOREMS`` entries, radius equation, shapes, s and
 grid, as ThmC and Thm41 do) are evaluated once and reported under each
 id, and so are the t rows of a vector id at one shape.
@@ -34,11 +32,15 @@ samples x bank length or samples x grid points exceeds ``MAX_CELLS``.
 
 Which cells a row evaluates: a row reports the least margin of a cell it
 computed, and every cell it leaves out is certified above that least.
-Two bounds settle cells.  A core with the bound 1 (ThmC/Thm41, Thm32,
-Thm34 and Cor43, so also the Cor33 and Cor42 rows) on a row whose radius
-does not depend on the function: a sample's left side on [0, r] is at
-most the larger of its two nonnegative parity parts P and N at r, since
-both are nondecreasing in r.  Where N is 0 at the row's shape (no signed
+Before any core call, the row runs once the checks a call over its whole
+bank and grid would make: the tail certificate at the top radius, on the
+coefficient bound of the whole bank, and each core's shape, window and
+start rules, so a cell it leaves out is checked too; every core call
+then takes that bound.  Two bounds settle cells.  A core with the bound
+1 (ThmC/Thm41, Thm32, Thm34 and Cor43, so also the Cor33 and Cor42 rows)
+on a row whose radius does not depend on the function: a sample's left
+side on [0, r] is at most the larger of its two nonnegative parity parts
+P and N at r, since both are nondecreasing in r.  Where N is 0 at the row's shape (no signed
 term, no modulus taken and no negative weight: Thm32 and Thm34), every
 left side is P itself, so one call over the whole bank at the top radius
 evaluates the least margin; a lower cell could beat it only by rounding,
@@ -190,8 +192,10 @@ class CampaignConfig:
             raise ParameterOutOfRange("norm indices t must be >= 1 or inf")
         if not all(s > 0.0 for s in self.s_values):  # NaN fails too
             raise ParameterOutOfRange("s_values must hold exponents s > 0")
-        if not math.isfinite(self.tol) or not 0.0 < self.trunc_tol < math.inf:
-            raise ParameterOutOfRange("tol must be a finite number and trunc_tol in (0, inf)")
+        # a looser trunc_tol would shorten every bank and leave its tail uncertified
+        if not math.isfinite(self.tol) or not 0.0 < self.trunc_tol <= fn.DEFAULT_TRUNC_TOL:
+            raise ParameterOutOfRange(
+                f"tol must be a finite number and trunc_tol in (0, {fn.DEFAULT_TRUNC_TOL:g}]")
         if not self.samples >= 1:
             raise ParameterOutOfRange("sample count must be >= 1")
         if not 0.0 < self.r_step < math.inf:
@@ -353,45 +357,29 @@ class _Shared:
     margins: Dict[tuple, Optional[float]]  # least margins by what determines them
 
 
-def _view(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A contiguous (rows, cols) array over the head of a contiguous workspace.
-
-    A strided [:rows, :cols] view would spread a core's output over every
-    row of the workspace, each as long as the campaign's longest grid."""
-    return work.reshape(-1)[:rows * cols].reshape(rows, cols)
-
-
 def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """min over cells of rhs - lhs; NaN if any cell is NaN.
-
-    A right side that does not vary by sample (the bound 1, or a function
-    of r alone) comes broadcast with stride 0 along the samples.  There the
-    least margin is min_r (rhs_r - max_i lhs_ir), the same number as the
-    least cell, since fl(c - x) is nonincreasing in x, and no margin array
-    is written.  Otherwise the margins overwrite lhs.
-    """
-    if rhs.shape[0] == 1 or rhs.strides[0] == 0:
-        return (rhs[0] - lhs.max(axis=0)).min()
+    """min over cells of rhs - lhs, written over lhs; NaN if any cell is NaN."""
     return np.subtract(rhs, lhs, out=lhs).min()
 
 
-def _unsettled(core, bank, m, p, grid, s, trunc_tol) -> Tuple[np.ndarray, int, float]:
-    """The rows of ``bank`` and the first grid column whose cells a bound-1
-    core must evaluate, and the whole bank's coefficient bound.
+def _unsettled(th, bank, m, p, grid, s) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of ``bank`` and the radii of ``grid`` whose cells a bound-1
+    core must evaluate.
 
-    lhs_i <= max(P_i, N_i) on [0, r] with both parts taken at r, since
-    they are nondecreasing (``functionals._Theorem``).  M, the largest left
-    side at the top radius less its rounding, is at most some real cell's
-    value there; a sample's cells up to r are settled where its bound at r,
-    plus its rounding, is below M, for none of them can then hold the least
-    margin.  Rounding is taken as _SETTLE_SLACK times P + N.  A NaN part
-    or a NaN M settles nothing.  The checks a whole-bank call would make
-    run first, on the whole bank.
+    Where N is 0 at (m, p) (``functionals._no_negative_part``) each left
+    side is P, nondecreasing in r, so the top radius alone holds the least
+    margin; a lower cell can beat it only by rounding, inside the
+    _SETTLE_SLACK allowance below.  Otherwise lhs_i <= max(P_i, N_i) on
+    [0, r] with both parts taken at r, since they are nondecreasing
+    (``functionals._Theorem``).  M, the largest left side at the top radius
+    less its rounding, is at most some real cell's value there; a sample's
+    cells up to r are settled where its bound at r, plus its rounding, is
+    below M, for none of them can then hold the least margin.  Rounding is
+    taken as _SETTLE_SLACK times P + N.  A NaN part or a NaN M settles
+    nothing.
     """
-    th = fn._THEOREMS[core]
-    bound = float(max(1.0, bank.max(initial=0.0)))
-    fn._check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
-    fn._check_applicable(core, th, bank, m, p, grid, s)
+    if fn._no_negative_part(th, m, p):
+        return bank, grid[-1:]
 
     def parts(mods, cols):
         pos, neg = fn._parity_parts(th, mods, m, p, grid[cols], s)
@@ -417,7 +405,7 @@ def _unsettled(core, bank, m, p, grid, s, trunc_tol) -> Tuple[np.ndarray, int, f
     between = np.arange(good + 1, tried[~ok & (tried > good)].min(initial=top))
     if between.size:
         good = between[settled(between)].max(initial=good)
-    return mods, good + 1, bound
+    return mods, grid[good + 1:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,11 +437,11 @@ def _reduced_floor(form, bank, m, p, top: float) -> np.ndarray:
     return least - _SETTLE_SLACK * size
 
 
-def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
+def _reduced_least(core, bank, m, p, grid, bound, margins) -> float:
     """Least margin of a core with a reduced form (``functionals._Reduced``)
-    over the bank and the grid, from the cells that can hold it.
+    over the bank and the grid, from the cells that can hold it;
+    ``margins(mods, cols)`` is the row's core call on the radii ``cols``.
 
-    The checks a whole-bank call would make run first, on the whole bank.
     Every sample is evaluated on the head of the grid, the first bucket a
     whole-grid call would form, so those cells are the ones that call
     computes, bit for bit.  Past the head, a sample's margin at r is
@@ -465,17 +453,8 @@ def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
     any of them needs.  A NaN, or L <= 0, settles nothing.
     """
     th = fn._THEOREMS[core]
-    bound = float(max(1.0, bank.max(initial=0.0)))
-    fn._check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
-    fn._check_applicable(core, th, bank, m, p, grid, None)
-
-    def least(mods, lo, hi):
-        lhs, rhs = fn.theorem_margins(core, mods, m, p, grid[lo:hi], trunc_tol=trunc_tol,
-                                      coeff_bound=bound, out=_view(work, mods.shape[0], hi - lo))
-        return _least(lhs, rhs)
-
     head = fn._first_bucket(core, bank.shape[1], m, p, grid, bound)
-    low = least(bank, 0, head)
+    low = _least(*margins(bank, grid[:head]))
     if head == grid.size:
         return low
     floor = _reduced_floor(th.reduced, bank, m, p, grid[-1])
@@ -492,53 +471,55 @@ def _reduced_least(core, bank, m, p, grid, trunc_tol, work) -> float:
         return low
     mods = bank if rows.size == bank.shape[0] else bank[rows]
     # np.minimum keeps a NaN from either call
-    return np.minimum(low, least(mods, head, int(stop[rows].max())))
+    return np.minimum(low, _least(*margins(mods, grid[head:int(stop[rows].max())])))
 
 
 def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     """Least margin over the bank, the grid and the row's cores.
 
     (m, p) is the shape the cores run at; None when a per-function radius
-    leaves no (sample, radius) cell to check.  Each core's left side is
-    written into the flat workspace ``work``.  A core with a reduced form
-    evaluates only the cells :func:`_reduced_least` leaves.  A core with
-    the bound 1 on a row whose radius does not depend on the function
-    evaluates the top radius alone where its parity part N is 0 at (m, p)
-    (``functionals._no_negative_part``): each sample's left side is then
-    P, nondecreasing in r, so the top column holds the least margin, and a
-    lower cell can beat it only by rounding, inside the _SETTLE_SLACK
-    allowance :func:`_unsettled` settles cells with.  Any other such core
-    evaluates the cells :func:`_unsettled` leaves, and every other core
-    every cell.
+    leaves no (sample, radius) cell to check.  The checks a call over the
+    whole bank and grid would make run first, once: the tail certificate
+    on the row's coefficient bound and each core's shape, window and start
+    rules.  Each core is then evaluated by one call site, ``margins``, with
+    that bound, and writes its left side into the contiguous head of the
+    flat workspace ``work`` (a strided [:rows, :cols] view would spread it
+    over every row of the workspace, each as long as the campaign's
+    longest grid).  A core with a reduced form evaluates the cells
+    :func:`_reduced_least` leaves, a core with the bound 1 on a row whose
+    radius does not depend on the function those :func:`_unsettled`
+    leaves, and every other core every cell.
     """
     if row.rules.vanishing_start:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+    bound = float(max(1.0, bank.max(initial=0.0)))
+    fn._check_truncation(bank.shape[1], m, p, grid, bound, config.trunc_tol)
     extras = None if s is None else {"s": s}
     least = None
     for core in row.cores:
         th = fn._THEOREMS[core]
+        fn._check_applicable(core, th, bank, m, p, grid, s)
+
+        def margins(mods, cols):
+            shape = (mods.shape[0], cols.size)
+            return fn.theorem_margins(core, mods, m, p, cols, extras=extras,
+                                      trunc_tol=config.trunc_tol, coeff_bound=bound,
+                                      out=work.reshape(-1)[:math.prod(shape)].reshape(shape))
+
         if th.reduced is not None:
-            low = _reduced_least(core, bank, m, p, grid, config.trunc_tol, work)
+            low = _reduced_least(core, bank, m, p, grid, bound, margins)
+        elif row.per_function:
+            lhs, rhs = margins(bank, grid)
+            # each sample is checked below its own radius
+            radii = rad.thm31_radius(bank[:, 0], s)
+            valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
+            if not valid.any():
+                return None
+            low = np.subtract(rhs, lhs, out=lhs)[valid].min()
         else:
-            mods, cols, bound = bank, grid, None
-            if th.rhs is None and not row.per_function:
-                if fn._no_negative_part(th, m, p):
-                    cols = grid[-1:]
-                else:
-                    mods, start, bound = _unsettled(core, bank, m, p, grid, s, config.trunc_tol)
-                    cols = grid[start:]
-            lhs, rhs = fn.theorem_margins(core, mods, m, p, cols, extras=extras,
-                                          trunc_tol=config.trunc_tol, coeff_bound=bound,
-                                          out=_view(work, mods.shape[0], cols.size))
-            if row.per_function:
-                # each sample is checked below its own radius
-                radii = rad.thm31_radius(bank[:, 0], s)
-                valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
-                if not valid.any():
-                    return None
-                low = np.subtract(rhs, lhs, out=lhs)[valid].min()
-            else:
-                low = _least(lhs, rhs)
+            mods, cols = ((bank, grid) if th.rhs is not None
+                          else _unsettled(th, bank, m, p, grid, s))
+            low = _least(*margins(mods, cols))
         # np.minimum keeps a NaN from any core; min() would drop a later one
         least = low if least is None else np.minimum(least, low)
     return float(least)
@@ -698,10 +679,19 @@ def report_to_json(report: Report) -> str:
 
 
 def report_from_json(text: str) -> Report:
-    """Read a JSON report back; a row with a missing or unknown key, or a
-    value of the wrong type, raises ParameterOutOfRange naming the key."""
+    """Read a JSON report back; a document that is not a list of row
+    objects, or a row with a missing or unknown key or a value of the
+    wrong type, raises ParameterOutOfRange naming what is wrong."""
+    try:
+        objs = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterOutOfRange(f"report is not valid JSON: {exc}") from None
+    if not isinstance(objs, list):
+        raise ParameterOutOfRange("a report is a JSON list of row objects")
     rows = []
-    for obj in json.loads(text):
+    for i, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise ParameterOutOfRange(f"report row {i} is not an object")
         for what, keys in (("missing", set(_COLUMNS) - set(obj)),
                            ("unknown", set(obj) - set(_COLUMNS))):
             if keys:

@@ -20,7 +20,8 @@ from bohrcert import radius as rad
 from bohrcert import schur
 from bohrcert.cli import MAX_TABLE_P, _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
-from bohrcert.errors import BohrcertError, CampaignError, ParameterOutOfRange
+from bohrcert.errors import (BohrcertError, CampaignError, ParameterOutOfRange,
+                             TruncationInsufficient)
 
 from support import every_cell_least, every_cell_row_least, polynomial_dense_min, written_lhs
 
@@ -371,7 +372,8 @@ class TestRunCampaign:
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rhs_kind=st.sampled_from(["one", "r", "sample"]))
 def test_least_equals_least_cell(seed, rhs_kind):
-    # the column-max reduction is exact, ties and huge spreads included
+    # the least cell, written over lhs, for a right side broadcast along the
+    # samples or not, ties and huge spreads included
     rng = np.random.default_rng(seed)
     lhs = rng.choice([0.0, 1e-300, 0.3, 1 / 3, 1.0, 1e16], size=(7, 9)) * rng.random((7, 9))
     rhs = {"one": np.broadcast_to(1.0, lhs.shape),
@@ -382,6 +384,33 @@ def test_least_equals_least_cell(seed, rhs_kind):
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     lhs[3, 4] = np.nan
     assert math.isnan(hn._least(lhs, rhs))
+
+
+@pytest.mark.parametrize("theorem", ["LemD", "Lem21", "ThmC", "Thm34", "Cor43"])
+def test_row_certifies_the_tail_of_every_sample(theorem):
+    # one modulus in the last stored column of one sample, 1000 times the
+    # largest the tail certificate at the row's top radius admits, voids the
+    # certificate of the whole bank, although the row's core calls evaluate
+    # that sample on none (ThmC) or only some of its radii
+    cfg = hn.CampaignConfig(theorems=(), samples=40, seed=3)
+    row = hn._ROWS[theorem]
+    cap = cfg.r_stop if row.equation is None else sharp_radius(theorem, 1, 3) - hn._RADIUS_MARGIN
+    grid = hn._grid(cfg, cap)
+    bank = hn._bank({}, cfg, 1, 3).copy()
+    top = grid[-1]
+    spike = 1e3 * cfg.trunc_tol * (1.0 - top ** 3) / top ** (bank.shape[1] * 3 + 1)
+    i = 0
+    if theorem == "ThmC":
+        kept, _ = hn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
+        i = next(j for j in range(bank.shape[0]) if not (kept == bank[j]).all(axis=1).any())
+    bank[i, -1] = spike
+    if theorem == "ThmC":
+        kept, _ = hn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
+        assert kept.max() < spike  # the sample is settled
+    with pytest.raises(TruncationInsufficient):
+        fn.theorem_margins(row.cores[0], bank, 1, 3, grid)
+    with pytest.raises(TruncationInsufficient):
+        hn._row_margin(row, bank, 1, 3, grid, None, cfg, np.empty((bank.shape[0], grid.size)))
 
 
 BOUND_ONE_ROWS = ("ThmC", "Thm32", "Thm34", "Cor43")  # one row per bound-1 core
@@ -705,6 +734,18 @@ class TestReports:
         with pytest.raises(ParameterOutOfRange, match=f"keys: \\['{key}'\\]$"):
             hn.report_from_json(json.dumps(objs))
 
+    @pytest.mark.parametrize("text, message", [
+        ("nope", "report is not valid JSON: "),
+        ("5", "a report is a JSON list of row objects$"),
+        ("null", "a report is a JSON list of row objects$"),
+        ('{"a": 1}', "a report is a JSON list of row objects$"),
+        ("[5]", "report row 0 is not an object$"),
+        ("[null]", "report row 0 is not an object$"),
+    ])
+    def test_from_json_refuses_a_document_that_is_not_rows(self, text, message):
+        with pytest.raises(ParameterOutOfRange, match=f"^{message}"):
+            hn.report_from_json(text)
+
     @pytest.mark.parametrize("key, value, what", [
         ("pass", "false", "true or false"),
         ("pass", 0, "true or false"),
@@ -818,6 +859,22 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
         assert "Thm31" in err
 
+    # argparse reads --flag=-- as an empty list, not as the text "--"
+    @pytest.mark.parametrize("argv, flag", [
+        (["radius", "--theorem=--"], "--theorem"),
+        (["radius", "--theorem", "ThmC34", "--p=--"], "--p"),
+        (["sharpness", "--theorem", "Thm32", "--r=--"], "--r"),
+        (["table", "--theorem=--"], "--theorem"),
+        (["verify", "--theorems=--"], "--theorems"),
+        (["verify", "--theorems", "ThmB", "--shapes=--"], "--shapes"),
+        (["verify", "--theorems", "ThmB", "--t=--"], "--t"),
+    ])
+    def test_flag_read_as_a_list_exits_two(self, argv, flag, capsys):
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"bohrcert: error: {flag} needs a value\n"
+
     def test_sharpness_command(self, capsys):
         code = cli_main(
             ["sharpness", "--theorem", "Thm32", "--p", "1", "--m", "0",
@@ -929,6 +986,11 @@ class TestCli:
         (None, '{"samples": 5}'),
         (None, '{"theorems": ["ThmC"], "tol": NaN}'),
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
+        # a trunc_tol above the default shortens every bank and leaves its
+        # tail uncertified
+        (None, '{"theorems": ["ThmC"], "trunc_tol": 1e-9}'),
+        (None, '{"theorems": ["ThmB", "LemD"], "shapes": [[0, 1], [1, 3]], "samples": 3, '
+               '"trunc_tol": 1e300, "output": "-"}'),
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),
         (None, '{"theorems": ["Thm34"], "shapes": [[1, 3]], "scan_steps": -3}'),
