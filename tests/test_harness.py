@@ -986,11 +986,6 @@ class TestCli:
         (None, '{"samples": 5}'),
         (None, '{"theorems": ["ThmC"], "tol": NaN}'),
         (None, '{"theorems": ["ThmC"], "trunc_tol": 0}'),
-        # a trunc_tol above the default shortens every bank and leaves its
-        # tail uncertified
-        (None, '{"theorems": ["ThmC"], "trunc_tol": 1e-9}'),
-        (None, '{"theorems": ["ThmB", "LemD"], "shapes": [[0, 1], [1, 3]], "samples": 3, '
-               '"trunc_tol": 1e300, "output": "-"}'),
         (["--theorems", "ThmB", "--r-step", "1e-300"], None),
         (None, '{"theorems": [], "samples": 1000000}'),
         (None, '{"theorems": ["Thm34"], "shapes": [[1, 3]], "scan_steps": -3}'),
@@ -1033,6 +1028,11 @@ class TestCli:
         (None, '{"theorems": ["Lem21"], "shapes": [[1, 3]], "t_values": []}'),
         (None, '{"theorems": ["Thm31"], "s_values": []}'),
         (None, '{"theorems": []}'),
+        # a trunc_tol above the default shortens every bank and leaves its
+        # tail uncertified
+        (None, '{"theorems": ["ThmC"], "trunc_tol": 1e-9}'),
+        (None, '{"theorems": ["ThmB", "LemD"], "shapes": [[0, 1], [1, 3]], "samples": 3, '
+               '"trunc_tol": 1e300, "output": "-"}'),
     ])
     def test_malformed_input_exits_two(self, flags, config_text, tmp_path, capsys,
                                        monkeypatch):
