@@ -47,20 +47,22 @@ term), far below the truncation tolerance and the rounding of the sum.
 How a theorem is evaluated: each term of its ``_THEOREMS`` entry carries
 a weight that depends either on the sample (mu_0 or mu_1, shape (S, 1))
 or on the radius (shape (R,)); a weight that depends on both is written
-as two terms over the same lattice slice.  On a radius grid the terms are
-summed together: per-sample weights are folded into the stacked columns
-w_k (already powered or signed), per-radius weights into the table of
-powers r^e, and radii are grouped into buckets by the power-of-two
-ceiling of their largest column count, so the whole left side is one
-matrix product per bucket written into one (samples, radii) array, the
-caller's ``out`` when it passes one.  One radius sums each term on its
-own instead, as one fused sum read in place from its lattice slice of the
-moduli (its signs and per-radius weight folded into the vector of powers,
-its per-sample weight applied after the sum), added into the left side's
-one column; nothing the size of the moduli is allocated.  Either way
-each term keeps its own column count per radius, read from its
-unweighted bound coeff_bound^power, so the 2^-64 skip and its certificate
-are the same on both routes.
+as two terms over the same lattice slice.  At a shape, a term's lattice
+is (e0, d, n, bound): n columns with the exponents e0 + j d and w_k at
+most bound = coeff_bound^power; a call computes its terms' column counts
+per radius once, one row per distinct lattice.  On any grid but a single
+radius the terms are summed together: per-sample weights are folded into
+the stacked columns w_k (already powered or signed), per-radius weights
+into the table of powers r^e, and radii are grouped into buckets by the
+power-of-two ceiling of their largest column count, so the whole left
+side is one matrix product per bucket written into one (samples, radii)
+array, the caller's ``out`` when it passes one.  A single radius sums
+each term on its own instead, as one fused sum read in place from its
+lattice slice of the moduli (its signs and per-radius weight folded into
+the vector of powers, its per-sample weight applied after the sum),
+added into the left side's one column; nothing the size of the moduli is
+allocated.  Both routes take each term's own count, so the 2^-64 skip
+and its certificate are the same on both.
 """
 
 from __future__ import annotations
@@ -184,18 +186,30 @@ MAX_PROFILE_LENGTH = 1 << 16
 _CUT_TOL = 2.0 ** -64  # tail a lattice sum may skip, per unit of its coefficient bound
 
 
-def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
-    """Columns a lattice sum needs at each radius in ``r``.
+def _cut_counts(plan, r: np.ndarray, tol=_CUT_TOL) -> list:
+    """Columns each lattice (e0, d, n, bound) of ``plan`` takes at each radius in r.
 
-    For exponents e0, e0 + d, e0 + 2d, ... and coefficients of modulus at
-    most ``bound``, this is the least n with bound * r^(e0 + n d) / (1 - r^d)
-    <= tol, which bounds the whole tail from column n on.  Returned as
-    floats with no cap; at r = 0 only a zero exponent counts.
+    That is the least c with bound * r^(e0 + c d) / (1 - r^d) <= tol, which
+    bounds the whole tail from column c on, capped at n; at r = 0 only a
+    zero exponent counts.  A count that is not a number, or a lattice of at
+    most one column, takes all n.  Lattices equal but for n share one row
+    of counts (floats), and log r is taken once for all of them.
     """
-    r = np.asarray(r, dtype=float)
+    rows = {}
     with np.errstate(divide="ignore"):
-        need = np.log(tol * (1.0 - r ** d) / bound) / np.log(r)
-    return np.where(r > 0.0, np.maximum(np.ceil((need - e0) / d), 0.0), float(e0 == 0))
+        log_r = np.log(r)
+        for e0, d, n, bound in plan:
+            if n > 1 and (e0, d, bound) not in rows:
+                need = np.log(tol * (1.0 - r ** d) / bound) / log_r
+                rows[e0, d, bound] = np.where(
+                    r > 0.0, np.maximum(np.ceil((need - e0) / d), 0.0), float(e0 == 0))
+    return [np.fmin(rows[e0, d, bound], n) if n > 1 else np.full(r.shape, float(n))
+            for e0, d, n, bound in plan]
+
+
+def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
+    """One lattice's :func:`_cut_counts` count at each radius in ``r``, with no cap."""
+    return _cut_counts([(e0, d, math.inf, bound)], np.asarray(r, dtype=float), tol)[0]
 
 
 def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRUNC_TOL,
@@ -232,75 +246,64 @@ def _as_r_grid(r) -> np.ndarray:
     return grid
 
 
-def _need(exps: np.ndarray, bound: float, r: np.ndarray) -> np.ndarray:
-    """Columns of a lattice sum taken at each radius: the :func:`_cut_length`
-    count, capped at the columns stored; a count that is not a number takes
-    every column."""
-    need = np.full(r.size, exps.size)
-    if exps.size > 1:
-        need = np.fmin(_cut_length(exps[0], exps[1] - exps[0], r, bound), need).astype(int)
-    return need
-
-
-def _bucket_edges(needs, r: np.ndarray) -> np.ndarray:
+def _bucket_edges(counts, r: np.ndarray) -> np.ndarray:
     """Where :func:`_products` splits the radius grid r into buckets, given
-    each part's column counts there: radii whose largest counts share a
+    each term's column counts there: radii whose largest counts share a
     power-of-two ceiling, where that largest count ascends; else one bucket."""
-    most = needs[0] if len(needs) == 1 else np.max(needs, axis=0)
+    most = counts[0] if len(counts) == 1 else np.max(counts, axis=0)
     if r.size > 1 and np.all(most[1:] >= most[:-1]):
         group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
         return np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
     return np.array([0, r.size])
 
 
-def _products(heads, columns, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum over parts of weight * sum_k w_k r^exps_k, on the radius grid r.
+def _products(terms, plan, counts, mods, v: _Vars, s, out=None) -> np.ndarray:
+    """The sum of the terms' weighted lattice sums on the radius grid v.r.
 
-    ``heads`` holds one (exps, bound, weight) per part: exponents that
-    ascend in a constant step, a bound on |w_k|, and a per-radius weight
-    of shape (R,) or None.  ``columns`` is called once, after the heads,
-    with each part's width, the columns of it that any bucket reads; it
-    returns an iterable of each part's w, in the same order, of shape
-    (..., n) with n at least that width.  So a caller builds only the
-    columns that are read, and each part only when it is stacked.
-
-    Each part takes, at each radius, the columns :func:`_cut_length` says
-    it needs, read from its own bound; a count that is not a number takes
-    every column.  On a grid whose largest count over the parts ascends,
-    radii whose largest counts share a power-of-two ceiling form one
-    bucket; any other grid is one bucket.  In a bucket each part takes the
-    largest of its counts there, and the bucket is one product of those
-    columns with a table of their weighted powers.  The parts' columns are
-    stacked once, part after part, as far as any bucket reads them; a
-    bucket that reads a prefix of the stack (one part always does) reads
-    it as a view, and any other bucket gathers its columns.  The sums are
-    written into ``out`` when one is given.
+    Term j is weight * sum_i w_i r^(e0 + i d) over its lattice plan[j] =
+    (e0, d, n, bound), w_i its :func:`_columns` times its per-sample weight,
+    and takes counts[j] (:func:`_cut_counts`) columns at each radius.  On a
+    grid whose largest count over the terms ascends, radii whose largest
+    counts share a power-of-two ceiling form one bucket; any other grid is
+    one bucket.  In a bucket each term takes the largest of its counts
+    there, and the bucket is one product of those columns with a table of
+    their weighted powers.  The terms' columns are built only as far as any
+    bucket reads them and stacked once, term after term; a lone term's are
+    the stack, so columns read from the moduli stay views.  A bucket that
+    reads a prefix of the stack (one term always does) reads it as a view,
+    and any other bucket gathers its columns.  The sums are written into
+    ``out`` when one is given.
     """
-    needs = [_need(exps, bound, r) for exps, bound, _ in heads]
-    edges = _bucket_edges(needs, r)
-    counts = [[int(need[lo:hi].max(initial=0)) for need in needs]
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    width = [max(col) for col in zip(*counts)]  # columns of each part any bucket reads
+    r = v.r
+    edges = _bucket_edges(counts, r)
+    takes = [[int(count[lo:hi].max(initial=0)) for count in counts]
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    width = [max(col) for col in zip(*takes)]  # columns of each term any bucket reads
     starts = [0, *itertools.accumulate(width)]
-    if len(heads) == 1:
-        stack, exps = next(iter(columns(width))), heads[0][0]
+
+    def columns(term, n):
+        w = _columns(term, mods, v.m, v.p, s, n)
+        return w if term.sample_weight is None else w * term.sample_weight(v)
+
+    if len(terms) == 1:
+        stack = columns(terms[0], width[0])
     else:
-        for j, w in enumerate(columns(width)):
-            if j == 0:
-                stack = np.empty(w.shape[:-1] + (starts[-1],))
-            stack[..., starts[j]:starts[j + 1]] = w[..., :width[j]]
-        del w  # the stack is the only copy of the columns held from here on
-        exps = np.concatenate([h[0][:n] for h, n in zip(heads, width)])
+        stack = np.empty((mods.shape[0], starts[-1]))
+        for term, lo, hi in zip(terms, starts, starts[1:]):
+            stack[:, lo:hi] = columns(term, hi - lo)[:, :hi - lo]
+    exps = np.concatenate([e0 + d * np.arange(n, dtype=float)
+                           for (e0, d, _, _), n in zip(plan, width)])
+    weights = [None if term.weight is None else term.weight(v) for term in terms]
     if out is None:
-        out = np.empty(stack.shape[:-1] + (r.size,))
-    for lo, hi, take in zip(edges[:-1], edges[1:], counts):
+        out = np.empty((mods.shape[0], r.size))
+    for lo, hi, take in zip(edges[:-1], edges[1:], takes):
         if take[:-1] == width[:-1]:  # a prefix of the stack
             cols = slice(0, sum(take))
         else:
-            cols = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, take)])
+            cols = np.concatenate([np.arange(start, start + n) for start, n in zip(starts, take)])
         table = r[lo:hi] ** exps[cols, None]
         row = 0
-        for (_, _, weight), n in zip(heads, take):
+        for weight, n in zip(weights, take):
             if weight is not None:
                 table[row:row + n] *= weight[lo:hi]
             row += n
@@ -312,10 +315,9 @@ def _first_bucket(theorem_id: str, length: int, m: int, p: int, r: np.ndarray,
                   coeff_bound: float) -> int:
     """Radii in the first bucket :func:`_products` forms when a grid call of a
     core with no exponent s covers r, for profiles of ``length`` moduli."""
-    k = np.arange(length)
-    needs = [_need(*_lattice(term, k, m, p, None, coeff_bound), r)
-             for term in _THEOREMS[theorem_id].terms]
-    return int(_bucket_edges(needs, r)[1])
+    plan = [_lattice(term, length, m, p, None, coeff_bound)
+            for term in _THEOREMS[theorem_id].terms]
+    return int(_bucket_edges(_cut_counts(plan, r), r)[1])
 
 
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
@@ -630,18 +632,20 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
-def _lattice(term: _Term, k, m, p, s, coeff_bound):
-    """A term's exponents over its lattice slice and the bound on its w_k."""
+def _lattice(term: _Term, length: int, m, p, s, coeff_bound):
+    """A term's lattice over ``length`` stored moduli as (e0, d, n, bound):
+    its n columns have the exponents e0 + j d, j < n, and w_k at most bound."""
     a, b, c = term.exps
     bound = coeff_bound
     if term.power == 2:
         bound = coeff_bound ** 2
     elif term.power == "s":
         bound = coeff_bound ** float(s)
-    return (a * k[term.cols] * p + b * p + c * m).astype(float), bound
+    k = range(length)[term.cols]  # the slice's lattice indices
+    return a * k.start * p + b * p + c * m, a * k.step * p, len(k), bound
 
 
-def _columns(term: _Term, mods, k, m, p, s, n: Optional[int] = None) -> np.ndarray:
+def _columns(term: _Term, mods, m, p, s, n: Optional[int] = None) -> np.ndarray:
     """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed mu_k.
 
     Only the slice's first ``n`` columns are built when ``n`` is given.
@@ -652,42 +656,34 @@ def _columns(term: _Term, mods, k, m, p, s, n: Optional[int] = None) -> np.ndarr
     if term.power == "s":
         return w ** float(s)
     if term.power == "signed":
-        return _signs(k[term.cols][:n], m, p) * w
+        return _signs(np.arange(mods.shape[1])[term.cols][:n], m, p) * w
     return w
 
 
 def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
-    k = np.arange(length)
     v = _vars(mods, r, m, p)
-    lattice = [_lattice(term, k, m, p, s, coeff_bound) for term in th.terms]
-    # The route follows the radius count.  A grid folds every weight into
-    # the operands and sums all terms in one product per bucket, written
-    # straight into ``out`` (else into one new (S, R) array).  One radius
-    # (every sharpness scan and scalar entry point) reads each term's
-    # lattice slice of ``mods`` in place, in one fused sum whose power
-    # vector carries the term's signs and per-radius weight, and adds it
-    # into the left side's one column; a scan's ~2000 family rows are
-    # neither powered nor copied.  perfbench has a workload on each side:
-    # fine_grid's grids hold ~1100-1900 radii, scan_table's calls one.
-    if r.size > 1:
-        def columns(width):
-            for term, n in zip(th.terms, width):
-                w = _columns(term, mods, k, m, p, s, n)
-                yield w if term.sample_weight is None else w * term.sample_weight(v)
-
-        heads = [(exps, bound, None if term.weight is None else term.weight(v))
-                 for term, (exps, bound) in zip(th.terms, lattice)]
-        lhs = _products(heads, columns, r, out)
+    plan = [_lattice(term, length, m, p, s, coeff_bound) for term in th.terms]
+    counts = _cut_counts(plan, r)
+    # A single radius (every sharpness scan and scalar entry point) takes
+    # the per-term route, so a scan's ~2000 family rows are neither powered
+    # nor copied.  perfbench has a workload on each side: a fine_grid pass
+    # makes 15 grid calls of 6-102 radii (the LemD heads 48, Lem21 64-102,
+    # ThmC 10-11, Cor43 6-13), 6 one-radius calls (Thm32, Thm34) and 6
+    # one-radius scans, and a scan_table pass 168 one-radius calls on ~2060
+    # family rows.  Whole-grid calls remain in ThmB, Thm31 and the envelope
+    # rows (190, 75 and 49 radii at test_criterion_2's 0.005 step).
+    if r.size != 1:
+        lhs = _products(th.terms, plan, counts, mods, v, s, out)
     else:
         lhs = np.empty((samples, 1)) if out is None else out
         total = lhs[:, 0]
-        for j, (term, (exps, bound)) in enumerate(zip(th.terms, lattice)):
-            n = int(_need(exps, bound, r)[0])
+        for j, (term, (e0, d, _, _), count) in enumerate(zip(th.terms, plan, counts)):
+            n = int(count[0])
             w = mods[:, term.cols][:, :n]
-            powers = r[0] ** exps[:n]
+            powers = r[0] ** (e0 + d * np.arange(n, dtype=float))
             if term.power == "signed":
-                powers *= _signs(k[term.cols][:n], m, p)
+                powers *= _signs(np.arange(length)[term.cols][:n], m, p)
             if term.weight is not None:
                 powers *= term.weight(v)
             if term.power == 2:
@@ -724,7 +720,8 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     v = _vars(mods, r, m, p)
     pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
     for term in th.terms:
-        up = r ** _lattice(term, k, m, p, s, 1.0)[0][:, None]
+        e0, d, n, _ = _lattice(term, length, m, p, s, 1.0)
+        up = r ** (e0 + d * np.arange(n, dtype=float))[:, None]
         weight = 1.0 if term.weight is None else term.weight(v)
         if term.sample_weight is not None:
             weight = weight * term.sample_weight(v)
@@ -737,7 +734,7 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
             pos += above * plus + below * minus
             neg += above * minus + below * plus
         else:
-            plus = _columns(term, mods, k, m, p, s) @ up
+            plus = _columns(term, mods, m, p, s) @ up
             pos += above * plus
             neg += below * plus
     return pos, neg
@@ -769,14 +766,13 @@ def _reduced_polynomial(form: _Reduced, mods, m, p, y: float,
     """
     samples, length = mods.shape
     v = _vars(mods, np.empty(0), m, p)
-    k = np.arange(length)
-    count = max(part.first + k[part.cols].size + part.damped for part in form.parts)
+    count = max(part.first + len(range(length)[part.cols]) + part.damped for part in form.parts)
     width = count if degree is None else min(degree + 1, count)
     powers = y ** np.arange(count)
     rho, size, tail = np.zeros((samples, width)), np.ones(samples), np.zeros(samples)
     rho[:, 0] = 1.0
     for part in form.parts:
-        w = _columns(part, mods, k, m, p, None)
+        w = _columns(part, mods, m, p, None)
         if part.sample_weight is not None:
             w = w * part.sample_weight(v)
         size += w @ powers[part.first:part.first + w.shape[1]]

@@ -341,6 +341,8 @@ def family_moduli(a_grid, length: int) -> np.ndarray:
 
     Row layout: mu_0 = a, mu_k = (1 - a^2) a^(k-1) for k >= 1.
     """
+    if length < 1:
+        raise ParameterOutOfRange(f"family moduli need length >= 1, got {length}")
     a = np.asarray(a_grid, dtype=float)[:, None]
     mods = a ** np.maximum(np.arange(length) - 1, 0)  # one (rows, length) array
     mods *= 1.0 - a ** 2

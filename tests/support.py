@@ -175,16 +175,16 @@ def full_width_margins(theorem_id, mods, m, p, r, **kwargs):
     """``functionals.theorem_margins`` with every term's columns built over
     its whole lattice slice.
 
-    The engine asks each term for only the columns its buckets read; here
-    the columns builder is asked for every column, and ``_products``
-    reads its buckets' columns from those.
+    The engine builds each term's columns only as far as a bucket reads
+    them; here ``_columns`` builds every column, and ``_products`` reads its
+    buckets' columns from those.
     """
-    products = functionals._products
+    columns = functionals._columns
 
-    def every_column(heads, columns, r, out=None):
-        return products(heads, lambda width: columns([exps.size for exps, _, _ in heads]), r, out)
+    def every_column(term, mods, m, p, s, n=None):
+        return columns(term, mods, m, p, s)
 
-    with mock.patch.object(functionals, "_products", every_column):
+    with mock.patch.object(functionals, "_columns", every_column):
         return functionals.theorem_margins(theorem_id, mods, m, p, r, **kwargs)
 
 

@@ -196,6 +196,17 @@ class TestEvaluateTheorem:
         chk = fn.evaluate_theorem("Thm34", prof, 1.0 / np.sqrt(2.0))
         assert chk.lhs == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tid", ["ThmC", "LemDEven", "Thm34", "Lem21"])
+    def test_empty_grid_gives_empty_arrays(self, tid):
+        # an empty grid passes every check, so each entry point returns
+        # arrays with no radius
+        bank = route_bank(1, 3)[:2]
+        lhs, rhs = fn.theorem_margins(tid, bank, 1, 3, [])
+        assert lhs.shape == rhs.shape == (2, 0)
+        prof = fn.LacunaryProfile(1, 3, bank[0])
+        for got in (*fn.evaluate_theorem_grid(tid, prof, []), *fn.bohr_sums_grid(prof, [])):
+            assert got.shape == (0,)
+
     def test_thmc_includes_origin_square(self):
         # constant profile [c]: lhs = c^2 r / (1 - r^2)
         prof = fn.LacunaryProfile(0, 1, [0.5], exact=True)
@@ -314,13 +325,13 @@ class TestParityParts:
         # every term is w_k >= 0 times r^e with e >= 0, a per-sample weight
         # and a per-radius weight of one sign and nondecreasing modulus
         r = np.linspace(0.0, 0.99, 4001)
-        k = np.arange(64)
         zero = np.zeros((1, 1))
         for p in range(1, 9):
             for m in range(p + 1):
                 v = fn._Vars(r, zero, zero, m, p)
                 for term in fn._THEOREMS[tid].terms:
-                    assert fn._lattice(term, k, m, p, 1.0, 1.0)[0].min() >= 0, (m, p, term)
+                    e0, d, n, _ = fn._lattice(term, 64, m, p, 1.0, 1.0)
+                    assert (e0 + d * np.arange(n)).min() >= 0, (m, p, term)
                     if term.sample_weight is not None:
                         assert np.shape(term.sample_weight(v)) == (1, 1)
                     if term.weight is None:
@@ -580,9 +591,13 @@ class TestLatticeCut:
     @pytest.mark.parametrize("name", sorted(PSUM_CASES))
     def test_psum_matches_full_contraction(self, name):
         w, exps, radii, bound = PSUM_CASES[name]
-        # one unweighted part of the engine's power sums
-        got = fn._products([(np.asarray(exps, dtype=float), bound, None)],
-                           lambda width: [w[..., :width[0]]], radii)
+        # one unweighted term of the engine's power sums: its lattice at
+        # the shape (e0, d) is the columns of w with exponents e0 + d k
+        e0, d = (int(exps[0]), int(exps[1] - exps[0])) if exps.size > 1 else (0, 1)
+        term = fn._Term(fn._ALL, 1, (1, 0, 1))
+        plan = [fn._lattice(term, w.shape[1], e0, d, None, bound)]
+        v = fn._vars(w, radii, e0, d)
+        got = fn._products((term,), plan, fn._cut_counts(plan, radii), w, v, None)
         want = full_psum(w, exps, radii)
         assert got.shape == want.shape
         # BLAS sums a column in an order that depends on the block it falls
@@ -602,6 +617,28 @@ class TestLatticeCut:
         assert n >= 0 and n.is_integer()
         assert tail(n) <= 2.0 ** -64 * (1 + 1e-9)
         assert n == 0 or tail(n - 1) > 2.0 ** -64 * (1 - 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(fn._THEOREMS)), st.integers(1, 8), st.data(),
+           st.integers(1, 200), st.sampled_from([1.0, 1.5]),
+           st.lists(st.floats(0.0, 0.99), max_size=40),
+           st.sampled_from(["as_drawn", "ascending", "from_zero"]))
+    def test_cut_counts_are_each_terms_cut(self, tid, p, data, length, bound, radii, order):
+        # terms on one lattice share a row of counts; each term still takes
+        # its own cut, capped at its columns (a count that is not a number,
+        # or a lattice of at most one column, takes all of them)
+        m = data.draw(st.integers(0, p))
+        r = np.array(radii)
+        if order != "as_drawn":
+            r = np.sort(np.append(r, 0.0) if order == "from_zero" else r)
+        terms = fn._THEOREMS[tid].terms
+        plan = [fn._lattice(term, length, m, p, 2.0, bound) for term in terms]
+        counts = fn._cut_counts(plan, r)
+        for (e0, d, n, b), count in zip(plan, counts, strict=True):
+            want = np.fmin(fn._cut_length(e0, d, r, b), n) if n > 1 else np.full(r.size, n)
+            assert np.array_equal(count, want), (m, p, e0, d, n, b)
+        if all(term.power != "s" for term in terms):
+            assert fn._first_bucket(tid, length, m, p, r, bound) == fn._bucket_edges(counts, r)[1]
 
     def test_lacunary_length_for_recorded_values(self):
         got = {case: fn.lacunary_length_for(*case) for case in LENGTH_CASES}
@@ -707,9 +744,8 @@ class TestStackedRoute:
         m, p = th.shape or (1, 3)
         bank = BUDGET_SHIFTED if th.vanishing_start else BUDGET_BANK
         fn.theorem_margins(tid, bank, m, p, HEAD_GRID, extras={"s": ROUTE_S})
-        k = np.arange(bank.shape[1])
-        read = [fn._need(*fn._lattice(term, k, m, p, ROUTE_S, 1.0), HEAD_GRID).max()
-                for term in th.terms]
+        plan = [fn._lattice(term, bank.shape[1], m, p, ROUTE_S, 1.0) for term in th.terms]
+        read = [count.max() for count in fn._cut_counts(plan, HEAD_GRID)]
         assert len(built) == len(th.terms)
         assert sum(built) <= bank.shape[0] * sum(read) < bank.size
 

@@ -1,10 +1,14 @@
 import collections
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -702,7 +706,31 @@ SCHEMA_CONFIG = dict(theorems=("ThmB", "Lem21"), shapes=((1, 3),), t_values=(mat
 SCHEMA_KEYS = [{"passed": "pass"}.get(f.name, f.name) for f in dataclasses.fields(hn.ReportRow)]
 
 
+# A small campaign over the cores whose products go through BLAS.
+THREADS_CONFIG = {"theorems": ["LemD", "ThmC", "Thm32", "Thm34", "Cor43", "Lem21"],
+                  "shapes": [[1, 3], [2, 3]], "samples": 200, "r_step": 0.002, "seed": 11,
+                  "output": "-"}
+
+
 class TestReports:
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a product between its threads; the report must not
+        # move with that split.  Each child sets the count in its own
+        # environment only: unset (one thread per core) and 1.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(THREADS_CONFIG), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(hn.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        digests = set()
+        for threads in (None, "1"):
+            child = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "bohrcert", "verify", "--config", str(config)],
+                                  capture_output=True, env=child, check=True, timeout=300)
+            assert json.loads(done.stdout)
+            digests.add(hashlib.sha256(done.stdout).hexdigest())
+        assert len(digests) == 1
+
     def test_schema_round_trips(self):
         rep = hn.run_campaign(hn.CampaignConfig(**SCHEMA_CONFIG))
         assert [row.t for row in rep.rows] == [None, math.inf, 2.0]

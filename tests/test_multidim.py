@@ -363,6 +363,11 @@ class TestSharpnessScan:
         want = [[x] + [(1.0 - x * x) * x ** (k - 1) for k in range(1, 40)] for x in a]
         np.testing.assert_allclose(schur.family_moduli(a, 40), want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_family_table_needs_a_column(self, length):
+        with pytest.raises(ParameterOutOfRange, match=f"length >= 1, got {length}"):
+            schur.family_moduli(np.array([0.5]), length)
+
     @pytest.mark.parametrize("scan_id, p, m", [("Thm34", 1, 0), ("Thm41", 3, 2), ("Cor43", 5, 0)])
     def test_scan_rows_are_the_family(self, scan_id, p, m, monkeypatch):
         # the table a scan evaluates is, row by row, the lattice moduli of
