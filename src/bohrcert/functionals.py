@@ -49,24 +49,28 @@ a weight that depends either on the sample (mu_0 or mu_1, shape (S, 1))
 or on the radius (shape (R,)); a weight that depends on both is written
 as two terms over the same lattice slice.  At a shape, a term's lattice
 is (e0, d, n, bound): n columns with the exponents e0 + j d and w_k at
-most bound = coeff_bound^power; a call computes its terms' column counts
-per radius once, one row per distinct lattice.  On any grid but a single
-radius the terms are summed together: per-sample weights are folded into
-the stacked columns w_k (already powered or signed), per-radius weights
-into the table of powers r^e, and radii are grouped into buckets by the
-power-of-two ceiling of their largest column count, so the whole left
-side is one matrix product per bucket written into one (samples, radii)
-array, the caller's ``out`` when it passes one.  A single radius sums
-each term on its own instead, as one fused sum read in place from its
-lattice slice of the moduli (its signs and per-radius weight folded into
-the vector of powers, its per-sample weight applied after the sum),
-added into the left side's one column; nothing the size of the moduli is
-allocated.  Both routes take each term's own count, so the 2^-64 skip
-and its certificate are the same on both.
+most bound = coeff_bound^power; ``_plan`` caches a core's lattices,
+exponent vectors and signs per shape, bank length, s and bound.  A call
+computes its terms' column counts per radius once, one row per distinct
+lattice.  On any grid but a single radius the terms are summed together:
+per-sample weights are folded into the stacked columns w_k (already
+powered or signed), per-radius weights into the table of powers r^e, and
+radii are grouped into buckets by the power-of-two ceiling of their
+largest column count (where it ascends, one searchsorted for the counts
+2^j + 1), so the whole left side is one matrix product per bucket
+written into one (samples, radii) array, the caller's ``out`` when it
+passes one.  A single radius sums each term on its own instead, as one
+fused sum read in place from its lattice slice of the moduli (its signs
+and per-radius weight folded into the vector of powers, its per-sample
+weight applied after the sum), added into the left side's one column;
+nothing the size of the moduli is allocated.  Both routes take each
+term's own count, so the 2^-64 skip and its certificate are the same on
+both.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,6 +109,8 @@ DEFAULT_MARGIN_TOL = 1e-9
 DEFAULT_TRUNC_TOL = 1e-10
 
 _SHAPE_TOL = 1e-11  # off-lattice modulus a profile's series may carry
+_ONE = np.ones(1)
+_ONE.setflags(write=False)  # what every bound-1 right side reads, with stride 0
 
 BOMBIERI_LO = 1.0 / 3.0
 BOMBIERI_HI = 1.0 / math.sqrt(2.0)
@@ -186,25 +192,29 @@ MAX_PROFILE_LENGTH = 1 << 16
 _CUT_TOL = 2.0 ** -64  # tail a lattice sum may skip, per unit of its coefficient bound
 
 
-def _cut_counts(plan, r: np.ndarray, tol=_CUT_TOL) -> list:
-    """Columns each lattice (e0, d, n, bound) of ``plan`` takes at each radius in r.
+def _cut_counts(lattices, r: np.ndarray, tol=_CUT_TOL) -> np.ndarray:
+    """Columns each lattice (e0, d, n, bound) takes at each radius in r, a row each.
 
     That is the least c with bound * r^(e0 + c d) / (1 - r^d) <= tol, which
     bounds the whole tail from column c on, capped at n; at r = 0 only a
     zero exponent counts.  A count that is not a number, or a lattice of at
-    most one column, takes all n.  Lattices equal but for n share one row
-    of counts (floats), and log r is taken once for all of them.
+    most one column, takes all n.  Lattices equal but for n share one
+    uncapped row, lattices with one step d and bound share its logarithms,
+    and log r is taken once for all of them.
     """
-    rows = {}
+    counts = np.empty((len(lattices), *r.shape))
+    rows, logs = {}, {}
+    at_zero = not r.min(initial=1.0) > 0.0  # NaN too
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
-        for e0, d, n, bound in plan:
+        for j, (e0, d, n, bound) in enumerate(lattices):
             if n > 1 and (e0, d, bound) not in rows:
-                need = np.log(tol * (1.0 - r ** d) / bound) / log_r
-                rows[e0, d, bound] = np.where(
-                    r > 0.0, np.maximum(np.ceil((need - e0) / d), 0.0), float(e0 == 0))
-    return [np.fmin(rows[e0, d, bound], n) if n > 1 else np.full(r.shape, float(n))
-            for e0, d, n, bound in plan]
+                if (d, bound) not in logs:
+                    logs[d, bound] = np.log(tol * (1.0 - r ** d) / bound) / log_r
+                need = np.maximum(np.ceil((logs[d, bound] - e0) / d), 0.0)
+                rows[e0, d, bound] = np.where(r > 0.0, need, float(e0 == 0)) if at_zero else need
+            counts[j] = np.fmin(rows[e0, d, bound], n) if n > 1 else n
+    return counts
 
 
 def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
@@ -212,9 +222,17 @@ def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
     return _cut_counts([(e0, d, math.inf, bound)], np.asarray(r, dtype=float), tol)[0]
 
 
+def _check_positive(name: str, value) -> None:
+    """Refuse a tolerance or bound that is not a positive finite number."""
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ParameterOutOfRange(f"{name} must be a positive finite number, got {value!r}")
+
+
 def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRUNC_TOL,
                         coeff_bound: float = 1.0) -> int:
     """Smallest mods length L whose tail certificate passes at radius r."""
+    _check_positive("trunc_tol", trunc_tol)
+    _check_positive("coeff_bound", coeff_bound)
     if r <= 0.0:
         return 1
     if r >= 1.0:
@@ -246,53 +264,53 @@ def _as_r_grid(r) -> np.ndarray:
     return grid
 
 
-def _bucket_edges(counts, r: np.ndarray) -> np.ndarray:
-    """Where :func:`_products` splits the radius grid r into buckets, given
-    each term's column counts there: radii whose largest counts share a
-    power-of-two ceiling, where that largest count ascends; else one bucket."""
-    most = counts[0] if len(counts) == 1 else np.max(counts, axis=0)
-    if r.size > 1 and np.all(most[1:] >= most[:-1]):
-        group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
-        return np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
-    return np.array([0, r.size])
+def _buckets(counts: np.ndarray) -> Tuple[list, list]:
+    """Edges of the buckets :func:`_products` splits a grid into, and each
+    term's largest count in each, from the (terms, radii) counts: where the
+    largest count over the terms ascends, a bucket starts where it first
+    reaches 2^j + 1 (a power-of-two group); any other grid is one bucket."""
+    most = counts.max(axis=0)
+    edges = [0, most.size]
+    if most.size > 1 and (most[1:] >= most[:-1]).all():
+        first, last = (max(int(c) - 1, 0).bit_length() for c in most[[0, -1]])  # ceil(log2 c)
+        cuts = np.searchsorted(most, [(1 << j) + 1 for j in range(first, last)])
+        edges[1:1] = dict.fromkeys(cuts.tolist())
+    if not most.size:
+        return edges, [[0] * len(counts)]
+    return edges, np.maximum.reduceat(counts, edges[:-1], axis=1).astype(int).T.tolist()
 
 
-def _products(terms, plan, counts, mods, v: _Vars, s, out=None) -> np.ndarray:
+def _products(terms, plan: _Plan, counts, mods, v: _Vars, s, out=None) -> np.ndarray:
     """The sum of the terms' weighted lattice sums on the radius grid v.r.
 
-    Term j is weight * sum_i w_i r^(e0 + i d) over its lattice plan[j] =
-    (e0, d, n, bound), w_i its :func:`_columns` times its per-sample weight,
-    and takes counts[j] (:func:`_cut_counts`) columns at each radius.  On a
-    grid whose largest count over the terms ascends, radii whose largest
-    counts share a power-of-two ceiling form one bucket; any other grid is
-    one bucket.  In a bucket each term takes the largest of its counts
-    there, and the bucket is one product of those columns with a table of
-    their weighted powers.  The terms' columns are built only as far as any
-    bucket reads them and stacked once, term after term; a lone term's are
-    the stack, so columns read from the moduli stay views.  A bucket that
-    reads a prefix of the stack (one term always does) reads it as a view,
-    and any other bucket gathers its columns.  The sums are written into
-    ``out`` when one is given.
+    Term j is weight * sum_i w_i r^(e0 + i d) over its lattice
+    plan.lattices[j] = (e0, d, n, bound), w_i its :func:`_columns` times
+    its per-sample weight, and takes counts[j] (:func:`_cut_counts`)
+    columns at each radius.  The grid is split into the buckets of
+    :func:`_buckets`, and each bucket is one product of the columns its
+    terms take with a table of their weighted powers.  The terms' columns
+    are built only as far as any bucket reads them and stacked once, term
+    after term; a lone term's are the stack, so columns read from the
+    moduli stay views.  A bucket that reads a prefix of the stack (one term
+    always does) reads it as a view, and any other bucket gathers its
+    columns.  The sums are written into ``out`` when one is given.
     """
     r = v.r
-    edges = _bucket_edges(counts, r)
-    takes = [[int(count[lo:hi].max(initial=0)) for count in counts]
-             for lo, hi in zip(edges[:-1], edges[1:])]
+    edges, takes = _buckets(counts)
     width = [max(col) for col in zip(*takes)]  # columns of each term any bucket reads
     starts = [0, *itertools.accumulate(width)]
 
-    def columns(term, n):
-        w = _columns(term, mods, v.m, v.p, s, n)
-        return w if term.sample_weight is None else w * term.sample_weight(v)
+    def columns(j, n):
+        w = _columns(terms[j], mods, s, plan.signs[j], n)
+        return w if terms[j].sample_weight is None else w * terms[j].sample_weight(v)
 
     if len(terms) == 1:
-        stack = columns(terms[0], width[0])
+        stack = columns(0, width[0])
     else:
         stack = np.empty((mods.shape[0], starts[-1]))
-        for term, lo, hi in zip(terms, starts, starts[1:]):
-            stack[:, lo:hi] = columns(term, hi - lo)[:, :hi - lo]
-    exps = np.concatenate([e0 + d * np.arange(n, dtype=float)
-                           for (e0, d, _, _), n in zip(plan, width)])
+        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            stack[:, lo:hi] = columns(j, hi - lo)[:, :hi - lo]
+    exps = np.concatenate([e[:n] for e, n in zip(plan.exps, width)])
     weights = [None if term.weight is None else term.weight(v) for term in terms]
     if out is None:
         out = np.empty((mods.shape[0], r.size))
@@ -315,9 +333,8 @@ def _first_bucket(theorem_id: str, length: int, m: int, p: int, r: np.ndarray,
                   coeff_bound: float) -> int:
     """Radii in the first bucket :func:`_products` forms when a grid call of a
     core with no exponent s covers r, for profiles of ``length`` moduli."""
-    plan = [_lattice(term, length, m, p, None, coeff_bound)
-            for term in _THEOREMS[theorem_id].terms]
-    return int(_bucket_edges(_cut_counts(plan, r), r)[1])
+    plan = _plan(_THEOREMS[theorem_id], m, p, length, None, coeff_bound)
+    return _buckets(_cut_counts(plan.lattices, r))[0][1]
 
 
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
@@ -336,10 +353,6 @@ def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
             tail=tail,
             tol=trunc_tol,
         )
-
-
-def _signs(k: np.ndarray, m: int, p: int) -> np.ndarray:
-    return np.where((k * p + m) % 2 == 0, 1.0, -1.0)
 
 
 class _Vars(NamedTuple):
@@ -405,7 +418,7 @@ class _Reduced:
     parts: Tuple[_Part, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as a plan's key
 class _Theorem:
     """lhs = sum of the terms (its modulus if ``absolute``) <= rhs.
 
@@ -467,6 +480,7 @@ _ALTERNATING = _Term(_TAIL, "signed", (1, 0, 1))
 # B = sum_k mu_k r^(kp+m) and A = sum_k (-1)^(kp+m) mu_k r^(kp+m), k >= 0
 _MAJORANT = (_Term(_ALL, 1, (1, 0, 1)),)
 _SIGNED_MAJORANT = (_Term(_ALL, "signed", (1, 0, 1)),)
+_SUMS = (_Theorem(_MAJORANT), _Theorem(_SIGNED_MAJORANT))  # B and A; not catalog ids
 
 _THEOREMS = {
     # sum_{k>=1} mu_k r^k + (1/(1+mu_0) + r/(1-r)) sum_{k>=1} mu_k^2 r^(2k)
@@ -632,21 +646,38 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
-def _lattice(term: _Term, length: int, m, p, s, coeff_bound):
-    """A term's lattice over ``length`` stored moduli as (e0, d, n, bound):
-    its n columns have the exponents e0 + j d, j < n, and w_k at most bound."""
-    a, b, c = term.exps
-    bound = coeff_bound
-    if term.power == 2:
-        bound = coeff_bound ** 2
-    elif term.power == "s":
-        bound = coeff_bound ** float(s)
-    k = range(length)[term.cols]  # the slice's lattice indices
-    return a * k.start * p + b * p + c * m, a * k.step * p, len(k), bound
+_Plan = NamedTuple("_Plan", [("lattices", tuple), ("exps", tuple), ("signs", tuple)])
 
 
-def _columns(term: _Term, mods, m, p, s, n: Optional[int] = None) -> np.ndarray:
-    """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed mu_k.
+@functools.lru_cache(maxsize=256)
+def _plan(th: _Theorem, m, p, length, s, coeff_bound) -> _Plan:
+    """A core's terms over ``length`` moduli at (m, p): term j's n columns
+    have the exponents exps[j] = e0 + i d, i < n, and w_k at most bound, for
+    lattices[j] = (e0, d, n, bound); signs[j] is a signed term's (-1)^(kp+m),
+    else None.  Its arrays are read-only, as every call shares them."""
+    lattices, exps, signs = [], [], []
+    for term in th.terms:
+        a, b, c = term.exps
+        k = range(length)[term.cols]  # the slice's lattice indices
+        e0, d = a * k.start * p + b * p + c * m, a * k.step * p
+        bound = coeff_bound
+        if term.power == 2:
+            bound = coeff_bound ** 2
+        elif term.power == "s":
+            bound = coeff_bound ** float(s)
+        lattices.append((e0, d, len(k), bound))
+        exps.append(e0 + d * np.arange(len(k), dtype=float))
+        signs.append(np.where((np.arange(length)[term.cols] * p + m) % 2 == 0, 1.0, -1.0)
+                     if term.power == "signed" else None)
+    for x in (*exps, *signs):
+        if x is not None:
+            x.setflags(write=False)
+    return _Plan(tuple(lattices), tuple(exps), tuple(signs))
+
+
+def _columns(term: _Term, mods, s, signs=None, n: Optional[int] = None) -> np.ndarray:
+    """A term's w_k over its lattice slice: mu_k, mu_k^2, mu_k^s or signed
+    mu_k, with ``signs`` its plan's sign vector.
 
     Only the slice's first ``n`` columns are built when ``n`` is given.
     """
@@ -656,15 +687,15 @@ def _columns(term: _Term, mods, m, p, s, n: Optional[int] = None) -> np.ndarray:
     if term.power == "s":
         return w ** float(s)
     if term.power == "signed":
-        return _signs(np.arange(mods.shape[1])[term.cols][:n], m, p) * w
+        return signs[:n] * w
     return w
 
 
 def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndarray, np.ndarray]:
     samples, length = mods.shape
     v = _vars(mods, r, m, p)
-    plan = [_lattice(term, length, m, p, s, coeff_bound) for term in th.terms]
-    counts = _cut_counts(plan, r)
+    plan = _plan(th, m, p, length, s, coeff_bound)
+    counts = _cut_counts(plan.lattices, r)
     # A single radius (every sharpness scan and scalar entry point) takes
     # the per-term route, so a scan's ~2000 family rows are neither powered
     # nor copied.  perfbench has a workload on each side: a fine_grid pass
@@ -672,18 +703,19 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     # ThmC 10-11, Cor43 6-13), 6 one-radius calls (Thm32, Thm34) and 6
     # one-radius scans, and a scan_table pass 168 one-radius calls on ~2060
     # family rows.  Whole-grid calls remain in ThmB, Thm31 and the envelope
-    # rows (190, 75 and 49 radii at test_criterion_2's 0.005 step).
+    # rows (190, 75 and 49 radii at test_criterion_2's 0.005 step).  Calls
+    # this small cost mostly planning, so the plan comes from the cache.
     if r.size != 1:
         lhs = _products(th.terms, plan, counts, mods, v, s, out)
     else:
         lhs = np.empty((samples, 1)) if out is None else out
         total = lhs[:, 0]
-        for j, (term, (e0, d, _, _), count) in enumerate(zip(th.terms, plan, counts)):
+        for j, (term, count) in enumerate(zip(th.terms, counts)):
             n = int(count[0])
             w = mods[:, term.cols][:, :n]
-            powers = r[0] ** (e0 + d * np.arange(n, dtype=float))
+            powers = r[0] ** plan.exps[j][:n]
             if term.power == "signed":
-                powers *= _signs(np.arange(length)[term.cols][:n], m, p)
+                powers *= plan.signs[j][:n]
             if term.weight is not None:
                 powers *= term.weight(v)
             if term.power == 2:
@@ -699,7 +731,7 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     if th.absolute:
         np.abs(lhs, out=lhs)
     if th.rhs is None:
-        return lhs, np.broadcast_to(1.0, lhs.shape)
+        return lhs, np.ndarray(lhs.shape, buffer=_ONE, strides=(0, 0))
     return lhs, np.broadcast_to(th.rhs(v), lhs.shape)
 
 
@@ -716,25 +748,24 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     with its powers alone; every stored column is taken.
     """
     samples, length = mods.shape
-    k = np.arange(length)
     v = _vars(mods, r, m, p)
+    plan = _plan(th, m, p, length, s, 1.0)
     pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
-    for term in th.terms:
-        e0, d, n, _ = _lattice(term, length, m, p, s, 1.0)
-        up = r ** (e0 + d * np.arange(n, dtype=float))[:, None]
+    for term, exps, signs in zip(th.terms, plan.exps, plan.signs):
+        up = r ** exps[:, None]
         weight = 1.0 if term.weight is None else term.weight(v)
         if term.sample_weight is not None:
             weight = weight * term.sample_weight(v)
         # a NaN weight keeps its NaN in both parts
         above, below = np.maximum(weight, 0.0), np.maximum(-weight, 0.0)
         if term.power == "signed":
-            even = (_signs(k[term.cols], m, p) > 0.0)[:, None]
+            even = (signs > 0.0)[:, None]
             table = np.hstack((np.where(even, up, 0.0), np.where(even, 0.0, up)))
             plus, minus = np.hsplit(mods[:, term.cols] @ table, 2)
             pos += above * plus + below * minus
             neg += above * minus + below * plus
         else:
-            plus = _columns(term, mods, m, p, s) @ up
+            plus = _columns(term, mods, s) @ up
             pos += above * plus
             neg += below * plus
     return pos, neg
@@ -772,7 +803,7 @@ def _reduced_polynomial(form: _Reduced, mods, m, p, y: float,
     rho, size, tail = np.zeros((samples, width)), np.ones(samples), np.zeros(samples)
     rho[:, 0] = 1.0
     for part in form.parts:
-        w = _columns(part, mods, m, p, None)
+        w = _columns(part, mods, None)
         if part.sample_weight is not None:
             w = w * part.sample_weight(v)
         size += w @ powers[part.first:part.first + w.shape[1]]
@@ -810,6 +841,10 @@ def theorem_margins(
     ParameterOutOfRange.  The right side is a read-only broadcast: a bound
     of r alone, or the bound 1, has stride 0 along the samples, and one
     that depends on the sample too is a full (S, R) array.
+
+    ``coeff_bound`` (default: max(1, largest modulus)) and ``trunc_tol``
+    must be positive and finite; that the bound holds every stored modulus
+    is the caller's contract (:class:`LacunaryProfile` checks it).
     """
     th = _THEOREMS.get(theorem_id)
     if th is None:
@@ -817,15 +852,17 @@ def theorem_margins(
     mods = np.atleast_2d(np.asarray(mods, dtype=float))
     check_shape(m, p, "theorem margins")
     grid = _as_r_grid(r)
+    _check_positive("trunc_tol", trunc_tol)
     if coeff_bound is None:
         coeff_bound = float(max(1.0, mods.max(initial=0.0)))
+    _check_positive("coeff_bound", coeff_bound)
     if not exact:
         _check_truncation(mods.shape[1], m, p, grid, coeff_bound, trunc_tol)
     shape = (mods.shape[0], grid.size)
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == shape and out.flags.writeable):
         raise ParameterOutOfRange(f"out must be a writable float64 array of shape {shape}")
-    s = None if extras is None else extras.get("s")
+    s = extras.get("s") if extras and any(t.power == "s" for t in th.terms) else None
     _check_applicable(theorem_id, th, mods, m, p, grid, s)
     return _evaluate(th, mods, m, p, grid, s, coeff_bound, out)
 
@@ -861,9 +898,9 @@ def bohr_sums_grid(
         _check_truncation(profile.mods.size, profile.m, profile.p, grid,
                           profile.coeff_bound, trunc_tol)
     mods = profile.mods[None, :]  # one sample
-    b, a = (_evaluate(_Theorem(terms), mods, profile.m, profile.p, grid, None,
+    b, a = (_evaluate(th, mods, profile.m, profile.p, grid, None,
                       profile.coeff_bound, None)[0][0]  # its left side's one row
-            for terms in (_MAJORANT, _SIGNED_MAJORANT))
+            for th in _SUMS)
     return b, a
 
 
@@ -882,9 +919,11 @@ def evaluate_theorem_grid(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) vectors for one profile on a radius grid."""
+    # A profile's bound is at most 0 only where its moduli are at most 1e-12;
+    # the least positive float bounds them too, and cuts what 0 cuts.
     lhs, rhs = theorem_margins(theorem_id, profile.mods, profile.m, profile.p,
                                r, extras=extras, trunc_tol=trunc_tol,
-                               coeff_bound=profile.coeff_bound,
+                               coeff_bound=max(profile.coeff_bound, math.ulp(0.0)),
                                exact=profile.exact)
     return lhs[0], rhs[0]
 

@@ -8,7 +8,8 @@ closed rational form, long division instead of the extremal families'
 closed form, one ``np.random.default_rng`` per seed instead of
 the samplers' batched seeding, one function's P/Q and lfilter instead of the
 division over a whole bank, one product over every lattice column
-instead of the margin core's radius-blocked power sums, each
+instead of the margin core's radius-blocked power sums, bucket edges
+from frexp groups instead of one searchsorted, each
 inequality's left side term by term as written instead of the margin
 core's stacked products, every cell of a campaign row instead of the
 cells its parity or Bernstein bounds leave unsettled, a polynomial's
@@ -171,21 +172,44 @@ def full_psum(w, exps, r):
     return w @ (r[None, :] ** np.asarray(exps, dtype=float)[:, None])
 
 
-def full_width_margins(theorem_id, mods, m, p, r, **kwargs):
+def full_width_margins(theorem_id, mods, m, p, r, builds=None, **kwargs):
     """``functionals.theorem_margins`` with every term's columns built over
     its whole lattice slice.
 
     The engine builds each term's columns only as far as a bucket reads
     them; here ``_columns`` builds every column, and ``_products`` reads its
-    buckets' columns from those.
+    buckets' columns from those.  ``builds``, if given, receives each
+    build's (columns asked for, columns built).
     """
     columns = functionals._columns
 
-    def every_column(term, mods, m, p, s, n=None):
-        return columns(term, mods, m, p, s)
+    def every_column(term, mods, s, signs=None, n=None):
+        w = columns(term, mods, s, signs)
+        if builds is not None:
+            builds.append((n, w.shape[1]))
+        return w
 
     with mock.patch.object(functionals, "_columns", every_column):
         return functionals.theorem_margins(theorem_id, mods, m, p, r, **kwargs)
+
+
+def bucket_oracle(counts, r):
+    """The margin core's buckets on the radius grid r as it formed them
+    before one searchsorted found their edges: (edges, takes), with
+    takes[b][j] the largest of term j's column counts in bucket b.
+
+    Where the largest count over the terms ascends, an edge is every radius
+    where that count's power-of-two ceiling (from frexp) changes; any other
+    grid is one bucket.
+    """
+    most = counts[0] if len(counts) == 1 else np.max(counts, axis=0)
+    edges = np.array([0, r.size])
+    if r.size > 1 and np.all(most[1:] >= most[:-1]):
+        group = np.frexp(np.maximum(most - 1, 0))[1]  # ceil(log2(count)), ascending
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [r.size]))
+    takes = [[int(count[lo:hi].max(initial=0)) for count in counts]
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    return edges.tolist(), takes
 
 
 def every_cell_least(theorem_id, mods, m, p, grid, trunc_tol=functionals.DEFAULT_TRUNC_TOL):

@@ -1,10 +1,11 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrcert import functionals as fn
@@ -21,6 +22,7 @@ from bohrcert.errors import (
 )
 
 from support import (
+    bucket_oracle,
     full_psum,
     full_width_margins,
     mobius_linear_sum,
@@ -329,8 +331,8 @@ class TestParityParts:
         for p in range(1, 9):
             for m in range(p + 1):
                 v = fn._Vars(r, zero, zero, m, p)
-                for term in fn._THEOREMS[tid].terms:
-                    e0, d, n, _ = fn._lattice(term, 64, m, p, 1.0, 1.0)
+                lattices = fn._plan(fn._THEOREMS[tid], m, p, 64, 1.0, 1.0).lattices
+                for term, (e0, d, n, _) in zip(fn._THEOREMS[tid].terms, lattices):
                     assert (e0 + d * np.arange(n)).min() >= 0, (m, p, term)
                     if term.sample_weight is not None:
                         assert np.shape(term.sample_weight(v)) == (1, 1)
@@ -587,6 +589,29 @@ LENGTH_CASES = {
 }
 
 
+@st.composite
+def count_table(draw):
+    """A (terms, radii) table of column counts, as floats: rows that ascend
+    with ties and with jumps across several power-of-two groups, rows that
+    do not ascend, and rows under the first one, so that the largest count
+    can ascend where a term's own counts do not."""
+    size = draw(st.integers(0, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("ascending", "any", "under")[:3 if rows else 2]))
+        ints = st.lists(st.integers(0, 40 if kind == "any" else 5), min_size=size, max_size=size)
+        if kind == "ascending":
+            steps = st.sampled_from([0, 0, 1, 2, 3, 9, 40, 700])
+            row = draw(st.integers(0, 3)) + np.cumsum(
+                draw(st.lists(steps, min_size=size, max_size=size)), dtype=int)
+        elif kind == "any":
+            row = np.array(draw(ints), dtype=int)
+        else:
+            row = np.maximum(rows[0] - draw(ints), 0)
+        rows.append(np.asarray(row, dtype=float))
+    return np.array(rows).reshape(len(rows), size)
+
+
 class TestLatticeCut:
     @pytest.mark.parametrize("name", sorted(PSUM_CASES))
     def test_psum_matches_full_contraction(self, name):
@@ -595,9 +620,10 @@ class TestLatticeCut:
         # the shape (e0, d) is the columns of w with exponents e0 + d k
         e0, d = (int(exps[0]), int(exps[1] - exps[0])) if exps.size > 1 else (0, 1)
         term = fn._Term(fn._ALL, 1, (1, 0, 1))
-        plan = [fn._lattice(term, w.shape[1], e0, d, None, bound)]
+        # planned outside the cache, which holds only catalog cores
+        plan = fn._plan.__wrapped__(fn._Theorem((term,)), e0, d, w.shape[1], None, bound)
         v = fn._vars(w, radii, e0, d)
-        got = fn._products((term,), plan, fn._cut_counts(plan, radii), w, v, None)
+        got = fn._products((term,), plan, fn._cut_counts(plan.lattices, radii), w, v, None)
         want = full_psum(w, exps, radii)
         assert got.shape == want.shape
         # BLAS sums a column in an order that depends on the block it falls
@@ -632,13 +658,28 @@ class TestLatticeCut:
         if order != "as_drawn":
             r = np.sort(np.append(r, 0.0) if order == "from_zero" else r)
         terms = fn._THEOREMS[tid].terms
-        plan = [fn._lattice(term, length, m, p, 2.0, bound) for term in terms]
+        plan = fn._plan(fn._THEOREMS[tid], m, p, length, 2.0, bound).lattices
         counts = fn._cut_counts(plan, r)
         for (e0, d, n, b), count in zip(plan, counts, strict=True):
             want = np.fmin(fn._cut_length(e0, d, r, b), n) if n > 1 else np.full(r.size, n)
             assert np.array_equal(count, want), (m, p, e0, d, n, b)
         if all(term.power != "s" for term in terms):
-            assert fn._first_bucket(tid, length, m, p, r, bound) == fn._bucket_edges(counts, r)[1]
+            assert fn._first_bucket(tid, length, m, p, r, bound) == bucket_oracle(counts, r)[0][1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_table())
+    @example(np.zeros((2, 0)))  # no radius
+    @example(np.array([[7.0]]))  # one radius
+    @example(np.array([[0.0, 0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]))
+    @example(np.array([[1.0, 2.0, 3.0, 5.0, 9.0, 17.0, 300.0, 301.0, 5000.0]]))
+    @example(np.array([[2.0, 1.0, 4.0], [1.0, 1.0, 1.0]]))  # not ascending
+    @example(np.array([[3.0, 5.0, 9.0, 9.0], [1.0, 4.0, 2.0, 0.0]]))  # one term not ascending
+    def test_buckets_match_frexp_groups(self, counts):
+        # one searchsorted over the group boundaries 2^j + 1 and the bucket
+        # maxima give the buckets of the frexp rule, as Python ints
+        edges, takes = fn._buckets(counts)
+        assert (edges, takes) == bucket_oracle(counts, np.empty(counts.shape[1]))
+        assert all(type(x) is int for x in [*edges, *itertools.chain(*takes)])
 
     def test_lacunary_length_for_recorded_values(self):
         got = {case: fn.lacunary_length_for(*case) for case in LENGTH_CASES}
@@ -718,15 +759,20 @@ class TestStackedRoute:
         # each term's columns are built only as far as a bucket reads them;
         # the products read the same bits as from every column built
         grids = dict(ROUTE_GRIDS, head=HEAD_GRID)
+        builds = []
         for bank, m, p in route_cases(tid):
             for name, grid in grids.items():
                 grid = in_window(tid, grid)
                 if grid.size < 2:  # one radius sums each term in place
                     continue
                 got = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
-                want = full_width_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+                want = full_width_margins(tid, bank, m, p, grid, builds, extras={"s": ROUTE_S})
                 assert np.array_equal(got[0], want[0]), (m, p, name)
                 assert np.array_equal(got[1], want[1]), (m, p, name)
+        # the oracle built columns the engine would not have (it is not
+        # vacuous); an envelope's grids inside its window read every column
+        if fn._THEOREMS[tid].window is None:
+            assert any(n < built for n, built in builds), builds
 
     @pytest.mark.parametrize("tid", [t for t in fn.THEOREM_IDS if fn._THEOREMS[t].window is None])
     def test_head_call_builds_only_read_columns(self, tid, monkeypatch):
@@ -744,7 +790,7 @@ class TestStackedRoute:
         m, p = th.shape or (1, 3)
         bank = BUDGET_SHIFTED if th.vanishing_start else BUDGET_BANK
         fn.theorem_margins(tid, bank, m, p, HEAD_GRID, extras={"s": ROUTE_S})
-        plan = [fn._lattice(term, bank.shape[1], m, p, ROUTE_S, 1.0) for term in th.terms]
+        plan = fn._plan(th, m, p, bank.shape[1], ROUTE_S, 1.0).lattices
         read = [count.max() for count in fn._cut_counts(plan, HEAD_GRID)]
         assert len(built) == len(th.terms)
         assert sum(built) <= bank.shape[0] * sum(read) < bank.size
@@ -873,3 +919,86 @@ class TestOut:
         lhs, _ = fn.theorem_margins("Cor43", self.BANK, 1, 3, r, out=out)
         want, _ = fn.theorem_margins("Cor43", self.BANK, 1, 3, r)
         assert lhs is out and np.array_equal(out, want)
+
+
+# (argument, value): a coefficient bound or truncation tolerance under
+# which no certificate holds; a bound of 0 cuts every column
+VOID_LIMITS = [("coeff_bound", 0.0), ("coeff_bound", -1.0), ("coeff_bound", math.nan),
+               ("coeff_bound", math.inf), ("trunc_tol", 0.0), ("trunc_tol", -1e-10),
+               ("trunc_tol", math.nan), ("trunc_tol", math.inf)]
+
+
+class TestCertificateLimits:
+    @pytest.mark.parametrize("name, value", VOID_LIMITS)
+    def test_margins_refuse_a_void_limit(self, name, value):
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} must be a positive finite"):
+            fn.theorem_margins("LemDOdd", np.full((1, 200), 0.5), 0, 1, [0.5], **{name: value})
+
+    @pytest.mark.parametrize("name, value", VOID_LIMITS)
+    def test_length_refuses_a_void_limit(self, name, value):
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} must be a positive finite"):
+            fn.lacunary_length_for(1, 3, 0.5, **{name: value})
+
+
+def admitted_shapes(tid, p_max=5):
+    """Every shape (m, p) with p <= p_max that the id is stated for."""
+    th = fn._THEOREMS[tid]
+    return [(m, p) for p in range(1, p_max + 1) for m in range(p + 1)
+            if th.shape in (None, (m, p)) and not (th.odd_gap and p % 2 == 0)
+            and not (th.positive_m and m < 1)]
+
+
+class TestPlanCache:
+    """Each core is planned once per shape, bank length, s and coefficient
+    bound; the plan holds only constants of those."""
+
+    @pytest.mark.parametrize("tid", fn.THEOREM_IDS)
+    def test_cold_call_equals_warm_call(self, tid):
+        th = fn._THEOREMS[tid]
+        top = min(0.9, th.window[1]) if th.window else 0.9
+        for m, p in admitted_shapes(tid):
+            length = fn.lacunary_length_for(m, p, top, coeff_bound=1.5)
+            bank = np.abs(schur.sample_bank([5 ^ i for i in range(6)], 5, length - 1))
+            if th.vanishing_start:
+                bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+            grids = [in_window(tid, np.linspace(0.0, top, 40)), np.array([top])]
+            calls = [(grid, bound, s) for grid in grids for bound in (1.0, 1.5) for s in (0.5, 2.0)]
+            cold = []
+            for grid, bound, s in calls:
+                fn._plan.cache_clear()
+                cold.append(fn.theorem_margins(tid, bank, m, p, grid, extras={"s": s},
+                                               coeff_bound=bound))
+            # warm: every call's plan, and its neighbours', already cached
+            for (grid, bound, s), (lhs, rhs) in reversed(list(zip(calls, cold))):
+                warm = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": s},
+                                          coeff_bound=bound)
+                assert np.array_equal(warm[0], lhs) and np.array_equal(warm[1], rhs), (m, p)
+
+    def test_cached_vectors_are_read_only(self):
+        for tid in ("ThmC", "Thm31"):
+            plan = fn._plan(fn._THEOREMS[tid], 0, 1, 40, 1.5, 1.0)
+            arrays = [a for a in (*plan.exps, *plan.signs) if a is not None]
+            assert len(arrays) >= 3
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 2.0
+
+    def test_repeated_calls_reuse_one_plan(self):
+        # bohr_sums' two sums are module constants, so a repeat finds them
+        fn._plan.cache_clear()
+        prof = mobius_profile(0.5, 1, 3)
+        for _ in range(200):
+            fn.bohr_sums(prof, 0.4)
+            fn.evaluate_theorem("ThmC", prof, 0.4)
+        info = fn._plan.cache_info()
+        assert info.currsize == info.misses == 3, info  # B, A and ThmC at (1, 3)
+
+    def test_stays_bounded(self):
+        fn._plan.cache_clear()
+        maxsize = fn._plan.cache_info().maxsize
+        assert maxsize is not None
+        for length in range(1, 501):  # 1000 calls, 1500 keys
+            prof = fn.LacunaryProfile(0, 1, np.full(length, 0.5), exact=True)
+            fn.bohr_sums(prof, 0.5)
+            fn.evaluate_theorem("ThmB", prof, 0.5)
+        assert fn._plan.cache_info().currsize == maxsize < 1000

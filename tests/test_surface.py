@@ -3,6 +3,7 @@ attributes the benchmark tracer patches by name, and the tables that name
 each other's entries."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -21,6 +22,7 @@ from bohrcert import functionals, harness, multidim, radius, schur, series
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bohrcert.__path__)
                  if m.name != "__main__")
 
@@ -119,6 +121,47 @@ def test_bound_one_rows_make_one_core_call_each(monkeypatch):
     # and fewer cells than the rows of distinct (id, shape) hold
     held = {(r.theorem, r.m, r.p): r.samples * r.grid_points for r in rows}
     assert len(held) == len(calls) and sum(cells for _, cells in calls) < sum(held.values())
+
+
+def _workloads(monkeypatch):
+    """perfbench's workload module, loaded from its file."""
+    monkeypatch.setitem(sys.modules, "tracing", _tracing(monkeypatch))  # it imports it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# (core, m, p, samples, radii) of every functionals.theorem_margins call of
+# perfbench's fine_grid campaign at 40 samples, in order
+FINE_GRID_CALLS = [
+    *[(core, m, 3, 40, 48) for m in (1, 2, 3) for core in ("LemDOdd", "LemDEven")],
+    ("ThmC", 1, 3, 7, 12), ("ThmC", 2, 3, 8, 9), ("ThmC", 3, 3, 12, 12),
+    *[(core, m, 3, 40, 1) for core in ("Thm32", "Thm34") for m in (1, 2, 3)],
+    ("Cor43", 1, 3, 6, 25), ("Cor43", 2, 3, 5, 16), ("Cor43", 3, 3, 9, 25),
+    ("Lem21", 1, 3, 40, 64), ("Lem21", 2, 3, 40, 83), ("Lem21", 3, 3, 40, 102),
+]
+
+
+def test_campaign_core_calls_keep_their_sequence(monkeypatch):
+    """perfbench's fine_grid ``op_p50_ms`` and ``op_p95_ms`` are the
+    latencies of its campaign's ``functionals.theorem_margins`` calls: LemD's
+    two cores at each shape, then ThmC (Thm41 shares its call), Thm32,
+    Thm34, Cor43 and Lem21 (one call for its three t rows) at each shape.
+    A change that splits or merges those calls moves the op metrics without
+    making anything faster, and fails here."""
+    workloads = _workloads(monkeypatch)
+    config = dataclasses.replace(workloads.campaign_config("fine_grid", 0), samples=40)
+    real, calls = functionals.theorem_margins, []
+
+    def traced(theorem_id, mods, m, p, r, **kw):
+        calls.append((theorem_id, m, p, len(mods), len(r)))
+        return real(theorem_id, mods, m, p, r, **kw)
+
+    monkeypatch.setattr(functionals, "theorem_margins", traced)
+    harness.run_campaign(config)
+    assert calls == FINE_GRID_CALLS
 
 
 def test_row_cores_are_catalog_entries():
