@@ -31,7 +31,8 @@ margin's reduced form g(r) * rho(r^2p).  Its radius equation is one
 ``radius._EQUATIONS`` entry, and its sharpness family a catalog core or
 one ``multidim._ENVELOPES`` entry.  How a campaign row runs it (its
 cores, radius equation, scan, fixed shape, reindexing and vector flags)
-is one :class:`RowSpec` of ``_ROWS``, next to ``_THEOREMS``.
+is one :class:`RowSpec` of ``_ROWS``, next to ``_THEOREMS``, and which
+of a row's cells can hold its least margin :func:`least_margin` decides.
 
 All evaluators certify their truncation: with coefficient moduli bounded
 by ``coeff_bound`` (1 for anything drawn from the unit-ball classes), the
@@ -102,6 +103,7 @@ __all__ = [
     "evaluate_theorem",
     "evaluate_theorem_grid",
     "theorem_margins",
+    "least_margin",
     "lacunary_length_for",
 ]
 
@@ -235,7 +237,7 @@ def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRU
     _check_positive("coeff_bound", coeff_bound)
     if r <= 0.0:
         return 1
-    if r >= 1.0:
+    if not r < 1.0:  # NaN fails too
         raise RadiusOutOfRange(f"no finite truncation certifies r={r}")
     length = max(1, int(_cut_length(m, p, r, coeff_bound, trunc_tol)))
     if length > MAX_PROFILE_LENGTH:
@@ -329,14 +331,6 @@ def _products(terms, plan: _Plan, counts, mods, v: _Vars, s, out=None) -> np.nda
     return out
 
 
-def _first_bucket(theorem_id: str, length: int, m: int, p: int, r: np.ndarray,
-                  coeff_bound: float) -> int:
-    """Radii in the first bucket :func:`_products` forms when a grid call of a
-    core with no exponent s covers r, for profiles of ``length`` moduli."""
-    plan = _plan(_THEOREMS[theorem_id], m, p, length, None, coeff_bound)
-    return _buckets(_cut_counts(plan.lattices, r))[0][1]
-
-
 def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
     if r.size == 0:
         return
@@ -411,7 +405,7 @@ class _Reduced:
     is a polynomial in y with per-sample coefficients.  Every weight of
     the entry's terms is at most max(1, g) on [0, 1), so the columns the
     engine skips change its margin by at most 2^-64 max(1, g) per term
-    and unit of coeff_bound^2.
+    and unit of coeff_bound^2, as :func:`_reduced_least` allows.
     """
 
     scale: Tuple[int, int]
@@ -431,16 +425,10 @@ class _Theorem:
     its per-radius weight has one sign and a nondecreasing modulus on
     [0, 1) for every shape, and its per-sample weight one sign.  Each
     term's positive and negative parts (:func:`_parity_parts`) are then
-    nondecreasing in r, so a campaign may bound a sample's left side on
-    [0, r] by its parts at r alone (``harness._unsettled``), and where the
-    negative part is 0 (:func:`_no_negative_part`) take the left side at
-    the top radius as its largest (``harness._row_margin``); a test holds
-    every such entry to this.
-
-    ``reduced``, where given, is the same margin as g(r) * rho(y)
-    (:class:`_Reduced`), from which a campaign bounds a sample's margin
-    over a whole radius interval (``harness._reduced_least``); a test
-    holds it to the engine's rhs - lhs.
+    nondecreasing in r, which :func:`least_margin` rests on; a test holds
+    every such entry to this.  ``reduced``, where given, is the same
+    margin as g(r) * rho(y) (:class:`_Reduced`), which it rests on too; a
+    test holds it to the engine's rhs - lhs.
     """
 
     terms: Tuple[_Term, ...]
@@ -785,20 +773,21 @@ def _no_negative_part(th: _Theorem, m: int, p: int) -> bool:
 
 
 def _reduced_polynomial(form: _Reduced, mods, m, p, y: float,
-                        degree: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Power-basis coefficients in y of rho, (samples, degree + 1), and its size at y.
+                        degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Power-basis coefficients in y of rho, (samples, at most degree + 1), and its size at y.
 
     rho = 1 - (the sum of the parts); its size is 1 + (the sum of the parts
     with 1 - y taken as 1), at least |rho| and each piece of it on [0, y].
     With ``degree`` below rho's, the coefficients are those of a polynomial
     of that degree at most rho on [0, y]: rho's own up to it, with the
     constant lowered by a bound on sum_(j > degree) |c_j| y^j, each c_j a
-    sum of part columns and so at most the sum of their moduli.
+    sum of part columns and so at most the sum of their moduli.  rho's
+    degree is at most the number of moduli plus one.
     """
     samples, length = mods.shape
     v = _vars(mods, np.empty(0), m, p)
     count = max(part.first + len(range(length)[part.cols]) + part.damped for part in form.parts)
-    width = count if degree is None else min(degree + 1, count)
+    width = min(degree + 1, count)
     powers = y ** np.arange(count)
     rho, size, tail = np.zeros((samples, width)), np.ones(samples), np.zeros(samples)
     rho[:, 0] = 1.0
@@ -832,8 +821,9 @@ def theorem_margins(
     """Batched (lhs, rhs) arrays of shape (samples, radii).
 
     ``mods`` is a (S, K) matrix of lattice moduli sharing one shape (m, p)
-    and one truncation length; ``r`` is a radius grid.  This is the engine
-    behind all scalar entry points and the sweep harness.
+    and one truncation length, or one profile of K; ``r`` is a radius
+    grid.  This is the engine behind all scalar entry points and
+    :func:`least_margin`.
 
     ``out``, a writable float64 array of shape (S, R) (a view into a
     larger buffer will do), receives the left side and is returned as it,
@@ -850,6 +840,9 @@ def theorem_margins(
     if th is None:
         raise UnknownTheorem(f"no inequality with id {theorem_id!r}")
     mods = np.atleast_2d(np.asarray(mods, dtype=float))
+    if mods.ndim != 2:
+        raise ParameterOutOfRange(
+            f"mods must be one profile or a (samples, moduli) matrix, got shape {mods.shape}")
     check_shape(m, p, "theorem margins")
     grid = _as_r_grid(r)
     _check_positive("trunc_tol", trunc_tol)
@@ -865,6 +858,182 @@ def theorem_margins(
     s = extras.get("s") if extras and any(t.power == "s" for t in th.terms) else None
     _check_applicable(theorem_id, th, mods, m, p, grid, s)
     return _evaluate(th, mods, m, p, grid, s, coeff_bound, out)
+
+
+# ----------------------------------------------------------------------
+# a campaign row's least margin, from the cells that can hold it
+# ----------------------------------------------------------------------
+
+# rounding a settled cell is allowed, relative to its parts' sum; the
+# margin core's is at most 7.1e-15 on sums up to 4.3
+_SETTLE_SLACK = 1e-12
+# degree of the Bernstein bounds of a reduced form; coefficients above it
+# go to the bound's tail, and at this degree every binomial stays finite
+_BERNSTEIN_DEGREE = 64
+
+
+def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """min over cells of rhs - lhs, written over lhs; NaN if any cell is NaN."""
+    return np.subtract(rhs, lhs, out=lhs).min()
+
+
+def _unsettled(th: _Theorem, bank, m, p, grid, s) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of ``bank`` and the radii of ``grid`` whose cells a bound-1
+    core must evaluate (:func:`least_margin`); rounding is taken as
+    _SETTLE_SLACK times P + N, and a NaN part or a NaN M settles nothing."""
+    if _no_negative_part(th, m, p):
+        return bank, grid[-1:]
+
+    def parts(mods, cols):
+        pos, neg = _parity_parts(th, mods, m, p, grid[cols], s)
+        slack = _SETTLE_SLACK * (pos + neg)
+        lhs = np.abs(pos - neg) if th.absolute else pos - neg
+        return np.maximum(pos, neg) + slack, lhs - slack
+
+    top = grid.size - 1
+    high, low = parts(bank, [top])
+    floor = low.max()
+    rows = np.flatnonzero(~(high[:, 0] < floor))
+    mods = bank if rows.size == bank.shape[0] else bank[rows]
+
+    def settled(cols):
+        return parts(mods, cols)[0].max(axis=0) < floor
+
+    # Columns up to a settled one are settled.  Try top - 1, top - 2,
+    # top - 4, ... and 0, then every column between the highest settled one
+    # and the next one tried above it.
+    tried = np.unique(np.append(top - (1 << np.arange(top.bit_length())), 0))
+    ok = settled(tried)
+    good = tried[ok].max(initial=-1)
+    between = np.arange(good + 1, tried[~ok & (tried > good)].min(initial=top))
+    if between.size:
+        good = between[settled(between)].max(initial=good)
+    return mods, grid[good + 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _bernstein_matrix(n: int) -> np.ndarray:
+    """M with b = a M: the degree-n Bernstein coefficients on [0, 1] of
+    sum_j a_j t^j are b_k = sum_(j <= k) C(k, j) / C(n, j) a_j (Farouki,
+    CAGD 2012), each ratio rounded once."""
+    matrix = np.array([[math.comb(k, j) / math.comb(n, j) for k in range(n + 1)]
+                       for j in range(n + 1)])
+    matrix.setflags(write=False)  # shared by every caller through the cache
+    return matrix
+
+
+def _reduced_floor(form: _Reduced, bank, m, p, top: float) -> np.ndarray:
+    """A lower bound on each sample's rho over [0, Y], Y = top^(2p): the least
+    Bernstein coefficient on [0, Y] of :func:`_reduced_polynomial` to degree
+    _BERNSTEIN_DEGREE, at most rho there, is at most its least value
+    (Garloff 1986); less _SETTLE_SLACK times rho's size at Y, for the
+    rounding of this bound and of the cells it is held against."""
+    y = top ** (2 * p)
+    rho, size = _reduced_polynomial(form, bank, m, p, y, _BERNSTEIN_DEGREE)
+    n = rho.shape[1] - 1
+    least = (rho @ (y ** np.arange(n + 1)[:, None] * _bernstein_matrix(n))).min(axis=1)
+    return least - _SETTLE_SLACK * size
+
+
+def _reduced_least(th: _Theorem, bank, m, p, grid, bound, margins) -> float:
+    """Least margin of a core with a reduced form (:func:`least_margin`);
+    ``margins(mods, cols)`` is the core call on the radii ``cols``.  Past
+    the head a sample's margin is at least g L, L its :func:`_reduced_floor`,
+    less ``skip`` for the columns the engine skips (:class:`_Reduced`); a
+    NaN, or L <= 0, settles nothing."""
+    plan = _plan(th, m, p, bank.shape[1], None, bound)
+    head = _buckets(_cut_counts(plan.lattices, grid))[0][1]
+    low = _least(*margins(bank, grid[:head]))
+    if head == grid.size:
+        return low
+    floor = _reduced_floor(th.reduced, bank, m, p, grid[-1])
+    a, b = th.reduced.scale
+    g = grid ** (a * p + b * m) / (1.0 - grid ** (2 * p))
+    g = np.minimum.accumulate(g[::-1])[::-1]  # ascending, and at most g at and after each radius
+    skip = _CUT_TOL * len(th.terms) * max(1.0, g[-1]) * bound ** 2
+    over = np.full(floor.shape, np.nan)  # searchsorted puts NaN past every radius
+    ok = floor > 0.0
+    over[ok] = (low + skip) / floor[ok]
+    stop = np.searchsorted(g, over, side="right")
+    rows = np.flatnonzero(stop > head)
+    if rows.size == 0:
+        return low
+    mods = bank if rows.size == bank.shape[0] else bank[rows]
+    # np.minimum keeps a NaN from either call
+    return np.minimum(low, _least(*margins(mods, grid[head:int(stop[rows].max())])))
+
+
+def least_margin(theorem_id: str, bank: np.ndarray, m: int, p: int, grid: np.ndarray, s,
+                 trunc_tol: float, work: np.ndarray,
+                 caps: Optional[np.ndarray] = None) -> Optional[float]:
+    """Least margin rhs - lhs of one core over a campaign row's cells.
+
+    ``bank`` holds the row's moduli at the shape (m, p), one sample a row
+    (a vanishing-start core gets its zero lattice start here), and ``s``
+    its exponent or None.  ``caps``, for a row whose radius depends on the
+    function (Thm31), is each sample's largest radius; None is returned
+    where no cell lies below its cap.  Every core call goes through this
+    module's attribute ``theorem_margins``, looked up when made, and
+    writes its left side into the contiguous head of the flat workspace
+    ``work``: a strided [:rows, :cols] view would spread it over every row.
+
+    Which cells are evaluated: the least margin is that of a cell a call
+    computed, and every cell left out is certified above it.  First, once,
+    the checks a call over the whole bank and grid would make: the tail
+    certificate at the top radius, on the coefficient bound of the whole
+    bank, and the core's shape, window and start rules, so a cell left out
+    is checked too; every call then takes that bound.
+
+    A core with the bound 1 (ThmC/Thm41, Thm32, Thm34, Cor43) and no
+    ``caps``, by :func:`_unsettled`: a sample's left side on [0, r] is at
+    most the larger of its parity parts P and N at r, both nondecreasing
+    in r (:class:`_Theorem`).  Where N is 0 at the shape (no signed term,
+    no modulus taken and no negative weight: Thm32 and Thm34), every left
+    side is P, so one call at the top radius evaluates the least margin; a
+    lower cell could beat it only by rounding, inside the allowance below.
+    Otherwise the largest left side at the top radius, less its rounding,
+    M, is at most a cell the call always evaluates, and a sample's cells
+    up to r whose bound at r is below M, with a 1e-12 relative rounding
+    allowance, are settled; the call evaluates the unsettled samples over
+    the suffix of the grid where some bound still reaches M.
+
+    A core with a reduced form (LemDOdd, LemDEven, Lem21), by
+    :func:`_reduced_least`: its margin is g(r) rho(y), y = r^(2p), with
+    g > 0 ascending and rho a polynomial per sample (:class:`_Reduced`).
+    One call evaluates every sample on the head of the grid, the first
+    bucket of a whole-grid call (:func:`_buckets`), so those cells are bit
+    for bit the ones a whole-grid call computes.  Each sample's least
+    Bernstein coefficient on [0, r_top^(2p)] of rho built to degree at
+    most 64, its constant lowered by a bound on the coefficients above
+    (less a 1e-12 relative allowance), bounds its margin below by g(r)
+    times it, which settles every radius past the first where that exceeds
+    the head's least.  A second call evaluates the samples left, if any,
+    over the radii they still need.
+
+    Every other core (ThmB, Thm31, the envelopes) evaluates every cell.
+    """
+    th = _THEOREMS[theorem_id]
+    if th.vanishing_start:
+        bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+    bound = float(max(1.0, bank.max(initial=0.0)))
+    _check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
+    _check_applicable(theorem_id, th, bank, m, p, grid, s)
+    extras = None if s is None else {"s": s}
+
+    def margins(mods, cols):
+        shape = (mods.shape[0], cols.size)
+        return theorem_margins(theorem_id, mods, m, p, cols, extras=extras,
+                               trunc_tol=trunc_tol, coeff_bound=bound,
+                               out=work.reshape(-1)[:math.prod(shape)].reshape(shape))
+
+    if th.reduced is not None:
+        return float(_reduced_least(th, bank, m, p, grid, bound, margins))
+    if caps is not None:
+        lhs, rhs = margins(bank, grid)
+        valid = grid[None, :] <= caps[:, None]
+        return float(np.subtract(rhs, lhs, out=lhs)[valid].min()) if valid.any() else None
+    mods, cols = (bank, grid) if th.rhs is not None else _unsettled(th, bank, m, p, grid, s)
+    return float(_least(*margins(mods, cols)))
 
 
 # ----------------------------------------------------------------------

@@ -30,37 +30,10 @@ id, and so are the t rows of a vector id at one shape.
 ``CampaignConfig`` refuses, before anything is allocated, a config whose
 samples x bank length or samples x grid points exceeds ``MAX_CELLS``.
 
-Which cells a row evaluates: a row reports the least margin of a cell it
-computed, and every cell it leaves out is certified above that least.
-Before any core call, the row runs once the checks a call over its whole
-bank and grid would make: the tail certificate at the top radius, on the
-coefficient bound of the whole bank, and each core's shape, window and
-start rules, so a cell it leaves out is checked too; every core call
-then takes that bound.  Two bounds settle cells.  A core with the bound
-1 (ThmC/Thm41, Thm32, Thm34 and Cor43, so also the Cor33 and Cor42 rows)
-on a row whose radius does not depend on the function: a sample's left
-side on [0, r] is at most the larger of its two nonnegative parity parts
-P and N at r, since both are nondecreasing in r.  Where N is 0 at the row's shape (no signed
-term, no modulus taken and no negative weight: Thm32 and Thm34), every
-left side is P itself, so one call over the whole bank at the top radius
-evaluates the least margin; a lower cell could beat it only by rounding,
-inside the allowance below.  Otherwise (ThmC/Thm41, Cor43) the largest
-left side at the top radius, M, is a cell the core call always
-evaluates, and cells whose bound is below M, by a rounding allowance of
-1e-12 relative, are settled; the call evaluates the unsettled samples
-over the suffix of the grid where some bound still reaches M.  A core
-with a reduced form (LemDOdd, LemDEven, Lem21): its margin is g(r)
-rho(y), y = r^(2p), with g > 0 ascending and rho a polynomial per
-sample.  One call evaluates every sample on the head of the grid, the
-first bucket of a whole-grid call, so those cells are bit for bit the
-ones a whole-grid call computes.  Each sample's least Bernstein
-coefficient on [0, r_top^(2p)] of rho built to degree at most 64, its
-constant lowered by a bound on the coefficients above (less a 1e-12
-relative rounding allowance), bounds its margin below by g(r) times it,
-which settles every radius past the first where that exceeds the head's
-least.  A second call, if any, evaluates the samples left over the radii
-they still need.  ThmB, Thm31's per-function rows and the envelopes
-evaluate every cell.
+Which cells a row evaluates: each core's least margin comes from
+``functionals.least_margin``, which evaluates only the cells that can
+hold it, next to the facts about the core that make the rest safe to
+leave out; its docstring states the rules.
 
 Vector rows (Cor42, Lem21) run at the worst unit direction of l_t^n, e_1,
 for every n and t >= 1: a direction z0 enters them only as the factor
@@ -75,7 +48,6 @@ in one batch; so identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -114,12 +86,6 @@ MAX_DEPTH = 64  # sampler parameters per function; the bank build is O(depth^2)
 MAX_CELLS = 1 << 25  # samples x bank length, and samples x grid points
 _RADIUS_MARGIN = 1e-3  # sweep stops this far below the solved radius
 _SCAN_OFFSET = 1e-2  # sharpness scans run this far above it
-# rounding a settled cell is allowed, relative to its parts' sum; the
-# margin core's is at most 7.1e-15 on sums up to 4.3
-_SETTLE_SLACK = 1e-12
-# degree of the Bernstein bounds of a reduced form; coefficients above it
-# go to the bound's tail, and at this degree every binomial stays finite
-_BERNSTEIN_DEGREE = 64
 
 
 def _as_list(name: str, value) -> tuple:
@@ -357,169 +323,20 @@ class _Shared:
     margins: Dict[tuple, Optional[float]]  # least margins by what determines them
 
 
-def _least(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """min over cells of rhs - lhs, written over lhs; NaN if any cell is NaN."""
-    return np.subtract(rhs, lhs, out=lhs).min()
-
-
-def _unsettled(th, bank, m, p, grid, s) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows of ``bank`` and the radii of ``grid`` whose cells a bound-1
-    core must evaluate.
-
-    Where N is 0 at (m, p) (``functionals._no_negative_part``) each left
-    side is P, nondecreasing in r, so the top radius alone holds the least
-    margin; a lower cell can beat it only by rounding, inside the
-    _SETTLE_SLACK allowance below.  Otherwise lhs_i <= max(P_i, N_i) on
-    [0, r] with both parts taken at r, since they are nondecreasing
-    (``functionals._Theorem``).  M, the largest left side at the top radius
-    less its rounding, is at most some real cell's value there; a sample's
-    cells up to r are settled where its bound at r, plus its rounding, is
-    below M, for none of them can then hold the least margin.  Rounding is
-    taken as _SETTLE_SLACK times P + N.  A NaN part or a NaN M settles
-    nothing.
-    """
-    if fn._no_negative_part(th, m, p):
-        return bank, grid[-1:]
-
-    def parts(mods, cols):
-        pos, neg = fn._parity_parts(th, mods, m, p, grid[cols], s)
-        slack = _SETTLE_SLACK * (pos + neg)
-        lhs = np.abs(pos - neg) if th.absolute else pos - neg
-        return np.maximum(pos, neg) + slack, lhs - slack
-
-    top = grid.size - 1
-    high, low = parts(bank, [top])
-    floor = low.max()
-    rows = np.flatnonzero(~(high[:, 0] < floor))
-    mods = bank if rows.size == bank.shape[0] else bank[rows]
-
-    def settled(cols):
-        return parts(mods, cols)[0].max(axis=0) < floor
-
-    # Columns up to a settled one are settled.  Try top - 1, top - 2,
-    # top - 4, ... and 0, then every column between the highest settled one
-    # and the next one tried above it.
-    tried = np.unique(np.append(top - (1 << np.arange(top.bit_length())), 0))
-    ok = settled(tried)
-    good = tried[ok].max(initial=-1)
-    between = np.arange(good + 1, tried[~ok & (tried > good)].min(initial=top))
-    if between.size:
-        good = between[settled(between)].max(initial=good)
-    return mods, grid[good + 1:]
-
-
-@functools.lru_cache(maxsize=None)
-def _bernstein_matrix(n: int) -> np.ndarray:
-    """M with b = a M: the degree-n Bernstein coefficients on [0, 1] of
-    sum_j a_j t^j are b_k = sum_(j <= k) C(k, j) / C(n, j) a_j (Farouki,
-    CAGD 2012), each ratio rounded once."""
-    matrix = np.array([[math.comb(k, j) / math.comb(n, j) for k in range(n + 1)]
-                       for j in range(n + 1)])
-    matrix.setflags(write=False)  # shared by every caller through the cache
-    return matrix
-
-
-def _reduced_floor(form, bank, m, p, top: float) -> np.ndarray:
-    """A lower bound on each sample's rho over [0, Y], Y = top^(2p).
-
-    ``functionals._reduced_polynomial`` builds rho only to degree
-    n = min(degree, _BERNSTEIN_DEGREE), with its constant lowered by a
-    bound on the tail sum_(j > n) |c_j| Y^j, so the polynomial is at most
-    rho on [0, Y].  Its least Bernstein coefficient on [0, Y] is at most its
-    least value there (Garloff 1986).  Less _SETTLE_SLACK times rho's size
-    at Y, for the rounding of this bound and of the cells it is held
-    against.
-    """
-    y = top ** (2 * p)
-    rho, size = fn._reduced_polynomial(form, bank, m, p, y, _BERNSTEIN_DEGREE)
-    n = rho.shape[1] - 1
-    least = (rho @ (y ** np.arange(n + 1)[:, None] * _bernstein_matrix(n))).min(axis=1)
-    return least - _SETTLE_SLACK * size
-
-
-def _reduced_least(core, bank, m, p, grid, bound, margins) -> float:
-    """Least margin of a core with a reduced form (``functionals._Reduced``)
-    over the bank and the grid, from the cells that can hold it;
-    ``margins(mods, cols)`` is the row's core call on the radii ``cols``.
-
-    Every sample is evaluated on the head of the grid, the first bucket a
-    whole-grid call would form, so those cells are the ones that call
-    computes, bit for bit.  Past the head, a sample's margin at r is
-    g(r) rho(y) >= g(r) L, with L its :func:`_reduced_floor`, less at most
-    ``skip`` for the columns the engine skips.  g ascends, so from the
-    first radius where g L - skip exceeds the head's least margin on, none
-    of the sample's cells can hold the least: they are settled.  One more
-    call evaluates the rest, the unsettled samples up to the last radius
-    any of them needs.  A NaN, or L <= 0, settles nothing.
-    """
-    th = fn._THEOREMS[core]
-    head = fn._first_bucket(core, bank.shape[1], m, p, grid, bound)
-    low = _least(*margins(bank, grid[:head]))
-    if head == grid.size:
-        return low
-    floor = _reduced_floor(th.reduced, bank, m, p, grid[-1])
-    a, b = th.reduced.scale
-    g = grid ** (a * p + b * m) / (1.0 - grid ** (2 * p))
-    g = np.minimum.accumulate(g[::-1])[::-1]  # ascending, and at most g at and after each radius
-    skip = fn._CUT_TOL * len(th.terms) * max(1.0, g[-1]) * bound ** 2
-    over = np.full(floor.shape, np.nan)  # searchsorted puts NaN past every radius
-    ok = floor > 0.0
-    over[ok] = (low + skip) / floor[ok]
-    stop = np.searchsorted(g, over, side="right")
-    rows = np.flatnonzero(stop > head)
-    if rows.size == 0:
-        return low
-    mods = bank if rows.size == bank.shape[0] else bank[rows]
-    # np.minimum keeps a NaN from either call
-    return np.minimum(low, _least(*margins(mods, grid[head:int(stop[rows].max())])))
-
-
 def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
-    """Least margin over the bank, the grid and the row's cores.
+    """Least margin over the bank, the grid and the row's cores, each from
+    ``functionals.least_margin``; (m, p) is the shape the cores run at.
 
-    (m, p) is the shape the cores run at; None when a per-function radius
-    leaves no (sample, radius) cell to check.  The checks a call over the
-    whole bank and grid would make run first, once: the tail certificate
-    on the row's coefficient bound and each core's shape, window and start
-    rules.  Each core is then evaluated by one call site, ``margins``, with
-    that bound, and writes its left side into the contiguous head of the
-    flat workspace ``work`` (a strided [:rows, :cols] view would spread it
-    over every row of the workspace, each as long as the campaign's
-    longest grid).  A core with a reduced form evaluates the cells
-    :func:`_reduced_least` leaves, a core with the bound 1 on a row whose
-    radius does not depend on the function those :func:`_unsettled`
-    leaves, and every other core every cell.
+    A row whose radius depends on the function checks each sample below
+    its own radius, and gets None where that leaves no (sample, radius)
+    cell.
     """
-    if row.rules.vanishing_start:
-        bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
-    bound = float(max(1.0, bank.max(initial=0.0)))
-    fn._check_truncation(bank.shape[1], m, p, grid, bound, config.trunc_tol)
-    extras = None if s is None else {"s": s}
+    caps = rad.thm31_radius(bank[:, 0], s) - _RADIUS_MARGIN if row.per_function else None
     least = None
     for core in row.cores:
-        th = fn._THEOREMS[core]
-        fn._check_applicable(core, th, bank, m, p, grid, s)
-
-        def margins(mods, cols):
-            shape = (mods.shape[0], cols.size)
-            return fn.theorem_margins(core, mods, m, p, cols, extras=extras,
-                                      trunc_tol=config.trunc_tol, coeff_bound=bound,
-                                      out=work.reshape(-1)[:math.prod(shape)].reshape(shape))
-
-        if th.reduced is not None:
-            low = _reduced_least(core, bank, m, p, grid, bound, margins)
-        elif row.per_function:
-            lhs, rhs = margins(bank, grid)
-            # each sample is checked below its own radius
-            radii = rad.thm31_radius(bank[:, 0], s)
-            valid = grid[None, :] <= radii[:, None] - _RADIUS_MARGIN
-            if not valid.any():
-                return None
-            low = np.subtract(rhs, lhs, out=lhs)[valid].min()
-        else:
-            mods, cols = ((bank, grid) if th.rhs is not None
-                          else _unsettled(th, bank, m, p, grid, s))
-            low = _least(*margins(mods, cols))
+        low = fn.least_margin(core, bank, m, p, grid, s, config.trunc_tol, work, caps)
+        if low is None:
+            return None
         # np.minimum keeps a NaN from any core; min() would drop a later one
         least = low if least is None else np.minimum(least, low)
     return float(least)

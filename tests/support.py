@@ -216,11 +216,11 @@ def every_cell_least(theorem_id, mods, m, p, grid, trunc_tol=functionals.DEFAULT
     """A core's least margin over every (sample, radius) cell.
 
     One ``theorem_margins`` call over the whole bank and grid, reduced by
-    ``harness._least``; a campaign row evaluates only the cells its parity
-    bounds leave unsettled.
+    ``functionals._least``; a campaign row evaluates only the cells its
+    parity bounds leave unsettled.
     """
     lhs, rhs = functionals.theorem_margins(theorem_id, mods, m, p, grid, trunc_tol=trunc_tol)
-    return harness._least(lhs, rhs)
+    return functionals._least(lhs, rhs)
 
 
 def every_cell_row_least(theorem, bank, m, p, grid):

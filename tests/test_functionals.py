@@ -320,7 +320,7 @@ BOUND_ONE_IDS = sorted(tid for tid, th in fn._THEOREMS.items() if th.rhs is None
 
 
 class TestParityParts:
-    """What a campaign's parity bound (``harness._unsettled``) rests on."""
+    """What a campaign's parity bound (``functionals._unsettled``) rests on."""
 
     @pytest.mark.parametrize("tid", BOUND_ONE_IDS)
     def test_weights_keep_sign_and_grow(self, tid):
@@ -366,7 +366,7 @@ def reduced_shapes(tid):
 
 
 class TestReducedForms:
-    """What a campaign's Bernstein bound (``harness._reduced_least``) rests on."""
+    """What a campaign's Bernstein bound (``functionals._reduced_least``) rests on."""
 
     def test_forms_are_the_lacunary_lemmas(self):
         assert REDUCED_IDS == ["Lem21", "LemDEven", "LemDOdd"]
@@ -393,7 +393,7 @@ class TestReducedForms:
                 for weight in (term.weight, term.sample_weight):
                     if weight is not None:
                         assert np.all(np.abs(weight(v)) <= np.maximum(1.0, g) * (1 + 4 * eps))
-            rho, size = fn._reduced_polynomial(th.reduced, bank, m, p, y[-1])
+            rho, size = fn._reduced_polynomial(th.reduced, bank, m, p, y[-1], bank.shape[1] + 1)
             got = g * full_psum(rho, np.arange(rho.shape[1]), y)
             # rounding of g * rho (rho's size at the top bounds it at every
             # radius) and of the right side, and the columns the engine skips
@@ -406,8 +406,8 @@ class TestReducedForms:
         # 1 and each part, with 1 - y taken as 1, sum to the size at y
         th = fn._THEOREMS[tid]
         bank = route_bank(1, 2)
-        rho, size = fn._reduced_polynomial(th.reduced, bank, 1, 2, 0.6)
-        _, whole = fn._reduced_polynomial(th.reduced, bank, 1, 2, 1.0)
+        rho, size = fn._reduced_polynomial(th.reduced, bank, 1, 2, 0.6, bank.shape[1] + 1)
+        _, whole = fn._reduced_polynomial(th.reduced, bank, 1, 2, 1.0, bank.shape[1] + 1)
         assert np.all(size >= np.abs(full_psum(rho, np.arange(rho.shape[1]), np.array([0.6]))[:, 0]))
         assert np.all(size <= whole) and np.all(size >= 1.0)
 
@@ -664,7 +664,7 @@ class TestLatticeCut:
             want = np.fmin(fn._cut_length(e0, d, r, b), n) if n > 1 else np.full(r.size, n)
             assert np.array_equal(count, want), (m, p, e0, d, n, b)
         if all(term.power != "s" for term in terms):
-            assert fn._first_bucket(tid, length, m, p, r, bound) == bucket_oracle(counts, r)[0][1]
+            assert fn._buckets(counts)[0][1] == bucket_oracle(counts, r)[0][1]
 
     @settings(max_examples=400, deadline=None)
     @given(count_table())
@@ -921,6 +921,15 @@ class TestOut:
         assert lhs is out and np.array_equal(out, want)
 
 
+class TestModsShape:
+    @pytest.mark.parametrize("shape", [(2, 3, 40), (2, 40, 3), (1, 2, 1, 40)])
+    def test_more_than_two_axes_raise(self, shape):
+        # not read as samples of the last axes' moduli, nor left to unpacking
+        with pytest.raises(ParameterOutOfRange, match="^mods must be") as err:
+            fn.theorem_margins("ThmC", np.full(shape, 0.01), 1, 3, [0.1, 0.2])
+        assert str(shape) in str(err.value)
+
+
 # (argument, value): a coefficient bound or truncation tolerance under
 # which no certificate holds; a bound of 0 cuts every column
 VOID_LIMITS = [("coeff_bound", 0.0), ("coeff_bound", -1.0), ("coeff_bound", math.nan),
@@ -938,6 +947,13 @@ class TestCertificateLimits:
     def test_length_refuses_a_void_limit(self, name, value):
         with pytest.raises(ParameterOutOfRange, match=f"^{name} must be a positive finite"):
             fn.lacunary_length_for(1, 3, 0.5, **{name: value})
+
+    @pytest.mark.parametrize("m, p", [(0, 1), (1, 3)])
+    def test_length_refuses_a_radius_that_is_not_a_number(self, m, p):
+        # NaN fails both r <= 0 and r >= 1; it must not take the r = 0 length
+        with pytest.raises(RadiusOutOfRange):
+            fn.lacunary_length_for(m, p, math.nan)
+        assert fn.lacunary_length_for(m, p, 0.0) == 1
 
 
 def admitted_shapes(tid, p_max=5):

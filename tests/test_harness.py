@@ -384,10 +384,10 @@ def test_least_equals_least_cell(seed, rhs_kind):
            "r": np.broadcast_to(rng.random(9) * 2.0, lhs.shape),
            "sample": rng.random((7, 1)) * rng.random(9)}[rhs_kind]
     want = (rhs - lhs).min()
-    got = hn._least(lhs.copy(), rhs)
+    got = fn._least(lhs.copy(), rhs)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     lhs[3, 4] = np.nan
-    assert math.isnan(hn._least(lhs, rhs))
+    assert math.isnan(fn._least(lhs, rhs))
 
 
 @pytest.mark.parametrize("theorem", ["LemD", "Lem21", "ThmC", "Thm34", "Cor43"])
@@ -405,11 +405,11 @@ def test_row_certifies_the_tail_of_every_sample(theorem):
     spike = 1e3 * cfg.trunc_tol * (1.0 - top ** 3) / top ** (bank.shape[1] * 3 + 1)
     i = 0
     if theorem == "ThmC":
-        kept, _ = hn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
+        kept, _ = fn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
         i = next(j for j in range(bank.shape[0]) if not (kept == bank[j]).all(axis=1).any())
     bank[i, -1] = spike
     if theorem == "ThmC":
-        kept, _ = hn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
+        kept, _ = fn._unsettled(fn._THEOREMS["ThmC"], bank, 1, 3, grid, None)
         assert kept.max() < spike  # the sample is settled
     with pytest.raises(TruncationInsufficient):
         fn.theorem_margins(row.cores[0], bank, 1, 3, grid)
@@ -534,7 +534,7 @@ class TestTopColumn:
 
     def test_rule_picks_thm32_and_thm34(self):
         # every _THEOREMS entry, through each row that runs it, at every
-        # shape with p <= 8; the rule is _row_margin's
+        # shape with p <= 8; the rule is functionals.least_margin's
         picked, seen = collections.defaultdict(set), set()
         for row in hn._ROWS.values():
             for core in row.cores:
@@ -640,10 +640,11 @@ class TestReducedRows:
         bank = np.vstack([np.abs(schur.sample_bank([seed ^ i for i in range(drawn)], depth,
                                                    length - 1)),
                           schur.family_moduli(family, length)])
-        floor = hn._reduced_floor(th.reduced, bank, m, p, top)
-        rho, _ = fn._reduced_polynomial(th.reduced, bank, m, p, top ** (2 * p))
+        floor = fn._reduced_floor(th.reduced, bank, m, p, top)
+        rho, _ = fn._reduced_polynomial(th.reduced, bank, m, p, top ** (2 * p),
+                                        bank.shape[1] + 1)
         dense = polynomial_dense_min(rho, top ** (2 * p))
-        event("tail" if rho.shape[1] > hn._BERNSTEIN_DEGREE + 1 else "no tail")
+        event("tail" if rho.shape[1] > fn._BERNSTEIN_DEGREE + 1 else "no tail")
         assert np.all(floor <= dense), (floor - dense).max()
 
     @pytest.mark.parametrize("name", REDUCED_CONFIGS)
@@ -684,7 +685,8 @@ class TestReducedRows:
         # each LemD core evaluates every sample on its head and the 64 family
         # rows alone past it
         for core in ("LemDOdd", "LemDEven"):
-            head = fn._first_bucket(core, length, 1, 3, grid, 1.0)
+            plan = fn._plan(fn._THEOREMS[core], 1, 3, length, None, 1.0)
+            head = fn._buckets(fn._cut_counts(plan.lattices, grid))[0][1]
             assert [n for c, *_, n in calls if c == core] == [
                 bank.shape[0] * head, 64 * (grid.size - head)]
 

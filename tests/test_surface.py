@@ -206,6 +206,37 @@ def test_series_exports_are_used(monkeypatch):
     assert [name for name in series.__all__ if name not in used | probed] == []
 
 
+# the settle rules, which live in functionals next to the facts they rest on
+SETTLE_RULES = ("_least", "_unsettled", "_bernstein_matrix", "_reduced_floor",
+                "_reduced_least", "_SETTLE_SLACK", "_BERNSTEIN_DEGREE")
+
+
+def test_harness_reads_no_settle_rule():
+    """``functionals.least_margin`` alone decides which cells hold a row's
+    least margin: ``harness`` reads from ``functionals`` only public names
+    and the ``_ROWS`` and ``_THEOREMS`` tables, and defines none of the
+    settle rules itself."""
+    tree = ast.parse((ROOT / "src" / "bohrcert" / "harness.py").read_text(encoding="utf-8"))
+    aliases, read, defined = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functionals":
+            read |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functionals"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            read.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    assert aliases and "least_margin" in read
+    assert sorted(name for name in read if name.startswith("_")) == ["_ROWS", "_THEOREMS"]
+    assert [name for name in SETTLE_RULES if name in defined or not hasattr(functionals, name)] == []
+
+
 
 def _modules_after(code):
     """Top-level modules a fresh interpreter holds after running ``code``."""
