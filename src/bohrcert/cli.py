@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -110,7 +111,6 @@ def _check_values(args) -> None:
 
 
 def _config_from_args(args) -> harness.CampaignConfig:
-    _check_values(args)
     given = [dest for dest in _VERIFY_KEYS if getattr(args, dest) is not None]
     if args.config:
         if given:
@@ -143,8 +143,17 @@ def _print_row(row: harness.ReportRow) -> None:
     )
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before a campaign runs, a report path that could not be written."""
+    folder = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        raise ParameterOutOfRange(f"cannot write a report to {path!r}: its directory is "
+                                  "missing or not writable, or it is a directory")
+
+
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
+    _check_output(config.output)
     report = harness.run_campaign(config, on_row=_print_row)
     harness.emit_report(report, config.format, config.output)
     if config.output != "-":

@@ -610,15 +610,25 @@ _ROWS = {
 }
 
 
-def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
-    if th.shape is not None and (m, p) != th.shape:
-        raise ShapeMismatch(
-            f"{theorem_id} is stated for shape (m, p) = {th.shape}, got ({m},{p})"
-        )
-    if th.odd_gap and p % 2 == 0:
+def _check_stated_shape(theorem_id: str, m: int, p: int) -> None:
+    """Refuse a shape other than the one ``theorem_id``'s entry is stated for."""
+    shape = _THEOREMS[theorem_id].shape
+    if shape is not None and (m, p) != shape:
+        raise ShapeMismatch(f"{theorem_id} is stated for shape (m, p) = {shape}, got ({m},{p})")
+
+
+def _check_shape_rules(theorem_id: str, m: int, p: int) -> None:
+    """Refuse a shape that fails any rule of ``theorem_id``'s entry: its one
+    stated shape, an odd gap, m >= 1."""
+    _check_stated_shape(theorem_id, m, p)
+    if _THEOREMS[theorem_id].odd_gap and p % 2 == 0:
         raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
-    if th.positive_m and m < 1:
+    if _THEOREMS[theorem_id].positive_m and m < 1:
         raise ShapeMismatch(f"{theorem_id} is stated for shapes with m >= 1, got m={m}")
+
+
+def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
+    _check_shape_rules(theorem_id, m, p)
     if th.vanishing_start and np.any(mods[:, 0] > 1e-12):
         raise ShapeMismatch(
             "this bound needs a vanishing lattice start (mu_0 = 0); "

@@ -384,11 +384,7 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
     if row.scan is not None and radius is not None and not (row.scan_m0_only and m != 0):
         at = radius + _SCAN_OFFSET
         if 0.0 < at < 1.0:
-            # The scan's default order 512 where it certifies ``at``, so those
-            # scans read the same columns; more where the row's shape needs them.
-            order = max(512, cm + cp * fn.lacunary_length_for(cm, cp, at))
-            sharp = md.sharpness_scan(row.scan, cp, cm, at, shared.scan_grid, s=s,
-                                       order=order)
+            sharp = md.sharpness_scan(row.scan, cp, cm, at, shared.scan_grid, s=s)
 
     ok = True
     if min_margin is not None and not min_margin >= -config.tol:

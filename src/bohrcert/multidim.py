@@ -37,8 +37,10 @@ from .functionals import (
     DEFAULT_TRUNC_TOL,
     InequalityCheck,
     LacunaryProfile,
+    _check_shape_rules,
     _cut_length,
     evaluate_theorem,
+    lacunary_length_for,
     theorem_margins,
 )
 from .schur import _seed_ints, extremal_family, family_moduli
@@ -64,6 +66,13 @@ SLICE_KINDS = ("SharpThm34", "SharpThm41", "SharpCor42", "GeneralZG")
 # the families of the rows' scans, in row order
 SCAN_IDS = tuple(dict.fromkeys(row.scan for row in _ROWS.values() if row.scan))
 MAX_SCAN_STEPS = 1 << 16  # family parameters of a default scan grid
+# A family table holds at least the lattice moduli up to order 512: every
+# scan that an order-512 table certifies reads those columns, and a
+# shorter table would change the bits of its result.
+MIN_SCAN_ORDER = 512
+# family parameters x lattice moduli of one scan's table; the largest
+# order-512 table, (MAX_SCAN_STEPS + 6) x 513 cells, fits about twice
+MAX_SCAN_CELLS = 1 << 26
 
 # named slice kind -> (its extremal_family E, the fixed (m, p) if any)
 _NAMED_SLICES = {
@@ -370,13 +379,17 @@ def sharpness_scan(
     r: float,
     a_grid: Sequence[float],
     s: Optional[float] = None,
-    order: int = 512,
 ) -> float:
     """Max over the family parameter of the extremal left side at radius r.
 
-    Thm31 and Thm32 read their ``_ENVELOPES`` entry; Thm34, Thm41 and
-    Cor43 evaluate their catalog core on the lifted automorphism family,
-    stored to ``order``.
+    Every scan first applies its core's ``_THEOREMS`` shape rules (its one
+    stated shape, an odd gap, m >= 1).  Thm31 and Thm32 read their
+    ``_ENVELOPES`` entry; Thm34, Thm41 and Cor43 evaluate their catalog
+    core on the lifted automorphism family.  Its table holds the lattice
+    moduli that certify r, and at least those up to order
+    ``MIN_SCAN_ORDER``, but none past the 2^-64 lattice cut at r, so any
+    radius the cut reaches is certified.  A table of more than
+    ``MAX_SCAN_CELLS`` cells is refused before it is built.
 
     Every family member is a valid class member, so the max stays <= 1
     below the sharp radius and exceeds 1 above it (for Thm31 the
@@ -385,6 +398,7 @@ def sharpness_scan(
     if theorem_id not in SCAN_IDS:
         raise UnknownTheorem(f"no sharpness scan for id {theorem_id!r}")
     check_shape(m, p, "scans")
+    _check_shape_rules(theorem_id, m, p)
     a = np.asarray(a_grid, dtype=float)
     if a.size == 0:
         raise ParameterOutOfRange("empty family-parameter grid")
@@ -396,10 +410,15 @@ def sharpness_scan(
     envelope = _ENVELOPES.get(theorem_id)
     if envelope is not None:
         return float(envelope(a, p, m, r, s).max())
-    # Family moduli are at most 1; columns past the lattice cut at r add
-    # nothing, and the order-limited length still fails the certificate
-    # wherever the order cannot certify r.
-    length = max(2, int(min((order - m) // p + 1, _cut_length(m, p, r, 1.0))))
+    # Family moduli are at most 1, so columns past the lattice cut at r add
+    # nothing; below the cut the table holds the moduli that certify r, and
+    # never fewer than those of order MIN_SCAN_ORDER.
+    floor = max((MIN_SCAN_ORDER - m) // p + 1, lacunary_length_for(m, p, r) + 1)
+    length = max(2, int(min(floor, _cut_length(m, p, r, 1.0))))
+    if a.size * length > MAX_SCAN_CELLS:
+        raise ParameterOutOfRange(
+            f"a scan at r={r} needs {a.size} x {length} family moduli "
+            f"(cap {MAX_SCAN_CELLS} cells)")
     mods = family_moduli(a, length)
     # a lookup in this module: perfbench probes ``multidim.theorem_margins``
     lhs, _ = theorem_margins(theorem_id, mods, m, p, [r])

@@ -25,6 +25,7 @@ from .errors import (
     UnknownTheorem,
     check_shape,
 )
+from .functionals import _THEOREMS, _check_stated_shape
 
 __all__ = [
     "RADIUS_IDS",
@@ -93,6 +94,8 @@ class RadiusSpec:
         if self.id not in RADIUS_IDS:
             raise UnknownTheorem(f"no radius equation with id {self.id!r}")
         check_shape(self.m, self.p, "radius spec")
+        if self.id in _THEOREMS:  # an equation named after its core keeps the core's shape
+            _check_stated_shape(self.id, self.m, self.p)
         object.__setattr__(self, "extras", dict(self.extras))
         if self.id == "Thm31":
             a0 = self.extras.get("a0")

@@ -22,7 +22,7 @@ from bohrcert import harness as hn
 from bohrcert import multidim as md
 from bohrcert import radius as rad
 from bohrcert import schur
-from bohrcert.cli import MAX_TABLE_P, _config_from_args, build_parser
+from bohrcert.cli import MAX_TABLE_P, _check_values, _config_from_args, build_parser
 from bohrcert.cli import main as cli_main
 from bohrcert.errors import (BohrcertError, CampaignError, ParameterOutOfRange,
                              TruncationInsufficient)
@@ -913,6 +913,24 @@ class TestCli:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) > 1.0
 
+    def test_sharpness_certifies_high_gap_radius(self, capsys):
+        # (0, 7) at 0.97 needs more lattice moduli than an order-512 table holds
+        code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "7", "--m", "0",
+                         "--r", "0.97"])
+        assert code == 0
+        assert capsys.readouterr().out == "2.3273827082824\n"
+
+    # Thm31 is stated for (m, p) = (0, 1) only
+    @pytest.mark.parametrize("argv", [
+        ["sharpness", "--theorem", "Thm31", "--p", "3", "--m", "2", "--r", "0.5", "--s", "1"],
+        ["radius", "--theorem", "Thm31", "--p", "3", "--m", "2", "--a0", "0.5", "--s", "1"],
+    ])
+    def test_thm31_other_shape_exits_two(self, argv, capsys):
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "bohrcert: error: Thm31 is stated for shape (m, p) = (0, 1), got (2,3)\n"
+
     def test_table_command(self, capsys):
         outs = {}
         for fmt in ("csv", None):  # None: the default text format
@@ -1157,6 +1175,24 @@ class TestCli:
             "bohrcert: error: a campaign needs at least one theorem\n")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("output, via_config", [
+        ("missing/r.json", False), ("missing/r.json", True), (".", False),
+    ])
+    def test_verify_unwritable_output_exits_before_running(self, output, via_config, tmp_path,
+                                                           capsys):
+        output = str(tmp_path / output)
+        argv = ["verify", "--theorems", "ThmB", "--samples", "2", "--output", output]
+        if via_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"theorems": ["ThmB"], "samples": 2, "output": output}))
+            argv = ["verify", "--config", str(path)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        # the one stderr line is the error: no row ran, so no progress line
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("bohrcert: error:")
+        assert os.path.dirname(output) in err
+
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -1201,6 +1237,7 @@ class TestInputFuzz:
         argv = ["verify"] + [f"--{k}={v}" for k, v in flags.items() if v is not None]
         args = build_parser().parse_args(argv)
         try:
+            _check_values(args)  # as ``main`` checks every command's flags first
             cfg = _config_from_args(args)
         except BohrcertError:
             return

@@ -12,10 +12,10 @@ from bohrcert import schur
 from bohrcert.series import TruncatedSeries
 from bohrcert.errors import (
     DegenerateDirection,
+    OddGapRequired,
     ParameterOutOfRange,
     RadiusOutOfRange,
     ShapeMismatch,
-    TruncationInsufficient,
     UnknownTheorem,
 )
 
@@ -430,8 +430,66 @@ class TestSharpnessScan:
                 got = md.sharpness_scan(scan_id, p, m, at, grid)
                 assert abs(got - want.max()) <= 1e-15 + reorder.max()
 
-    def test_order_still_limits_certified_radius(self):
-        # order 512 leaves 85 moduli for (m, p) = (6, 6); 86 certify this radius
-        r = rad.solve_radius(rad.RadiusSpec("ThmC34", 6, 6)) + 0.01
-        with pytest.raises(TruncationInsufficient, match="need at least 86 lattice moduli, have 85"):
-            md.sharpness_scan("Thm34", 6, 6, r, md.default_scan_grid(256))
+    # the scans of the radius table, p <= 8, that a table of order 512
+    # could not certify at radius + 0.01
+    @pytest.mark.parametrize("scan_id, p, m", [
+        ("Thm34", 6, 6),
+        *[(scan_id, 7, m) for m in (4, 5, 6, 7) for scan_id in ("Thm34", "Thm41")],
+        *[("Thm34", 8, m) for m in range(1, 9)],
+    ])
+    def test_table_reaches_the_certified_radius(self, scan_id, p, m):
+        # the scan straddles 1, and above the radius it matches the whole
+        # family table to the lattice cut, each term summed as written,
+        # within the bound on any reordering
+        grid = md.default_scan_grid(256)
+        r = rad.solve_radius(rad.RadiusSpec("ThmC34", p, m))
+        assert md.sharpness_scan(scan_id, p, m, r - 0.01, grid) <= 1.0
+        got = md.sharpness_scan(scan_id, p, m, r + 0.01, grid)
+        assert got > 1.0
+        table = schur.family_moduli(grid, int(fn._cut_length(m, p, r + 0.01, 1.0)))
+        want, reorder = written_lhs(scan_id, table, m, p, [r + 0.01])
+        assert abs(got - want.max()) <= 1e-15 + reorder.max()
+
+    def test_table_cap_refuses_before_allocating(self, monkeypatch):
+        # 65 542 x 29 920 cells at r = 0.999; the stub fails the test
+        # rather than allocate them
+        def no_table(a, length):
+            pytest.fail(f"a {a.size} x {length} family table was built")
+
+        monkeypatch.setattr(md, "family_moduli", no_table)
+        grid = md.default_scan_grid(md.MAX_SCAN_STEPS)
+        with pytest.raises(ParameterOutOfRange, match=f"cap {md.MAX_SCAN_CELLS} cells"):
+            md.sharpness_scan("Thm34", 1, 0, 0.999, grid)
+        # the largest order-512 table, which every scan read before, fits
+        assert grid.size * (md.MIN_SCAN_ORDER + 1) <= md.MAX_SCAN_CELLS
+
+    def test_table_cap_counts_the_table_cells(self, monkeypatch):
+        grid = md.default_scan_grid(64)
+        cells = []
+
+        def record(a, length):
+            cells.append(a.size * length)
+            return schur.family_moduli(a, length)
+
+        monkeypatch.setattr(md, "family_moduli", record)
+        want = md.sharpness_scan("Thm41", 3, 1, 0.9, grid)
+        monkeypatch.setattr(md, "MAX_SCAN_CELLS", cells[0])
+        assert md.sharpness_scan("Thm41", 3, 1, 0.9, grid) == want
+        monkeypatch.setattr(md, "MAX_SCAN_CELLS", cells[0] - 1)
+        with pytest.raises(ParameterOutOfRange, match=f"cap {cells[0] - 1} cells"):
+            md.sharpness_scan("Thm41", 3, 1, 0.9, grid)
+        assert len(cells) == 2
+
+    @pytest.mark.parametrize("scan_id, p, m", [("Thm41", 2, 0), ("Cor43", 4, 1)])
+    def test_odd_gap_refused_before_the_table(self, scan_id, p, m, monkeypatch):
+        def no_table(a, length):
+            pytest.fail(f"a {a.size} x {length} family table was built")
+
+        monkeypatch.setattr(md, "family_moduli", no_table)
+        with pytest.raises(OddGapRequired):
+            md.sharpness_scan(scan_id, p, m, 0.5, md.default_scan_grid(64))
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (1, 1), (2, 0)])
+    def test_thm31_scan_keeps_its_shape(self, p, m):
+        with pytest.raises(ShapeMismatch, match=r"stated for shape \(m, p\) = \(0, 1\)"):
+            md.sharpness_scan("Thm31", p, m, 0.5, [0.5], s=1.0)

@@ -8,6 +8,7 @@ from bohrcert.errors import (
     NoSignChange,
     ParameterOutOfRange,
     RadiusOutOfRange,
+    ShapeMismatch,
     ToleranceTooSmall,
     UnknownTheorem,
 )
@@ -51,6 +52,12 @@ class TestEquationValue:
             rd.RadiusSpec("Thm31", extras={"a0": 1.2, "s": 1.0})
         with pytest.raises(ParameterOutOfRange):
             rd.RadiusSpec("Thm31", extras={"a0": 0.2})
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (1, 1), (2, 0)])
+    def test_thm31_keeps_its_shape(self, p, m):
+        # its core is stated for (m, p) = (0, 1) only
+        with pytest.raises(ShapeMismatch, match=r"stated for shape \(m, p\) = \(0, 1\)"):
+            rd.RadiusSpec("Thm31", p, m, {"a0": 0.5, "s": 1.0})
 
 
 class TestSolveRadius:
