@@ -52,13 +52,14 @@ as two terms over the same lattice slice.  At a shape, a term's lattice
 is (e0, d, n, bound): n columns with the exponents e0 + j d and w_k at
 most bound = coeff_bound^power; ``_plan`` caches a core's lattices,
 exponent vectors and signs per shape, bank length, s and bound.  A call
-computes its terms' column counts per radius once, one row per distinct
-lattice.  On any grid but a single radius the terms are summed together:
-per-sample weights are folded into the stacked columns w_k (already
-powered or signed), per-radius weights into the table of powers r^e, and
-radii are grouped into buckets by the power-of-two ceiling of their
+computes every term's column counts in one stacked (terms, radii) pass.
+On any grid but a single radius the terms are summed together:
+per-sample weights are folded into the stacked columns w_k (powered or
+signed once per slice), per-radius weights into the table of powers r^e,
+and radii are grouped into buckets by the power-of-two ceiling of their
 largest column count (where it ascends, one searchsorted for the counts
-2^j + 1), so the whole left side is one matrix product per bucket
+2^j + 1; one bucket, one max per term, where they share a group), so
+the whole left side is one matrix product per bucket
 written into one (samples, radii) array, the caller's ``out`` when it
 passes one.  A single radius sums each term on its own instead, as one
 fused sum read in place from its lattice slice of the moduli (its signs
@@ -200,23 +201,19 @@ def _cut_counts(lattices, r: np.ndarray, tol=_CUT_TOL) -> np.ndarray:
     That is the least c with bound * r^(e0 + c d) / (1 - r^d) <= tol, which
     bounds the whole tail from column c on, capped at n; at r = 0 only a
     zero exponent counts.  A count that is not a number, or a lattice of at
-    most one column, takes all n.  Lattices equal but for n share one
-    uncapped row, lattices with one step d and bound share its logarithms,
-    and log r is taken once for all of them.
+    most one column, takes all n.  Every lattice's counts come from one
+    stacked (lattices, radii) pass with e0, d, n and bound as columns; with
+    d a column, each row's r^d has the bits of r ** d for its scalar d.
     """
-    counts = np.empty((len(lattices), *r.shape))
-    rows, logs = {}, {}
-    at_zero = not r.min(initial=1.0) > 0.0  # NaN too
-    with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-        for j, (e0, d, n, bound) in enumerate(lattices):
-            if n > 1 and (e0, d, bound) not in rows:
-                if (d, bound) not in logs:
-                    logs[d, bound] = np.log(tol * (1.0 - r ** d) / bound) / log_r
-                need = np.maximum(np.ceil((logs[d, bound] - e0) / d), 0.0)
-                rows[e0, d, bound] = np.where(r > 0.0, need, float(e0 == 0)) if at_zero else need
-            counts[j] = np.fmin(rows[e0, d, bound], n) if n > 1 else n
-    return counts
+    if r.ndim == 0:
+        return _cut_counts(lattices, r[None], tol)[:, 0]
+    e0, d, n, bound = np.asarray(lattices, dtype=float).T[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.ceil((np.log(tol * (1.0 - r ** d) / bound) / np.log(r) - e0) / d)
+    if not np.minimum.reduce(r, initial=1.0) > 0.0:  # NaN too
+        need = np.where(r > 0.0, need, e0 == 0.0)
+    # at least 0, or all n where n <= 1, and at most n; a NaN takes n
+    return np.fmin(np.maximum(need, np.where(n > 1.0, 0.0, n)), n)
 
 
 def _cut_length(e0, d, r, bound, tol=_CUT_TOL):
@@ -255,31 +252,45 @@ def lacunary_length_for(m: int, p: int, r: float, trunc_tol: float = DEFAULT_TRU
 # ----------------------------------------------------------------------
 
 
-def _as_r_grid(r) -> np.ndarray:
+def _as_r_grid(r) -> Tuple[np.ndarray, float, float]:  # its least and largest radius, or 1 and 0
     grid = np.atleast_1d(np.asarray(r, dtype=float))
     if grid.ndim != 1:
         raise ParameterOutOfRange("radius grid must be one-dimensional")
-    if grid.size and not (grid.min() >= 0.0 and grid.max() < 1.0):  # NaN fails too
-        raise RadiusOutOfRange(
-            f"radii must lie in [0, 1), got range [{grid.min()}, {grid.max()}]"
-        )
-    return grid
+    lo, hi = float(grid.min(initial=1.0)), float(grid.max(initial=0.0))
+    if not (lo >= 0.0 and hi < 1.0):  # NaN fails too
+        raise RadiusOutOfRange(f"radii must lie in [0, 1), got range [{lo}, {hi}]")
+    return grid, lo, hi
 
 
 def _buckets(counts: np.ndarray) -> Tuple[list, list]:
     """Edges of the buckets :func:`_products` splits a grid into, and each
     term's largest count in each, from the (terms, radii) counts: where the
     largest count over the terms ascends, a bucket starts where it first
-    reaches 2^j + 1 (a power-of-two group); any other grid is one bucket."""
+    reaches 2^j + 1 (a power-of-two group); any other grid is one bucket,
+    as is one whose first and last largest counts share a group (every grid
+    call of a fine_grid pass), and takes one max per term, which need not
+    be the term's count where the largest count is."""
     most = counts.max(axis=0)
-    edges = [0, most.size]
-    if most.size > 1 and (most[1:] >= most[:-1]).all():
-        first, last = (max(int(c) - 1, 0).bit_length() for c in most[[0, -1]])  # ceil(log2 c)
-        cuts = np.searchsorted(most, [(1 << j) + 1 for j in range(first, last)])
-        edges[1:1] = dict.fromkeys(cuts.tolist())
-    if not most.size:
-        return edges, [[0] * len(counts)]
-    return edges, np.maximum.reduceat(counts, edges[:-1], axis=1).astype(int).T.tolist()
+    if most.size > 1:
+        first, last = (max(int(c) - 1, 0).bit_length() for c in (most[0], most[-1]))  # ceil(log2 c)
+        if first < last and (most[1:] >= most[:-1]).all():
+            cuts = np.searchsorted(most, [(1 << j) + 1 for j in range(first, last)])
+            edges = [0, *dict.fromkeys(cuts.tolist()), most.size]
+            return edges, np.maximum.reduceat(counts, edges[:-1], axis=1).astype(int).T.tolist()
+    return [0, most.size], [np.maximum.reduce(counts, axis=1, initial=0).astype(int).tolist()]
+
+
+def _stack(terms, plan: _Plan, width, mods, v: _Vars, s) -> np.ndarray:
+    """Term j's first width[j] columns w_k times its per-sample weight, side by side."""
+    built = {}  # first term of a slice and power -> its columns, as far as its sharers read
+    for first, n in zip(plan.firsts, width):
+        built[first] = max(built.get(first, 0), n)
+    for j, n in built.items():
+        built[j] = _columns(terms[j], mods, s, plan.signs[j], n)
+    parts = [built[first][:, :n] if term.sample_weight is None
+             else built[first][:, :n] * term.sample_weight(v)
+             for term, first, n in zip(terms, plan.firsts, width)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _products(terms, plan: _Plan, counts, mods, v: _Vars, s, out=None) -> np.ndarray:
@@ -290,28 +301,21 @@ def _products(terms, plan: _Plan, counts, mods, v: _Vars, s, out=None) -> np.nda
     its per-sample weight, and takes counts[j] (:func:`_cut_counts`)
     columns at each radius.  The grid is split into the buckets of
     :func:`_buckets`, and each bucket is one product of the columns its
-    terms take with a table of their weighted powers.  The terms' columns
-    are built only as far as any bucket reads them and stacked once, term
-    after term; a lone term's are the stack, so columns read from the
-    moduli stay views.  A bucket that reads a prefix of the stack (one term
-    always does) reads it as a view, and any other bucket gathers its
-    columns.  The sums are written into ``out`` when one is given.
+    terms take with a table of their weighted powers; on one bucket, which
+    takes every column the terms read, that is one product.  The terms'
+    columns are built only as far as any bucket reads them, once per slice
+    and power (terms that share them, as LemDEven's two square sums do,
+    read one build), and stacked by one concatenate, term after term; a
+    lone term's are the stack, so columns read from the moduli stay views.
+    A bucket that reads a prefix of the stack (one term always does) reads
+    it as a view, and any other bucket gathers its columns.  The sums are
+    written into ``out`` when one is given.
     """
     r = v.r
     edges, takes = _buckets(counts)
-    width = [max(col) for col in zip(*takes)]  # columns of each term any bucket reads
+    width = takes[0] if len(takes) == 1 else [max(col) for col in zip(*takes)]
     starts = [0, *itertools.accumulate(width)]
-
-    def columns(j, n):
-        w = _columns(terms[j], mods, s, plan.signs[j], n)
-        return w if terms[j].sample_weight is None else w * terms[j].sample_weight(v)
-
-    if len(terms) == 1:
-        stack = columns(0, width[0])
-    else:
-        stack = np.empty((mods.shape[0], starts[-1]))
-        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            stack[:, lo:hi] = columns(j, hi - lo)[:, :hi - lo]
+    stack = _stack(terms, plan, width, mods, v, s)
     exps = np.concatenate([e[:n] for e, n in zip(plan.exps, width)])
     weights = [None if term.weight is None else term.weight(v) for term in terms]
     if out is None:
@@ -331,10 +335,7 @@ def _products(terms, plan: _Plan, counts, mods, v: _Vars, s, out=None) -> np.nda
     return out
 
 
-def _check_truncation(K, m, p, r, coeff_bound, trunc_tol):
-    if r.size == 0:
-        return
-    rmax = float(r.max())
+def _check_truncation(K, m, p, rmax: float, coeff_bound, trunc_tol):
     if rmax <= 0.0:
         return
     tail = coeff_bound * rmax ** (K * p + m) / (1.0 - rmax ** p)
@@ -357,12 +358,13 @@ class _Vars(NamedTuple):
     mu1: np.ndarray  # (S, 1); zeros for one-modulus profiles
     m: int
     p: int
+    den: np.ndarray  # (R,) 1 - r^(2p), which most weights and right sides divide by
 
 
 def _vars(mods: np.ndarray, r: np.ndarray, m: int, p: int) -> _Vars:
     """The :class:`_Vars` of an (S, K) moduli matrix on the radii r."""
     mu1 = mods[:, 1:2] if mods.shape[1] > 1 else np.zeros((mods.shape[0], 1))
-    return _Vars(r, mods[:, :1], mu1, m, p)
+    return _Vars(r, mods[:, :1], mu1, m, p, 1.0 - r ** (2 * p))
 
 
 @dataclass(frozen=True)
@@ -450,10 +452,6 @@ _EVEN = slice(2, None, 2)
 _FROM2 = slice(2, None)
 
 
-def _den(v: _Vars) -> np.ndarray:
-    return 1.0 - v.r ** (2 * v.p)
-
-
 def _over_one_plus_mu0(v: _Vars) -> np.ndarray:
     return 1.0 / (1.0 + v.mu0)
 
@@ -492,14 +490,14 @@ _THEOREMS = {
     #                    - sum_{k>=1} mu_k^2 y^k)
     "LemDOdd": _Theorem(
         (_Term(_ODD, 1, (1, 0, 0)),
-         _Term(_ALL, 2, (2, 0, 0), lambda v: v.r ** v.p / _den(v))),
-        rhs=lambda v: v.r ** v.p / _den(v),
+         _Term(_ALL, 2, (2, 0, 0), lambda v: v.r ** v.p / v.den)),
+        rhs=lambda v: v.r ** v.p / v.den,
         reduced=_Reduced((1, 0), (_Part(_ALL, 2), _Part(_ODD, 1, damped=True)))),
     "LemDEven": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 0)),
          _Term(_TAIL, 2, (2, 0, 0), sample_weight=_over_one_plus_mu0),
-         _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r ** (2 * v.p) / _den(v))),
-        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / _den(v)),
+         _Term(_TAIL, 2, (2, 0, 0), lambda v: v.r ** (2 * v.p) / v.den)),
+        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p) / v.den),
         reduced=_Reduced((2, 0), (
             _Part(_FIRST, 2), _Part(_EVEN, 1, damped=True),
             _Part(_TAIL, 2, damped=True, sample_weight=_over_one_plus_mu0),
@@ -508,7 +506,7 @@ _THEOREMS = {
     "ThmC": _Theorem(
         (_ALTERNATING,
          _Term(_ALL, 2, (2, 0, 0),
-               lambda v: (-1.0) ** (v.m + v.p) * (v.r ** (v.p + v.m) / _den(v)))),
+               lambda v: (-1.0) ** (v.m + v.p) * (v.r ** (v.p + v.m) / v.den))),
         absolute=True, odd_gap=True),
     "Thm31": _Theorem((_Term(slice(0, 1), "s", (0, 0, 0)),) + _REFINED, shape=(0, 1)),
     # 1/(r^(p+m) + Lambda) with Lambda = mu_1 r^(p+m) folds into the
@@ -524,13 +522,13 @@ _THEOREMS = {
     "Thm34": _Theorem(
         (_Term(_ODD, 1, (1, 0, 1)),
          _Term(_ALL, 2, (2, 0, 2),
-               lambda v: v.r ** (v.p - v.m) / _den(v)))),
+               lambda v: v.r ** (v.p - v.m) / v.den))),
     # 1/(r^m + Gamma) with Gamma = mu_0 r^m folds into the exponents the
     # same way; both square sums stay finite at r = 0.
     "Cor43": _Theorem(
         (_ALTERNATING,
          _Term(_ALL, 2, (2, 0, 1), sample_weight=lambda v: (-1.0) ** v.m / (1.0 + v.mu0)),
-         _Term(_ALL, 2, (2, 2, 1), lambda v: (-1.0) ** v.m / _den(v))),
+         _Term(_ALL, 2, (2, 2, 1), lambda v: (-1.0) ** v.m / v.den)),
         absolute=True, odd_gap=True),
     "BombieriUpper": _Theorem(
         _MAJORANT, rhs=lambda v: (3.0 - np.sqrt(8.0 * (1.0 - v.r ** 2))) / v.r,
@@ -547,7 +545,7 @@ _THEOREMS = {
     #   r^(2p+m)/(1-y) * (1 - nu_0^2 - (1-y) sum_{j>=1} nu_{2j} y^(j-1)).
     "Lem21": _Theorem(
         (_Term(_EVEN, 1, (1, 0, 1)),),
-        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p + v.m) / _den(v)),
+        rhs=lambda v: (1.0 - v.mu0 ** 2) * (v.r ** (2 * v.p + v.m) / v.den),
         positive_m=True,
         reduced=_Reduced((2, 1), (_Part(_FIRST, 2), _Part(_EVEN, 1, damped=True)))),
 }
@@ -627,16 +625,17 @@ def _check_shape_rules(theorem_id: str, m: int, p: int) -> None:
         raise ShapeMismatch(f"{theorem_id} is stated for shapes with m >= 1, got m={m}")
 
 
-def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
+def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, rmin, rmax, s) -> None:
+    """Refuse what ``theorem_id`` is not stated for, on radii from rmin to rmax."""
     _check_shape_rules(theorem_id, m, p)
     if th.vanishing_start and np.any(mods[:, 0] > 1e-12):
         raise ShapeMismatch(
             "this bound needs a vanishing lattice start (mu_0 = 0); "
             f"got mu_0 up to {float(mods[:, 0].max()):.3e}"
         )
-    if th.window is not None and r.size:
+    if th.window is not None:
         lo, hi = th.window
-        if r.min() < lo - 1e-12 or r.max() > hi + 1e-12:
+        if rmin < lo - 1e-12 or rmax > hi + 1e-12:
             raise RadiusOutOfWindow(
                 f"{theorem_id} envelope valid for {lo:.6f} <= r <= {hi:.6f}"
             )
@@ -644,15 +643,18 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, r, s) -> None:
         raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
-_Plan = NamedTuple("_Plan", [("lattices", tuple), ("exps", tuple), ("signs", tuple)])
+_Plan = NamedTuple("_Plan", [("lattices", np.ndarray), ("exps", tuple), ("signs", tuple),
+                             ("firsts", tuple)])
 
 
 @functools.lru_cache(maxsize=256)
 def _plan(th: _Theorem, m, p, length, s, coeff_bound) -> _Plan:
     """A core's terms over ``length`` moduli at (m, p): term j's n columns
     have the exponents exps[j] = e0 + i d, i < n, and w_k at most bound, for
-    lattices[j] = (e0, d, n, bound); signs[j] is a signed term's (-1)^(kp+m),
-    else None.  Its arrays are read-only, as every call shares them."""
+    the row lattices[j] = (e0, d, n, bound) of one (terms, 4) array; signs[j]
+    is a signed term's (-1)^(kp+m), else None; firsts[j] is the first term
+    with term j's slice and power, whose w_k term j shares.  Its arrays are
+    read-only, as every call shares them."""
     lattices, exps, signs = [], [], []
     for term in th.terms:
         a, b, c = term.exps
@@ -667,10 +669,13 @@ def _plan(th: _Theorem, m, p, length, s, coeff_bound) -> _Plan:
         exps.append(e0 + d * np.arange(len(k), dtype=float))
         signs.append(np.where((np.arange(length)[term.cols] * p + m) % 2 == 0, 1.0, -1.0)
                      if term.power == "signed" else None)
-    for x in (*exps, *signs):
+    lattices = np.array(lattices, dtype=float)
+    for x in (lattices, *exps, *signs):
         if x is not None:
             x.setflags(write=False)
-    return _Plan(tuple(lattices), tuple(exps), tuple(signs))
+    firsts = tuple(next(i for i, u in enumerate(th.terms) if (u.cols, u.power) == (t.cols, t.power))
+                   for t in th.terms)
+    return _Plan(lattices, tuple(exps), tuple(signs), firsts)
 
 
 def _columns(term: _Term, mods, s, signs=None, n: Optional[int] = None) -> np.ndarray:
@@ -702,7 +707,8 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
     # one-radius scans, and a scan_table pass 168 one-radius calls on ~2060
     # family rows.  Whole-grid calls remain in ThmB, Thm31 and the envelope
     # rows (190, 75 and 49 radii at test_criterion_2's 0.005 step).  Calls
-    # this small cost mostly planning, so the plan comes from the cache.
+    # this small cost mostly planning, so the plan comes from the cache and
+    # the counts from one stacked pass; every fine_grid grid call is one bucket.
     if r.size != 1:
         lhs = _products(th.terms, plan, counts, mods, v, s, out)
     else:
@@ -730,7 +736,9 @@ def _evaluate(th: _Theorem, mods, m, p, r, s, coeff_bound, out) -> Tuple[np.ndar
         np.abs(lhs, out=lhs)
     if th.rhs is None:
         return lhs, np.ndarray(lhs.shape, buffer=_ONE, strides=(0, 0))
-    return lhs, np.broadcast_to(th.rhs(v), lhs.shape)
+    rhs = th.rhs(v)
+    rhs.setflags(write=False)  # a bound of r alone is one row, read with stride 0
+    return lhs, rhs if rhs.ndim == 2 else np.ndarray(lhs.shape, buffer=rhs, strides=(0, 8))
 
 
 def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -743,13 +751,15 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
     the columns whose sign is -1 the other way.  A signed term is one
     product of its (samples, K) columns with a (K, 2 radii) table of its
     powers split by sign, an unsigned one (all its columns +1) a product
-    with its powers alone; every stored column is taken.
+    with its powers alone; every stored column is taken, and terms that
+    share a slice and power share its columns.
     """
     samples, length = mods.shape
     v = _vars(mods, r, m, p)
     plan = _plan(th, m, p, length, s, 1.0)
     pos, neg = np.zeros((samples, r.size)), np.zeros((samples, r.size))
-    for term, exps, signs in zip(th.terms, plan.exps, plan.signs):
+    built = {}  # first term of a slice and power -> its columns
+    for term, exps, signs, first in zip(th.terms, plan.exps, plan.signs, plan.firsts):
         up = r ** exps[:, None]
         weight = 1.0 if term.weight is None else term.weight(v)
         if term.sample_weight is not None:
@@ -763,7 +773,9 @@ def _parity_parts(th: _Theorem, mods, m, p, r: np.ndarray, s=None) -> Tuple[np.n
             pos += above * plus + below * minus
             neg += above * minus + below * plus
         else:
-            plus = _columns(term, mods, s) @ up
+            if first not in built:
+                built[first] = _columns(term, mods, s)
+            plus = built[first] @ up
             pos += above * plus
             neg += below * plus
     return pos, neg
@@ -773,8 +785,7 @@ def _no_negative_part(th: _Theorem, m: int, p: int) -> bool:
     """Whether :func:`_parity_parts` gives N = 0 at the shape (m, p): no
     signed term, no modulus taken, and every weight nonnegative, read at
     one point since each weight has one sign (:class:`_Theorem`)."""
-    zero = np.zeros((1, 1))
-    v = _Vars(np.array([0.5]), zero, zero, m, p)
+    v = _vars(np.zeros((1, 1)), np.array([0.5]), m, p)
     return not th.absolute and all(
         term.power != "signed"
         and all(weight is None or np.all(weight(v) >= 0.0)
@@ -801,8 +812,12 @@ def _reduced_polynomial(form: _Reduced, mods, m, p, y: float,
     powers = y ** np.arange(count)
     rho, size, tail = np.zeros((samples, width)), np.ones(samples), np.zeros(samples)
     rho[:, 0] = 1.0
+    built = {}  # (slice, power) -> its columns, built once for the parts that share them
     for part in form.parts:
-        w = _columns(part, mods, None)
+        key = (part.cols.start, part.cols.stop, part.cols.step, part.power)
+        if key not in built:
+            built[key] = _columns(part, mods, None)
+        w = built[key]
         if part.sample_weight is not None:
             w = w * part.sample_weight(v)
         size += w @ powers[part.first:part.first + w.shape[1]]
@@ -854,19 +869,19 @@ def theorem_margins(
         raise ParameterOutOfRange(
             f"mods must be one profile or a (samples, moduli) matrix, got shape {mods.shape}")
     check_shape(m, p, "theorem margins")
-    grid = _as_r_grid(r)
+    grid, rmin, rmax = _as_r_grid(r)
     _check_positive("trunc_tol", trunc_tol)
     if coeff_bound is None:
         coeff_bound = float(max(1.0, mods.max(initial=0.0)))
     _check_positive("coeff_bound", coeff_bound)
     if not exact:
-        _check_truncation(mods.shape[1], m, p, grid, coeff_bound, trunc_tol)
+        _check_truncation(mods.shape[1], m, p, rmax, coeff_bound, trunc_tol)
     shape = (mods.shape[0], grid.size)
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.shape == shape and out.flags.writeable):
         raise ParameterOutOfRange(f"out must be a writable float64 array of shape {shape}")
     s = extras.get("s") if extras and any(t.power == "s" for t in th.terms) else None
-    _check_applicable(theorem_id, th, mods, m, p, grid, s)
+    _check_applicable(theorem_id, th, mods, m, p, rmin, rmax, s)
     return _evaluate(th, mods, m, p, grid, s, coeff_bound, out)
 
 
@@ -1026,8 +1041,9 @@ def least_margin(theorem_id: str, bank: np.ndarray, m: int, p: int, grid: np.nda
     if th.vanishing_start:
         bank = np.hstack([np.zeros((bank.shape[0], 1)), bank])
     bound = float(max(1.0, bank.max(initial=0.0)))
-    _check_truncation(bank.shape[1], m, p, grid, bound, trunc_tol)
-    _check_applicable(theorem_id, th, bank, m, p, grid, s)
+    rmin, rmax = float(grid.min(initial=1.0)), float(grid.max(initial=0.0))
+    _check_truncation(bank.shape[1], m, p, rmax, bound, trunc_tol)
+    _check_applicable(theorem_id, th, bank, m, p, rmin, rmax, s)
     extras = None if s is None else {"s": s}
 
     def margins(mods, cols):
@@ -1072,9 +1088,9 @@ def bohr_sums_grid(
     B = sum_k mu_k r^(kp+m), A = sum_k (-1)^(kp+m) mu_k r^(kp+m): the
     paper's two lattice sums, each one term of the margin engine.
     """
-    grid = _as_r_grid(r)
+    grid, _, rmax = _as_r_grid(r)
     if not profile.exact:
-        _check_truncation(profile.mods.size, profile.m, profile.p, grid,
+        _check_truncation(profile.mods.size, profile.m, profile.p, rmax,
                           profile.coeff_bound, trunc_tol)
     mods = profile.mods[None, :]  # one sample
     b, a = (_evaluate(th, mods, profile.m, profile.p, grid, None,

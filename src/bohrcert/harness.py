@@ -16,8 +16,9 @@ shape and vector flag).  Every core is a ``functionals._THEOREMS`` entry,
 and its formula, its shape, odd-gap and m >= 1 rules, its radius window
 and its vanishing start (a zero lattice start prepended to the bank, as
 for the Thm32 core) are read from there; the radius equations from
-``radius._EQUATIONS``.  A requested id whose every shape its rules drop
-is an error, raised before any row runs.
+``radius._EQUATIONS``.  A requested id whose every shape its rules drop,
+or a row whose radius grid holds no point, is an error, raised before any
+row runs.
 
 What a campaign allocates: one bank per shape, and one flat (samples x
 grid points) margin workspace, allocated once and sized for the longest
@@ -48,6 +49,8 @@ in one batch; so identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import sys
@@ -342,43 +345,47 @@ def _row_margin(row, bank, m, p, grid, s, config, work) -> Optional[float]:
     return float(least)
 
 
-def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
+def _row_grid(theorem, m, p, s, config, scan_grid) -> tuple:
+    """A row's radius, its closed form, its radius grid and the range
+    [lo, hi] the grid samples: [r_start, r_stop] capped just below the
+    radius, or held to the core's window."""
     row = _ROWS[theorem]
     cm, cp = row.at or (m, p)
-
     radius = closed = None
     if row.per_function:
         # The family scan crosses 1 at the smallest per-parameter radius.
-        radius = float(rad.thm31_radius(shared.scan_grid, s).min())
+        radius = float(rad.thm31_radius(scan_grid, s).min())
     elif row.equation is not None:
         spec = rad.RadiusSpec(row.equation, cp, cm)
         closed = rad.closed_form_radius(spec)
         radius = rad.solve_radius(spec)
 
+    lo, hi = config.r_start, config.r_stop
     if row.rules.window is not None:
         lo, hi = row.rules.window
         grid = _grid(config, hi)
         grid = grid[grid >= lo - 1e-12]
-    elif radius is None or row.per_function:
-        grid = _grid(config, config.r_stop)
     else:
-        grid = _grid(config, radius - _RADIUS_MARGIN)
+        if radius is not None and not row.per_function:
+            hi = radius - _RADIUS_MARGIN
+        grid = _grid(config, hi)
+    return radius, closed, grid, (max(lo, config.r_start), min(hi, config.r_stop))
 
-    if grid.size:
-        bank = _bank(shared.banks, config, m, p)
-        # Rows with the same cores, equation, shapes, s and grid compute the
-        # same margin: ThmC and Thm41 share their entry, and a vector row's
-        # t rows their shape.
-        key = (tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
-               (m, p), (cm, cp), s, grid.tobytes())
-        if key in shared.margins:
-            min_margin = shared.margins[key]
-        else:
-            min_margin = _row_margin(row, bank, cm, cp, grid, s, config, shared.work)
-            shared.margins[key] = min_margin
-        nsamp = bank.shape[0]
+
+def _run_row(theorem, m, p, t, s, config, shared: _Shared, radius, closed, grid) -> ReportRow:
+    row = _ROWS[theorem]
+    cm, cp = row.at or (m, p)
+    bank = _bank(shared.banks, config, m, p)
+    # Rows with the same cores, equation, shapes, s and grid compute the
+    # same margin: ThmC and Thm41 share their entry, and a vector row's
+    # t rows their shape.
+    key = (tuple(id(fn._THEOREMS[core]) for core in row.cores), row.equation,
+           (m, p), (cm, cp), s, grid.tobytes())
+    if key in shared.margins:
+        min_margin = shared.margins[key]
     else:
-        min_margin, nsamp = None, 0
+        min_margin = _row_margin(row, bank, cm, cp, grid, s, config, shared.work)
+        shared.margins[key] = min_margin
 
     sharp = None
     if row.scan is not None and radius is not None and not (row.scan_m0_only and m != 0):
@@ -386,9 +393,8 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
         if 0.0 < at < 1.0:
             sharp = md.sharpness_scan(row.scan, cp, cm, at, shared.scan_grid, s=s)
 
-    ok = True
-    if min_margin is not None and not min_margin >= -config.tol:
-        ok = False
+    # None: no cell lies below its sample's own radius, so the row checked nothing
+    ok = min_margin is not None and min_margin >= -config.tol
     if sharp is not None and not sharp > 1.0:
         ok = False
     return ReportRow(
@@ -398,7 +404,7 @@ def _run_row(theorem, m, p, t, s, config, shared: _Shared) -> ReportRow:
         t=t,
         radius=radius,
         radius_closed_form=closed,
-        samples=nsamp,
+        samples=bank.shape[0],
         grid_points=int(grid.size),
         min_margin=min_margin,
         sharpness_max=sharp,
@@ -421,23 +427,31 @@ def run_campaign(config: CampaignConfig,
     # pages in once, not once per core call
     shared = _Shared(np.empty(config.samples * _grid_points(config, config.r_stop)),
                      md.default_scan_grid(config.scan_steps), {}, {})
+
+    def guarded(theorem, m, p, call):
+        try:
+            return call()
+        except BohrcertError as exc:
+            raise CampaignError(f"{theorem} (p={p}, m={m}, seed={config.seed}): {exc}",
+                                theorem=theorem, p=p, m=m, seed=config.seed) from exc
+
+    # every row's grid before any row runs: one with no point would certify nothing
+    grids = {}
+    for theorem, shapes, _, s_list in plan:
+        for (m, p), s in itertools.product(shapes, s_list):
+            *window, (lo, hi) = guarded(theorem, m, p, functools.partial(
+                _row_grid, theorem, m, p, s, config, shared.scan_grid))
+            if not window[-1].size:
+                raise ParameterOutOfRange(f"{theorem} (m={m}, p={p}) would certify nothing: "
+                                          f"no grid radius lies in [{lo:.8g}, {hi:.8g}]")
+            grids[theorem, m, p, s] = window
     for theorem, shapes, t_list, s_list in plan:
-        for (m, p) in shapes:
-            for t in t_list:
-                for s in s_list:
-                    try:
-                        report_row = _run_row(theorem, m, p, t, s, config, shared)
-                    except BohrcertError as exc:
-                        raise CampaignError(
-                            f"{theorem} (p={p}, m={m}, seed={config.seed}): {exc}",
-                            theorem=theorem,
-                            p=p,
-                            m=m,
-                            seed=config.seed,
-                        ) from exc
-                    rows.append(report_row)
-                    if on_row is not None:
-                        on_row(report_row)
+        for (m, p), t, s in itertools.product(shapes, t_list, s_list):
+            report_row = guarded(theorem, m, p, functools.partial(
+                _run_row, theorem, m, p, t, s, config, shared, *grids[theorem, m, p, s]))
+            rows.append(report_row)
+            if on_row is not None:
+                on_row(report_row)
     return Report(rows=tuple(rows))
 
 

@@ -8,7 +8,8 @@ closed rational form, long division instead of the extremal families'
 closed form, one ``np.random.default_rng`` per seed instead of
 the samplers' batched seeding, one function's P/Q and lfilter instead of the
 division over a whole bank, one product over every lattice column
-instead of the margin core's radius-blocked power sums, bucket edges
+instead of the margin core's radius-blocked power sums, column counts
+one lattice at a time instead of one stacked pass, bucket edges
 from frexp groups instead of one searchsorted, each
 inequality's left side term by term as written instead of the margin
 core's stacked products, every cell of a campaign row instead of the
@@ -191,6 +192,28 @@ def full_width_margins(theorem_id, mods, m, p, r, builds=None, **kwargs):
 
     with mock.patch.object(functionals, "_columns", every_column):
         return functionals.theorem_margins(theorem_id, mods, m, p, r, **kwargs)
+
+
+def per_lattice_cut_counts(lattices, r, tol=2.0 ** -64):
+    """The margin core's column counts (``functionals._cut_counts``) as they
+    were computed one lattice at a time: (e0, d, n, bound) with integer e0
+    and d, lattices equal but for n sharing one uncapped row, and lattices
+    with one step d and bound sharing its logarithms.  r may be 0-d."""
+    r = np.asarray(r, dtype=float)
+    counts = np.empty((len(lattices), *r.shape))
+    rows, logs = {}, {}
+    at_zero = not r.min(initial=1.0) > 0.0  # NaN too
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+        for j, (e0, d, n, bound) in enumerate(lattices):
+            e0, d = int(e0), int(d)
+            if n > 1 and (e0, d, bound) not in rows:
+                if (d, bound) not in logs:
+                    logs[d, bound] = np.log(tol * (1.0 - r ** d) / bound) / log_r
+                need = np.maximum(np.ceil((logs[d, bound] - e0) / d), 0.0)
+                rows[e0, d, bound] = np.where(r > 0.0, need, float(e0 == 0)) if at_zero else need
+            counts[j] = np.fmin(rows[e0, d, bound], n) if n > 1 else n
+    return counts
 
 
 def bucket_oracle(counts, r):

@@ -28,6 +28,7 @@ from support import (
     mobius_linear_sum,
     mobius_majorant,
     mobius_square_sum,
+    per_lattice_cut_counts,
     refined_bound_rhs,
     thm41_lhs,
     written_lhs,
@@ -327,10 +328,9 @@ class TestParityParts:
         # every term is w_k >= 0 times r^e with e >= 0, a per-sample weight
         # and a per-radius weight of one sign and nondecreasing modulus
         r = np.linspace(0.0, 0.99, 4001)
-        zero = np.zeros((1, 1))
         for p in range(1, 9):
             for m in range(p + 1):
-                v = fn._Vars(r, zero, zero, m, p)
+                v = fn._vars(np.zeros((1, 1)), r, m, p)
                 lattices = fn._plan(fn._THEOREMS[tid], m, p, 64, 1.0, 1.0).lattices
                 for term, (e0, d, n, _) in zip(fn._THEOREMS[tid].terms, lattices):
                     assert (e0 + d * np.arange(n)).min() >= 0, (m, p, term)
@@ -388,7 +388,7 @@ class TestReducedForms:
             g = grid ** (a * p + b * m) / (1.0 - y)
             assert g[0] == 0.0 and np.all(np.diff(g) > 0.0), (m, p)
             # the weights the engine's skipped columns are multiplied by
-            v = fn._Vars(grid, bank[:, :1], bank[:, 1:2], m, p)
+            v = fn._vars(bank, grid, m, p)
             for term in th.terms:
                 for weight in (term.weight, term.sample_weight):
                     if weight is not None:
@@ -612,6 +612,21 @@ def count_table(draw):
     return np.array(rows).reshape(len(rows), size)
 
 
+@st.composite
+def cut_grids(draw):
+    """Radius grids for the column counts: a 0-d radius, no radius, or radii
+    with 0, -0.0 and repeats, in any order."""
+    kind = draw(st.sampled_from(["0-d", "empty", "grid"]))
+    radius = st.floats(0.0, 0.999) | st.sampled_from([0.0, -0.0])
+    if kind == "0-d":
+        return np.array(draw(radius))
+    if kind == "empty":
+        return np.empty(0)
+    r = draw(st.lists(radius, min_size=1, max_size=40))
+    r += draw(st.lists(st.sampled_from(r), max_size=5))
+    return np.array(draw(st.permutations(r)))
+
+
 class TestLatticeCut:
     @pytest.mark.parametrize("name", sorted(PSUM_CASES))
     def test_psum_matches_full_contraction(self, name):
@@ -667,6 +682,24 @@ class TestLatticeCut:
             assert fn._buckets(counts)[0][1] == bucket_oracle(counts, r)[0][1]
 
     @settings(max_examples=400, deadline=None)
+    @given(st.data(), cut_grids())
+    def test_stacked_counts_match_per_lattice_oracle(self, data, r):
+        # every core's planned lattices, and synthetic ones up to n = inf
+        if data.draw(st.booleans()):
+            p = data.draw(st.integers(1, 8))
+            lattices = fn._plan(fn._THEOREMS[data.draw(st.sampled_from(fn.THEOREM_IDS))],
+                                data.draw(st.integers(0, p)), p, data.draw(st.integers(1, 200)),
+                                2.0, data.draw(st.sampled_from([1.0, 1.5]))).lattices
+        else:
+            lattice = st.tuples(st.integers(0, 40), st.integers(1, 16),
+                                st.sampled_from([0, 1, 2, 3, 7, 50, math.inf]),
+                                st.sampled_from([1.0, 1.5, 2.25, 1e-3]))
+            lattices = data.draw(st.lists(lattice, min_size=1, max_size=4))
+        got = fn._cut_counts(lattices, r)
+        assert got.shape == (len(lattices), *r.shape)
+        assert np.array_equal(got, per_lattice_cut_counts(lattices, r))
+
+    @settings(max_examples=400, deadline=None)
     @given(count_table())
     @example(np.zeros((2, 0)))  # no radius
     @example(np.array([[7.0]]))  # one radius
@@ -674,6 +707,8 @@ class TestLatticeCut:
     @example(np.array([[1.0, 2.0, 3.0, 5.0, 9.0, 17.0, 300.0, 301.0, 5000.0]]))
     @example(np.array([[2.0, 1.0, 4.0], [1.0, 1.0, 1.0]]))  # not ascending
     @example(np.array([[3.0, 5.0, 9.0, 9.0], [1.0, 4.0, 2.0, 0.0]]))  # one term not ascending
+    # one bucket: the second term's largest count is not its count at the top
+    @example(np.array([[5.0, 6.0, 7.0, 8.0], [1.0, 4.0, 2.0, 0.0]]))
     def test_buckets_match_frexp_groups(self, counts):
         # one searchsorted over the group boundaries 2^j + 1 and the bucket
         # maxima give the buckets of the frexp rule, as Python ints
@@ -792,7 +827,9 @@ class TestStackedRoute:
         fn.theorem_margins(tid, bank, m, p, HEAD_GRID, extras={"s": ROUTE_S})
         plan = fn._plan(th, m, p, bank.shape[1], ROUTE_S, 1.0).lattices
         read = [count.max() for count in fn._cut_counts(plan, HEAD_GRID)]
-        assert len(built) == len(th.terms)
+        # one build per lattice slice and power, read by every term that shares it
+        shared = {(t.cols.start, t.cols.stop, t.cols.step, t.power) for t in th.terms}
+        assert len(built) == len(shared)
         assert sum(built) <= bank.shape[0] * sum(read) < bank.size
 
 
@@ -851,6 +888,18 @@ class TestAllocationBudget:
         out, peak = traced_peak(call)
         assert out[0].shape == (500, 1899)
         assert peak <= (returned + 0.6) * self.CELLS * 8, peak / (self.CELLS * 8)
+
+    @pytest.mark.parametrize("tid", fn.THEOREM_IDS)
+    def test_right_sides_of_r_alone_have_stride_zero(self, tid):
+        # a bound of r alone (or the bound 1) is one row read along the
+        # samples with stride 0; ThmB, LemDEven and Lem21 depend on mu_0 too
+        for bank, m, p in route_cases(tid):
+            for grid in (in_window(tid, ROUTE_GRIDS["to_095"]), np.array([0.83])):
+                grid = in_window(tid, grid)
+                _, rhs = fn.theorem_margins(tid, bank, m, p, grid, extras={"s": ROUTE_S})
+                assert rhs.shape == (bank.shape[0], grid.size)
+                assert not rhs.flags.writeable
+                assert (rhs.strides[0] == 0) == (tid not in ("ThmB", "LemDEven", "Lem21"))
 
     @pytest.mark.parametrize("core", sorted(BUDGET_OUT_CALLS))
     def test_peak_beyond_out(self, core):

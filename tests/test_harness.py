@@ -153,6 +153,23 @@ class TestRunCampaign:
         assert row.sharpness_max is not None and row.sharpness_max > 1.0
         assert row.passed
 
+    def test_empty_grid_is_refused_before_any_row(self):
+        # the BombieriUpper window starts at 1/3, above r_stop
+        seen = []
+        cfg = hn.CampaignConfig(theorems=("ThmB", "BombieriUpper"), shapes=((0, 1),),
+                                samples=5, r_stop=0.05)
+        with pytest.raises(ParameterOutOfRange, match=r"BombieriUpper \(m=0, p=1\).*0\.05"):
+            hn.run_campaign(cfg, on_row=seen.append)
+        assert seen == []
+
+    def test_thm31_row_with_no_cell_below_its_caps_fails(self):
+        # every sample's own radius lies below r_start, so the row checks no cell
+        cfg = hn.CampaignConfig(theorems=("Thm31",), shapes=((0, 1),), samples=5,
+                                r_start=0.9, r_stop=0.95)
+        row, = hn.run_campaign(cfg).rows
+        assert row.grid_points > 0 and row.min_margin is None
+        assert row.passed is False
+
     def test_high_gap_scans_certify_their_radius(self, tmp_path):
         # radius + 0.01 at (6, 6) needs 86 lattice moduli, more than order 512 gives
         out = tmp_path / "rep.json"
@@ -850,6 +867,15 @@ class TestReports:
 
 
 class TestCli:
+    def test_verify_with_an_empty_grid_exits_two(self, capsys):
+        # ThmC's grid at (1, 3) stops below its radius 0.8688, under r_start
+        code = cli_main(["verify", "--theorems", "ThmC,LemD", "--shapes", "1:3",
+                         "--r-start", "0.9", "--r-stop", "0.95", "--samples", "20",
+                         "--output", "-"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("bohrcert: error: ThmC (m=1, p=3)")
+
     def test_radius_command(self, capsys):
         assert cli_main(["radius", "--theorem", "ThmC34", "--p", "1", "--m", "1"]) == 0
         assert capsys.readouterr().out.strip() == "0.707106781186548"
