@@ -24,15 +24,16 @@ Lem21          even-tail bound of the slices of f = z*g, shapes with m >= 1
 =============  ==============================================================
 
 Where a theorem's facts live: its left side (weighted lattice power sums
-of mu, mu^2 or signed mu), its right side and the conditions it is stated
-under (shape, odd gap, m >= 1, vanishing start, radius window) are one entry of
-``_THEOREMS``, evaluated by one engine; so is, for LemD and Lem21, the
-margin's reduced form g(r) * rho(r^2p).  Its radius equation is one
-``radius._EQUATIONS`` entry, and its sharpness family a catalog core or
-one ``multidim._ENVELOPES`` entry.  How a campaign row runs it (its
-cores, radius equation, scan, fixed shape, reindexing and vector flags)
-is one :class:`RowSpec` of ``_ROWS``, next to ``_THEOREMS``, and which
-of a row's cells can hold its least margin :func:`least_margin` decides.
+of mu, mu^2 or signed mu), its right side, the conditions it is stated
+under (shape, odd gap, m >= 1 and exponent s, which its ``check`` applies,
+vanishing start, radius window) and its scan's closed-form family left
+side (Thm31, Thm32) are one entry of ``_THEOREMS``, evaluated by one
+engine; so is, for LemD and Lem21, the margin's reduced form
+g(r) * rho(r^2p).  Its radius equation is one ``radius._EQUATIONS``
+entry.  How a campaign row runs it (its cores, equation, scan, shapes,
+the shape its cores run at, and vector flags) is one :class:`RowSpec` of
+``_ROWS``, and which of a row's cells can hold its least margin
+:func:`least_margin` decides.
 
 All evaluators certify their truncation: with coefficient moduli bounded
 by ``coeff_bound`` (1 for anything drawn from the unit-ball classes), the
@@ -430,7 +431,10 @@ class _Theorem:
     nondecreasing in r, which :func:`least_margin` rests on; a test holds
     every such entry to this.  ``reduced``, where given, is the same
     margin as g(r) * rho(y) (:class:`_Reduced`), which it rests on too; a
-    test holds it to the engine's rhs - lhs.
+    test holds it to the engine's rhs - lhs.  ``envelope``, where given, is
+    the left side of the entry's extremal family in closed form,
+    envelope(a, m, p, r, s) for family parameters a, which its sharpness
+    scan maximizes.
     """
 
     terms: Tuple[_Term, ...]
@@ -442,6 +446,22 @@ class _Theorem:
     vanishing_start: bool = False
     window: Optional[Tuple[float, float]] = None
     reduced: Optional[_Reduced] = None
+    envelope: Optional[Callable[..., np.ndarray]] = None
+
+    def check(self, theorem_id: str, m: int, p: int, s=None, lattice_rules: bool = True) -> None:
+        """Refuse a shape other than the entry's one stated shape, a missing or
+        nonpositive exponent s where a term takes mu^s, and, with
+        ``lattice_rules``, an even gap p or m < 1 where its odd-gap or m >= 1
+        rule asks; a radius equation holds at every shape, so skips those."""
+        if self.shape is not None and (m, p) != self.shape:
+            raise ShapeMismatch(f"{theorem_id} is stated for shape (m, p) = {self.shape}, "
+                                f"got ({m},{p})")
+        if any(term.power == "s" for term in self.terms) and (s is None or not s > 0.0):
+            raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s")
+        if lattice_rules and self.odd_gap and p % 2 == 0:
+            raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
+        if lattice_rules and self.positive_m and m < 1:
+            raise ShapeMismatch(f"{theorem_id} is stated for shapes with m >= 1, got m={m}")
 
 
 _ALL = slice(None)
@@ -508,7 +528,9 @@ _THEOREMS = {
          _Term(_ALL, 2, (2, 0, 0),
                lambda v: (-1.0) ** (v.m + v.p) * (v.r ** (v.p + v.m) / v.den))),
         absolute=True, odd_gap=True),
-    "Thm31": _Theorem((_Term(slice(0, 1), "s", (0, 0, 0)),) + _REFINED, shape=(0, 1)),
+    "Thm31": _Theorem(
+        (_Term(slice(0, 1), "s", (0, 0, 0)),) + _REFINED, shape=(0, 1),
+        envelope=lambda a, m, p, r, s: a ** float(s) + (1.0 - a ** 2) * r / (1.0 - r)),
     # 1/(r^(p+m) + Lambda) with Lambda = mu_1 r^(p+m) folds into the
     # exponents: the two square sums carry exponents (2k-1)p + m and
     # 2kp + m, both nonnegative, so r = 0 is safe.
@@ -518,7 +540,9 @@ _THEOREMS = {
         (_Term(_TAIL, 1, (1, 0, 1)),
          _Term(_FROM2, 2, (2, -1, 1), sample_weight=lambda v: 1.0 / (1.0 + v.mu1)),
          _Term(_FROM2, 2, (2, 0, 1), lambda v: 1.0 / (1.0 - v.r ** v.p))),
-        vanishing_start=True),
+        vanishing_start=True,
+        envelope=lambda a, m, p, r, s: (
+            a * r ** (p + m) + (1.0 - a ** 2) * r ** (2 * p + m) / (1.0 - r ** p))),
     "Thm34": _Theorem(
         (_Term(_ODD, 1, (1, 0, 1)),
          _Term(_ALL, 2, (2, 0, 2),
@@ -559,9 +583,9 @@ class RowSpec:
     """How a campaign (and, for a vector id, ``multidim.vector_check``) runs one id.
 
     A core's formula, its shape, odd-gap and m >= 1 rules, its radius
-    window and its vanishing start (the moduli get a zero lattice start
-    prepended) are read from its ``_THEOREMS`` entry; this holds only what
-    the row adds.
+    window, its vanishing start (the moduli get a zero lattice start
+    prepended) and its scan's envelope are read from its ``_THEOREMS``
+    entry; this holds only what the row adds.
     """
 
     cores: Tuple[str, ...]  # margin cores; the row's margin is the least
@@ -582,6 +606,20 @@ class RowSpec:
     def rules(self) -> _Theorem:
         """The first core's ``_THEOREMS`` entry, whose rules the row follows."""
         return _THEOREMS[self.cores[0]]
+
+    def shapes(self, requested) -> list:
+        """The shapes (m, p) the row runs at: its fixed one, whatever is
+        requested, or those of ``requested`` its odd-gap and m >= 1 rules keep."""
+        rules = self.rules
+        fixed = self.shape or self.at or rules.shape
+        if fixed is not None:
+            return [fixed]
+        return [(m, p) for m, p in requested
+                if (p % 2 == 1 or not rules.odd_gap) and (m >= 1 or not rules.positive_m)]
+
+    def core_shape(self, m: int, p: int) -> Tuple[int, int]:
+        """The (m, p) its cores and radius equation run at in its row at (m, p)."""
+        return self.at or (m, p)
 
 
 # Rows with no radius equation hold on all of [0, 1) (ThmB, LemD, Lem21)
@@ -608,26 +646,9 @@ _ROWS = {
 }
 
 
-def _check_stated_shape(theorem_id: str, m: int, p: int) -> None:
-    """Refuse a shape other than the one ``theorem_id``'s entry is stated for."""
-    shape = _THEOREMS[theorem_id].shape
-    if shape is not None and (m, p) != shape:
-        raise ShapeMismatch(f"{theorem_id} is stated for shape (m, p) = {shape}, got ({m},{p})")
-
-
-def _check_shape_rules(theorem_id: str, m: int, p: int) -> None:
-    """Refuse a shape that fails any rule of ``theorem_id``'s entry: its one
-    stated shape, an odd gap, m >= 1."""
-    _check_stated_shape(theorem_id, m, p)
-    if _THEOREMS[theorem_id].odd_gap and p % 2 == 0:
-        raise OddGapRequired(f"alternating bound needs odd p, got p={p}")
-    if _THEOREMS[theorem_id].positive_m and m < 1:
-        raise ShapeMismatch(f"{theorem_id} is stated for shapes with m >= 1, got m={m}")
-
-
 def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, rmin, rmax, s) -> None:
     """Refuse what ``theorem_id`` is not stated for, on radii from rmin to rmax."""
-    _check_shape_rules(theorem_id, m, p)
+    th.check(theorem_id, m, p, s)
     if th.vanishing_start and np.any(mods[:, 0] > 1e-12):
         raise ShapeMismatch(
             "this bound needs a vanishing lattice start (mu_0 = 0); "
@@ -639,8 +660,6 @@ def _check_applicable(theorem_id: str, th: _Theorem, mods, m, p, rmin, rmax, s) 
             raise RadiusOutOfWindow(
                 f"{theorem_id} envelope valid for {lo:.6f} <= r <= {hi:.6f}"
             )
-    if any(term.power == "s" for term in th.terms) and (s is None or not s > 0.0):
-        raise ParameterOutOfRange(f"{theorem_id} needs a positive exponent s in extras")
 
 
 _Plan = NamedTuple("_Plan", [("lattices", np.ndarray), ("exps", tuple), ("signs", tuple),

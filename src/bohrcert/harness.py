@@ -11,8 +11,9 @@ pass/fail verdict:
                1 above it (where a scan is defined).
 
 Where a row's facts live: ``functionals._ROWS`` maps each campaign id to
-a ``RowSpec`` (its margin cores, radius equation, sharpness family, fixed
-shape and vector flag).  Every core is a ``functionals._THEOREMS`` entry,
+a ``RowSpec`` (its margin cores, radius equation, sharpness family and
+vector flag), which also answers which shapes the id runs at and where its
+cores and equation run.  Every core is a ``functionals._THEOREMS`` entry,
 and its formula, its shape, odd-gap and m >= 1 rules, its radius window
 and its vanishing start (a zero lattice start prepended to the bank, as
 for the Thm32 core) are read from there; the radius equations from
@@ -197,7 +198,7 @@ class CampaignConfig:
         # bank, over every shape a row may draw one at, and its margin workspace
         bank = 0
         for th in self.theorems:
-            for m, p in _kept_shapes(th, self.shapes):
+            for m, p in _ROWS[th].shapes(self.shapes):
                 try:
                     bank = max(bank, _bank_length(self, m, p))
                 except TruncationInsufficient:
@@ -283,23 +284,11 @@ def _bank(cache: Dict, config: CampaignConfig, m: int, p: int) -> np.ndarray:
     return mat
 
 
-def _kept_shapes(theorem: str, shapes) -> List[Tuple[int, int]]:
-    """The shapes an id runs at: the one it is fixed to, whatever shapes are
-    requested, or those of ``shapes`` its odd-gap and m >= 1 rules keep."""
-    row = _ROWS[theorem]
-    fixed = row.shape or row.at or row.rules.shape
-    if fixed is not None:
-        return [fixed]
-    rules = row.rules
-    return [(m, p) for m, p in shapes
-            if (p % 2 == 1 or not rules.odd_gap) and (m >= 1 or not rules.positive_m)]
-
-
 def _row_plan(theorem: str, config: CampaignConfig) -> Tuple[list, tuple, tuple]:
-    """The shapes (:func:`_kept_shapes` of the requested ones), norm indices t
+    """The shapes (``RowSpec.shapes`` of the requested ones), norm indices t
     and exponents s an id runs at; an error where any of them is empty."""
     row = _ROWS[theorem]
-    shapes = _kept_shapes(theorem, config.shapes)
+    shapes = row.shapes(config.shapes)
     if not shapes:
         if not config.shapes:
             raise ParameterOutOfRange(f"{theorem} needs a shape m:p, and none was requested")
@@ -350,7 +339,7 @@ def _row_grid(theorem, m, p, s, config, scan_grid) -> tuple:
     [lo, hi] the grid samples: [r_start, r_stop] capped just below the
     radius, or held to the core's window."""
     row = _ROWS[theorem]
-    cm, cp = row.at or (m, p)
+    cm, cp = row.core_shape(m, p)
     radius = closed = None
     if row.per_function:
         # The family scan crosses 1 at the smallest per-parameter radius.
@@ -374,7 +363,7 @@ def _row_grid(theorem, m, p, s, config, scan_grid) -> tuple:
 
 def _run_row(theorem, m, p, t, s, config, shared: _Shared, radius, closed, grid) -> ReportRow:
     row = _ROWS[theorem]
-    cm, cp = row.at or (m, p)
+    cm, cp = row.core_shape(m, p)
     bank = _bank(shared.banks, config, m, p)
     # Rows with the same cores, equation, shapes, s and grid compute the
     # same margin: ThmC and Thm41 share their entry, and a vector row's

@@ -33,11 +33,11 @@ from .errors import (
 )
 from .functionals import (
     _ROWS,
+    _THEOREMS,
     DEFAULT_MARGIN_TOL,
     DEFAULT_TRUNC_TOL,
     InequalityCheck,
     LacunaryProfile,
-    _check_shape_rules,
     _cut_length,
     evaluate_theorem,
     lacunary_length_for,
@@ -328,8 +328,7 @@ def vector_check(
     nu = frechet_norms(slice_map, 1.0)
     if row.rules.vanishing_start:
         nu = np.concatenate([[0.0], nu])
-    cm, cp = row.at or (m, p)
-    profile = LacunaryProfile(cm, cp, nu, exact=slice_map.exact)
+    profile = LacunaryProfile(*row.core_shape(m, p), nu, exact=slice_map.exact)
     check = evaluate_theorem(row.cores[0], profile, r, tol=tol, trunc_tol=trunc_tol)
     return replace(check, theorem_id=theorem_id)
 
@@ -356,22 +355,6 @@ def default_scan_grid(steps: int = 256) -> np.ndarray:
     return np.unique(np.concatenate([grid, extra]))
 
 
-def _thm31_envelope(a, p, m, r, s):
-    if s is None or not s > 0.0:
-        raise ParameterOutOfRange("Thm31 scan needs the exponent s > 0")
-    return a ** float(s) + (1.0 - a ** 2) * r / (1.0 - r)
-
-
-# scan id -> its family's left side at radius r, summed in closed form:
-# envelope(a_grid, p, m, r, s).  Every other scan id evaluates its catalog
-# core on the lifted automorphism family.
-_ENVELOPES = {
-    "Thm31": _thm31_envelope,  # a^s + (1 - a^2) r/(1 - r); needs s
-    "Thm32": lambda a, p, m, r, s: (
-        a * r ** (p + m) + (1.0 - a ** 2) * r ** (2 * p + m) / (1.0 - r ** p)),
-}
-
-
 def sharpness_scan(
     theorem_id: str,
     p: int,
@@ -382,11 +365,11 @@ def sharpness_scan(
 ) -> float:
     """Max over the family parameter of the extremal left side at radius r.
 
-    Every scan first applies its core's ``_THEOREMS`` shape rules (its one
-    stated shape, an odd gap, m >= 1).  Thm31 and Thm32 read their
-    ``_ENVELOPES`` entry; Thm34, Thm41 and Cor43 evaluate their catalog
-    core on the lifted automorphism family.  Its table holds the lattice
-    moduli that certify r, and at least those up to order
+    Every scan first applies its core's ``_THEOREMS`` rules (its one
+    stated shape, an odd gap, m >= 1, a positive s).  Thm31 and Thm32 sum
+    their entry's ``envelope``; Thm34, Thm41 and Cor43 evaluate their
+    catalog core on the lifted automorphism family.  Its table holds the
+    lattice moduli that certify r, and at least those up to order
     ``MIN_SCAN_ORDER``, but none past the 2^-64 lattice cut at r, so any
     radius the cut reaches is certified.  A table of more than
     ``MAX_SCAN_CELLS`` cells is refused before it is built.
@@ -398,7 +381,8 @@ def sharpness_scan(
     if theorem_id not in SCAN_IDS:
         raise UnknownTheorem(f"no sharpness scan for id {theorem_id!r}")
     check_shape(m, p, "scans")
-    _check_shape_rules(theorem_id, m, p)
+    th = _THEOREMS[theorem_id]
+    th.check(theorem_id, m, p, s)
     a = np.asarray(a_grid, dtype=float)
     if a.size == 0:
         raise ParameterOutOfRange("empty family-parameter grid")
@@ -407,12 +391,12 @@ def sharpness_scan(
     if not 0.0 < r < 1.0:
         raise RadiusOutOfRange(f"scan radius must lie in (0, 1), got {r}")
 
-    envelope = _ENVELOPES.get(theorem_id)
-    if envelope is not None:
-        return float(envelope(a, p, m, r, s).max())
-    # Family moduli are at most 1, so columns past the lattice cut at r add
-    # nothing; below the cut the table holds the moduli that certify r, and
-    # never fewer than those of order MIN_SCAN_ORDER.
+    if th.envelope is not None:
+        return float(th.envelope(a, m, p, r, s).max())
+    # Family moduli are at most 1, the coefficient bound of the core call,
+    # so columns past the lattice cut at r add nothing; below the cut the
+    # table holds the moduli that certify r, and never fewer than those of
+    # order MIN_SCAN_ORDER.
     floor = max((MIN_SCAN_ORDER - m) // p + 1, lacunary_length_for(m, p, r) + 1)
     length = max(2, int(min(floor, _cut_length(m, p, r, 1.0))))
     if a.size * length > MAX_SCAN_CELLS:
@@ -421,5 +405,5 @@ def sharpness_scan(
             f"(cap {MAX_SCAN_CELLS} cells)")
     mods = family_moduli(a, length)
     # a lookup in this module: perfbench probes ``multidim.theorem_margins``
-    lhs, _ = theorem_margins(theorem_id, mods, m, p, [r])
+    lhs, _ = theorem_margins(theorem_id, mods, m, p, [r], coeff_bound=1.0)
     return float(lhs.max())

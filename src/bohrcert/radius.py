@@ -25,7 +25,7 @@ from .errors import (
     UnknownTheorem,
     check_shape,
 )
-from .functionals import _THEOREMS, _check_stated_shape
+from .functionals import _THEOREMS
 
 __all__ = [
     "RADIUS_IDS",
@@ -94,16 +94,13 @@ class RadiusSpec:
         if self.id not in RADIUS_IDS:
             raise UnknownTheorem(f"no radius equation with id {self.id!r}")
         check_shape(self.m, self.p, "radius spec")
-        if self.id in _THEOREMS:  # an equation named after its core keeps the core's shape
-            _check_stated_shape(self.id, self.m, self.p)
         object.__setattr__(self, "extras", dict(self.extras))
-        if self.id == "Thm31":
-            a0 = self.extras.get("a0")
-            s = self.extras.get("s")
-            if a0 is None or not 0.0 <= a0 < 1.0:
-                raise ParameterOutOfRange("Thm31 needs extras['a0'] in [0, 1)")
-            if s is None or not s > 0.0:
-                raise ParameterOutOfRange("Thm31 needs extras['s'] > 0")
+        if self.id in _THEOREMS:  # an equation named after its core keeps its shape and s
+            _THEOREMS[self.id].check(self.id, self.m, self.p, self.extras.get("s"),
+                                     lattice_rules=False)
+        a0 = self.extras.get("a0")
+        if self.id == "Thm31" and (a0 is None or not 0.0 <= a0 < 1.0):
+            raise ParameterOutOfRange("Thm31 needs extras['a0'] in [0, 1)")
 
 
 def equation_value(spec: RadiusSpec, r: float) -> float:

@@ -15,6 +15,8 @@ inequality's left side term by term as written instead of the margin
 core's stacked products, every cell of a campaign row instead of the
 cells its parity or Bernstein bounds leave unsettled, a polynomial's
 values on a dense grid instead of its least Bernstein coefficient,
+a bound-1 row's margin from its lemma's margin and a scalar instead of
+its own core,
 hand-derived geometric closed
 forms for the extremal families, a grid refinement over the automorphism
 family's equality radii for the classical radius 1/3, and the paper's
@@ -341,6 +343,61 @@ def written_lhs(theorem_id, mods, m, p, r, s=None):
         count += 2 * w.shape[1]
     gamma = count * np.finfo(float).eps / 2
     return (np.abs(lhs) if absolute else lhs), 2 * gamma / (1 - gamma) * size
+
+
+# Thm31, Thm32 and Thm34 are exact affine images of a lemma (ThmB or
+# LemDOdd) plus a scalar; the Thm31 and Thm32 scalars are their entries'
+# family envelopes.
+LEMMA_IDS = ("Thm31", "Thm32", "Thm34")
+
+
+def lemma_margins(theorem_id, bank, m, p, r, s=None):
+    """A bound-1 core's margin on (samples, radii) as the engine computes it,
+    the same margin from its lemma's, and the most the two may differ by.
+
+    With M_B, M_odd the ThmB and LemDOdd margins and x = r^p:
+
+    - Thm34: r^m M_odd + (1 - r^(p+m)/(1 - r^2p)), at the shape (m, p);
+    - Thm31: M_B + (1 - phi), phi = mu_0^s + (1 - mu_0^2) r/(1 - r), the
+      Thm31 entry's envelope at a = mu_0, at the shape (0, 1);
+    - Thm32: 1 - r^m (x b + x L_B(h, x)), on the vanishing-start moduli
+      nu = (0, bank) of the core, with b = nu_1, h = (nu_1, nu_2, ...) =
+      ``bank`` and L_B the ThmB left side of h at radius x.
+
+    The allowance is each engine call's :func:`written_lhs` reorder bound
+    and the tails its 2^-64 cut skips (at most 2^-64 per term and unit of
+    weight, every weight here at most 1/(1 - r^p)), scaled as the route
+    scales that call, plus 4 ulps of each scalar the lemma route adds.
+    """
+    r = np.asarray(r, dtype=float)
+    eps = np.finfo(float).eps
+    skip = 2.0 ** -64 / (1.0 - r ** p)
+    if theorem_id == "Thm32":
+        nu = np.hstack([np.zeros((bank.shape[0], 1)), bank])
+        lhs, _ = functionals.theorem_margins("Thm32", nu, m, p, r)
+        _, own = written_lhs("Thm32", nu, m, p, r)
+        x = r ** p
+        lhs_b, _ = functionals.theorem_margins("ThmB", bank, 0, 1, x)
+        _, reorder = written_lhs("ThmB", bank, 0, 1, x)
+        scaled = r ** m * (x * bank[:, :1] + x * lhs_b)
+        allowance = (own + 3 * skip + r ** m * x * (reorder + 3 * skip)
+                     + 4 * eps * (1.0 + 2.0 * scaled))
+        return 1.0 - lhs, 1.0 - scaled, allowance
+    lemma, factor = {"Thm34": ("LemDOdd", r ** m), "Thm31": ("ThmB", 1.0)}[theorem_id]
+    extras = None if s is None else {"s": s}
+    lhs, rhs = functionals.theorem_margins(theorem_id, bank, m, p, r, extras=extras)
+    _, own = written_lhs(theorem_id, bank, m, p, r, s=s)
+    lhs_l, rhs_l = functionals.theorem_margins(lemma, bank, m, p, r)
+    _, reorder = written_lhs(lemma, bank, m, p, r)
+    if theorem_id == "Thm34":
+        phi = r ** (p + m) / (1.0 - r ** (2 * p))
+    else:
+        phi = functionals._THEOREMS["Thm31"].envelope(bank[:, :1], m, p, r, s)
+    derived = factor * (rhs_l - lhs_l) + (1.0 - phi)
+    terms = len(functionals._THEOREMS[theorem_id].terms)
+    allowance = (own + terms * skip + factor * (reorder + 3 * skip)
+                 + 4 * eps * (factor * (rhs_l + lhs_l) + 1.0 + phi + np.abs(derived)))
+    return rhs - lhs, derived, allowance
 
 
 # the division route of the automorphism families, the oracle of the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bohrcert import functionals as fn
 from bohrcert import multidim as md
+from bohrcert import radius as rad
 from bohrcert import schur
 from bohrcert.errors import (
     OddGapRequired,
@@ -22,9 +23,11 @@ from bohrcert.errors import (
 )
 
 from support import (
+    LEMMA_IDS,
     bucket_oracle,
     full_psum,
     full_width_margins,
+    lemma_margins,
     mobius_linear_sum,
     mobius_majorant,
     mobius_square_sum,
@@ -178,6 +181,40 @@ class TestLemmaDBounds:
                 even = fn.evaluate_theorem("LemDEven", prof, r)
                 assert odd.margin >= -1e-9
                 assert even.margin >= -1e-9
+
+
+def lemma_case(theorem_id, seed, m, p, s):
+    """A small seeded depth-5 bank at a shape the row runs at, and the row's
+    sharp radius R: the ThmC34 or Thm32 root, or for Thm31 the largest of
+    its samples' own radii."""
+    seeds = [seed ^ i for i in range(8)]
+    if theorem_id == "Thm31":
+        m, p = 0, 1
+        top = float(rad.thm31_radius(np.abs(schur.sample_bank(seeds, 5, 0))[:, 0], s).max())
+    else:
+        equation = "ThmC34" if theorem_id == "Thm34" else "Thm32"
+        top = rad.solve_radius(rad.RadiusSpec(equation, p, m))
+    # the ThmB call of the Thm32 route runs at r^p, on the shape (0, 1)
+    length = max(fn.lacunary_length_for(m, p, top), fn.lacunary_length_for(0, 1, top ** p)) + 1
+    return np.abs(schur.sample_bank(seeds, 5, length - 1)), m, p, top
+
+
+class TestLemmaIdentities:
+    """Thm31, Thm32 and Thm34 are exact affine images of ThmB or LemDOdd
+    plus a scalar, on every bank, shape and radius (``lemma_margins``); a
+    failure is a finding about the catalog, not a tolerance to widen."""
+
+    @pytest.mark.parametrize("theorem_id", LEMMA_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 8), data=st.data(),
+           s=st.sampled_from([0.5, 1.0, 2.0, 3.0]), t=st.floats(0.0, 1.0))
+    def test_margin_is_the_lemma_plus_a_scalar(self, theorem_id, seed, p, data, s, t):
+        m = data.draw(st.integers(0, p), label="m")
+        bank, m, p, top = lemma_case(theorem_id, seed, m, p, s)
+        r = top * np.array([0.0, t, 1.0])
+        own, derived, allowance = lemma_margins(theorem_id, bank, m, p, r,
+                                                s=s if theorem_id == "Thm31" else None)
+        assert np.all(np.abs(own - derived) <= allowance), (m, p, top)
 
 
 class TestEvaluateTheorem:

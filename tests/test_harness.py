@@ -1163,7 +1163,7 @@ class TestCli:
         cfg = hn.CampaignConfig(theorems=("Lem21",), shapes=((0, 1), (1, 3)), samples=20000,
                                 r_stop=0.99)
         assert [hn._bank_length(cfg, m, p) for m, p in cfg.shapes] == [2751, 881]
-        assert hn._kept_shapes("Lem21", cfg.shapes) == [(1, 3)]
+        assert hn._ROWS["Lem21"].shapes(cfg.shapes) == [(1, 3)]
 
     def test_sharpness_negative_steps_exits_two(self, capsys):
         code = cli_main(["sharpness", "--theorem", "Thm34", "--p", "3", "--m", "1",

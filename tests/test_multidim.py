@@ -358,6 +358,23 @@ class TestSharpnessScan:
             want = r ** (p + m) / (1.0 - r ** (2 * p))
             assert got == pytest.approx(want, abs=1e-11)
 
+    def test_thm34_scan_is_its_closed_form(self):
+        # LemDOdd is an equality on the lifted automorphism family, so the
+        # Thm34 family's left side is r^(p+m)/(1 - r^2p) at every parameter:
+        # at every radius-table shape (p <= 8, 0 <= m <= p), 0.01 on either
+        # side of the radius, the scan equals that closed form within the
+        # bound on reordering its whole family table, cut at 2^-64
+        grid = md.default_scan_grid(2048)
+        for p in range(1, 9):
+            for m in range(p + 1):
+                r = rad.solve_radius(rad.RadiusSpec("ThmC34", p, m))
+                for at in (r - 0.01, r + 0.01):
+                    table = schur.family_moduli(grid, int(fn._cut_length(m, p, at, 1.0)))
+                    _, reorder = written_lhs("Thm34", table, m, p, [at])
+                    got = md.sharpness_scan("Thm34", p, m, at, grid)
+                    want = at ** (p + m) / (1.0 - at ** (2 * p))
+                    assert abs(got - want) <= 1e-15 + reorder.max(), (p, m, at)
+
     def test_family_table_rows(self):
         a = np.array([0.0, 1.0 / 3.0, 0.9, 0.999])
         want = [[x] + [(1.0 - x * x) * x ** (k - 1) for k in range(1, 40)] for x in a]
@@ -407,8 +424,12 @@ class TestSharpnessScan:
             md.sharpness_scan(scan_id, 1, 0, 0.5, [0.2, math.nan, 0.4], s=1.0)
 
     def test_thm31_requires_s(self):
-        with pytest.raises(ParameterOutOfRange):
-            md.sharpness_scan("Thm31", 1, 0, 0.3, [0.5])
+        # the core's own s rule, as theorem_margins applies it
+        for s in (None, 0.0, -1.0, math.nan):
+            with pytest.raises(ParameterOutOfRange, match="^Thm31 needs a positive exponent s$"):
+                md.sharpness_scan("Thm31", 1, 0, 0.3, [0.5], s=s)
+            with pytest.raises(ParameterOutOfRange, match="^Thm31 needs a positive exponent s$"):
+                fn.theorem_margins("Thm31", [0.5, 0.1], 0, 1, 0.3, extras={"s": s}, exact=True)
 
     def test_unknown(self):
         with pytest.raises(UnknownTheorem):

@@ -171,12 +171,16 @@ def test_row_cores_are_catalog_entries():
 
 def test_row_equations_and_scans_are_table_entries():
     """A row's radius equation is a ``radius._EQUATIONS`` entry, and its scan
-    a closed envelope or a catalog core; the CLI lists them in this order."""
+    a catalog core, whose family is its entry's closed envelope (Thm31 and
+    Thm32) or the core itself; the CLI lists them in this order."""
     rows = functionals._ROWS.values()
     equations = {row.equation for row in rows if row.equation}
     assert equations <= set(radius._EQUATIONS), equations - set(radius._EQUATIONS)
-    for scan in {row.scan for row in rows if row.scan}:
-        assert scan in multidim._ENVELOPES or scan in functionals._THEOREMS, scan
+    scans = {row.scan for row in rows if row.scan}
+    assert scans <= set(functionals._THEOREMS), scans - set(functionals._THEOREMS)
+    assert [scan for scan in sorted(scans)
+            if functionals._THEOREMS[scan].envelope is not None] == ["Thm31", "Thm32"]
+    assert not hasattr(multidim, "_ENVELOPES")
     assert radius.RADIUS_IDS == ("ThmC34", "Thm31", "Thm32", "Cor43", "ClassicBohr",
                                  "Alternating")
     assert multidim.SCAN_IDS == ("Thm31", "Thm32", "Thm34", "Thm41", "Cor43")
@@ -211,12 +215,10 @@ SETTLE_RULES = ("_least", "_unsettled", "_bernstein_matrix", "_reduced_floor",
                 "_reduced_least", "_SETTLE_SLACK", "_BERNSTEIN_DEGREE")
 
 
-def test_harness_reads_no_settle_rule():
-    """``functionals.least_margin`` alone decides which cells hold a row's
-    least margin: ``harness`` reads from ``functionals`` only public names
-    and the ``_ROWS`` and ``_THEOREMS`` tables, and defines none of the
-    settle rules itself."""
-    tree = ast.parse((ROOT / "src" / "bohrcert" / "harness.py").read_text(encoding="utf-8"))
+def _functionals_use(module):
+    """The ``functionals`` names a library module reads, by ``from .functionals
+    import`` or as attributes of its alias, and the names it defines."""
+    tree = ast.parse((ROOT / "src" / "bohrcert" / f"{module}.py").read_text(encoding="utf-8"))
     aliases, read, defined = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "functionals":
@@ -232,10 +234,29 @@ def test_harness_reads_no_settle_rule():
             defined.add(node.name)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             defined.add(node.id)
-    assert aliases and "least_margin" in read
-    assert sorted(name for name in read if name.startswith("_")) == ["_ROWS", "_THEOREMS"]
+    return read, defined
+
+
+def test_harness_reads_no_settle_rule():
+    """``functionals.least_margin`` alone decides which cells hold a row's
+    least margin: ``harness`` calls it and defines none of the settle rules
+    itself."""
+    read, defined = _functionals_use("harness")
+    assert "least_margin" in read
     assert [name for name in SETTLE_RULES if name in defined or not hasattr(functionals, name)] == []
 
+
+@pytest.mark.parametrize("module, private", [
+    ("harness", ["_ROWS", "_THEOREMS"]),
+    ("radius", ["_THEOREMS"]),
+    ("multidim", ["_ROWS", "_THEOREMS", "_cut_length"]),
+])
+def test_private_functionals_names_each_module_reads(module, private):
+    """Each module reaches a theorem's facts through the ``_ROWS`` and
+    ``_THEOREMS`` records, whose methods apply its rules; no ``_check_*``
+    helper leaves ``functionals``."""
+    read, _ = _functionals_use(module)
+    assert sorted(name for name in read if name.startswith("_")) == private
 
 
 def _modules_after(code):
